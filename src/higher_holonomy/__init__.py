@@ -47,8 +47,6 @@ from .forms import (
     curvature_three_form,
     curvature_two_form,
     eg_pair,
-    eval_one_form,
-    eval_two_form,
     fake_curvature_residual,
     one_form_from_expressions,
     symbolic_curvature,

@@ -10,6 +10,7 @@ iff all embedded pass flags are true.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -85,16 +86,13 @@ def parse_group(name: str, pointer: str) -> lc.GroupDescriptor:
     name = name.strip()
     if name == "U(1)":
         return lc.u1()
-    for prefix, builder in (("SU", lc.su), ("SO", lc.so)):
+    for prefix, builder in (("SU", lc.su), ("SO", lc.so), ("GL", lc.gl),
+                            ("UT", lc.unipotent)):
         if name.startswith(prefix + "(") and name.endswith(")"):
             try:
                 return builder(int(name[len(prefix) + 1:-1]))
             except ValueError as exc:
                 raise ConfigError(f"bad group size in {name!r}", pointer) from exc
-    if name.startswith("GL(") and name.endswith(")"):
-        return lc.gl(int(name[3:-1]))
-    if name.startswith("UT(") and name.endswith(")"):
-        return lc.unipotent(int(name[3:-1]))
     raise ConfigError(f"unknown group {name!r}", pointer)
 
 
@@ -135,7 +133,11 @@ def _parse_two_form(tables, desc, ambient_dim, pointer):
         parts = key.replace("(", "").replace(")", "").split(",")
         if len(parts) != 2:
             raise ConfigError(f"bad two-form key {key!r} (want 'i,j')", f"{pointer}/{key}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError as exc:
+            raise ConfigError(f"bad two-form key {key!r} (want 'i,j')",
+                              f"{pointer}/{key}") from exc
         if not 0 <= i < j < ambient_dim:
             raise ConfigError(f"two-form key {key!r} out of range", f"{pointer}/{key}")
         parsed[(i, j)] = matrix
@@ -152,7 +154,10 @@ class Experiment:
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be an object", "/")
         self.raw = cfg
-        self.ambient_dim = int(_require(cfg, "ambient_dim"))
+        try:
+            self.ambient_dim = int(_require(cfg, "ambient_dim"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("ambient_dim must be an integer", "/ambient_dim") from exc
         if self.ambient_dim < 1:
             raise ConfigError("ambient_dim must be positive", "/ambient_dim")
         self.cm = parse_crossed_module(_require(cfg, "crossed_module"), "/crossed_module")
@@ -164,12 +169,17 @@ class Experiment:
         self.box = tuple(tuple(map(float, iv)) for iv in box) if box else None
 
         icfg = cfg.get("integrator", {})
+        if not isinstance(icfg, dict):
+            raise ConfigError("integrator must be an object", "/integrator")
+        known = {f.name for f in dataclasses.fields(tp.IntegratorConfig)}
+        for key in icfg:
+            if key not in known:
+                raise ConfigError(f"unknown integrator key {key!r}", f"/integrator/{key}")
         try:
             self.integrator = tp.IntegratorConfig(
                 n_steps_path=int(icfg.get("n_steps_path", 256)),
                 n_steps_surface_s=int(icfg.get("n_steps_surface_s", 128)),
                 n_quad_t=int(icfg.get("n_quad_t", 128)),
-                retraction=bool(icfg.get("retraction", True)),
             )
         except ValueError as exc:
             raise ConfigError(str(exc), "/integrator") from exc
@@ -396,7 +406,6 @@ def run(command: str, cfg: dict, config_bytes: bytes | None = None) -> dict:
             "n_steps_path": exp.integrator.n_steps_path,
             "n_steps_surface_s": exp.integrator.n_steps_surface_s,
             "n_quad_t": exp.integrator.n_quad_t,
-            "retraction": exp.integrator.retraction,
         },
         "result": result,
         "pass": bool(result.get("pass", True)),

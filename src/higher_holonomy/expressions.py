@@ -369,7 +369,3 @@ def _is_const(e: Expr, value) -> bool:
 
 def derivative(e: Expr, var: str) -> Expr:
     return simplify(e.diff(var))
-
-
-def evaluate(e: Expr, env) -> object:
-    return e.evaluate(env)

@@ -151,20 +151,6 @@ class MorphismResiduals:
         return max(self.connection_eq, self.curving_eq)
 
 
-def _d_one_form(phi: OneFormField, x, v1, v2) -> np.ndarray:
-    d = phi.descriptor.matrix_dim
-    out = np.zeros(np.asarray(x, dtype=float).shape[:-1] + (d, d), dtype=complex)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    for j in range(phi.ambient_dim):
-        for i in range(phi.ambient_dim):
-            coef = v1[..., i] * v2[..., j] - v2[..., i] * v1[..., j]
-            if np.all(coef == 0.0):
-                continue
-            out = out + phi.components[j].partial(i).eval(x) * coef[..., None, None]
-    return out
-
-
 def residual_prop2(cm: CrossedModule, g_map: GroupValuedMap, phi: OneFormField,
                    a: OneFormField, b: TwoFormField,
                    a_prime: OneFormField, b_prime: TwoFormField,
@@ -195,7 +181,7 @@ def residual_prop2(cm: CrossedModule, g_map: GroupValuedMap, phi: OneFormField,
                 phi2 = phi.matrices_at(x, v2)
                 lhs = (b_prime.matrices_at(x, v1, v2)
                        + fm.alpha_wedge(cm, a_prime, phi, x, v1, v2).matrix
-                       + _d_one_form(phi, x, v1, v2)
+                       + fm.exterior_derivative_one_form(phi, x, v1, v2)
                        + phi1 @ phi2 - phi2 @ phi1)
                 rhs = hg.alpha_g_star(cm, g_el, b(x, v1, v2)).matrix
                 res2 = max(res2, lc.frob(lhs - rhs))

@@ -232,14 +232,6 @@ class TwoFormField:
         return AlgebraElement(self.descriptor, self.matrices_at(x, v1, v2), validate=False)
 
 
-def eval_one_form(a: OneFormField, x, v) -> AlgebraElement:
-    return a(x, v)
-
-
-def eval_two_form(b: TwoFormField, x, v1, v2) -> AlgebraElement:
-    return b(x, v1, v2)
-
-
 def _as_entry_table(matrix_table):
     return [[e for e in row] for row in matrix_table]
 
@@ -327,8 +319,9 @@ def add_two_forms(a: TwoFormField, b: TwoFormField, factor: float = 1.0) -> TwoF
     return TwoFormField(a.descriptor, comps, a.ambient_dim)
 
 
-def curvature_matrices_at(a: OneFormField, x, v1, v2, fd_step: float | None = None) -> np.ndarray:
-    """K(v1, v2) = dA(v1, v2) + [A(v1), A(v2)] on stacked points."""
+def exterior_derivative_one_form(a: OneFormField, x, v1, v2,
+                                 fd_step: float | None = None) -> np.ndarray:
+    """dA(v1, v2) for constant frames on stacked points."""
     x = np.asarray(x, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -340,6 +333,12 @@ def curvature_matrices_at(a: OneFormField, x, v1, v2, fd_step: float | None = No
             if np.all(coef == 0.0):
                 continue
             da = da + a.components[j].partial(i, fd_step).eval(x) * coef[..., None, None]
+    return da
+
+
+def curvature_matrices_at(a: OneFormField, x, v1, v2, fd_step: float | None = None) -> np.ndarray:
+    """K(v1, v2) = dA(v1, v2) + [A(v1), A(v2)] on stacked points."""
+    da = exterior_derivative_one_form(a, x, v1, v2, fd_step)
     a1 = a.matrices_at(x, v1)
     a2 = a.matrices_at(x, v2)
     return da + a1 @ a2 - a2 @ a1

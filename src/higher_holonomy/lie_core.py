@@ -28,16 +28,6 @@ UT = "UT"  # upper triangular unipotent
 
 _FAMILIES = (U1, SU, SO, GL, UT)
 
-# Module-wide switch for membership revalidation on element construction.
-# On by default; hot loops construct with validate=False instead.
-debug_validate = True
-
-
-def set_debug_validate(flag: bool) -> None:
-    global debug_validate
-    debug_validate = bool(flag)
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """Names a matrix group family together with its size and base field."""
@@ -174,12 +164,11 @@ class GroupElement:
 
     descriptor: GroupDescriptor
     matrix: np.ndarray
-    validate: bool | None = field(default=None, repr=False, compare=False)
+    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.descriptor, self.matrix))
-        check = debug_validate if self.validate is None else self.validate
-        if check:
+        if self.validate:
             d = group_defect(self.descriptor, self.matrix)
             if not d <= self.descriptor.membership_tolerance:
                 raise MembershipError(
@@ -200,12 +189,11 @@ class AlgebraElement:
 
     descriptor: GroupDescriptor
     matrix: np.ndarray
-    validate: bool | None = field(default=None, repr=False, compare=False)
+    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.descriptor, self.matrix))
-        check = debug_validate if self.validate is None else self.validate
-        if check:
+        if self.validate:
             d = algebra_defect(self.descriptor, self.matrix)
             if not d <= self.descriptor.membership_tolerance:
                 raise MembershipError(
@@ -258,7 +246,7 @@ def exp_map(x: AlgebraElement) -> GroupElement:
         raise NumericalError("exponential produced non-finite entries")
     d = x.descriptor
     g = GroupElement(d, m, validate=False)
-    if debug_validate and group_defect(d, m) > 10 * d.membership_tolerance:
+    if group_defect(d, m) > 10 * d.membership_tolerance:
         raise MembershipError(f"exp_map left {d} (defect {group_defect(d, m):.3e})")
     return g
 

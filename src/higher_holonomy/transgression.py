@@ -25,8 +25,7 @@ import numpy as np
 from . import expressions as xp
 from . import higher_group as hg
 from . import lie_core as lc
-from .errors import NumericalError
-from .forms import ConnectionPair, eval_one_form
+from .forms import ConnectionPair
 from .geometry import (
     DEFAULT_PROFILE,
     Bigon,
@@ -45,6 +44,7 @@ from .transport import (
     TwoFunctor,
     _rk4_sweep,
     _simpson_weights,
+    _transformation_ode,
     path_transport,
 )
 
@@ -163,17 +163,17 @@ def transgressed_A(pair: ConnectionPair, tangent: LoopTangent) -> AlgebraElement
     """The loop-space 1-form pulled back from the base point: A evaluated
     at the loop's base point on the base component of the variation."""
     tau = tangent.base
-    return eval_one_form(pair.A, tau.base_point(), tangent.vector(0.0))
+    return pair.A(tau.base_point(), tangent.vector(0.0))
 
 
-def _arc_transports(pair: ConnectionPair, tau: Loop, nq: int, retraction: bool):
+def _arc_transports(pair: ConnectionPair, tau: Loop, nq: int):
     """Transports along the loop from angle 0 to each Simpson node, by one
     accumulating ODE sweep, plus the full-turn transport."""
     zz = np.linspace(0.0, 1.0, 2 * nq + 1)
     x = tau.point(zz)
     v = tau.velocity(zz)
     amats = pair.A.matrices_at(x, v)
-    u = _rk4_sweep(amats[None], 1.0 / nq, pair.A.descriptor, retraction)[0]
+    u = _rk4_sweep(amats[None], 1.0 / nq, pair.A.descriptor)[0]
     return zz[::2], u
 
 
@@ -188,7 +188,7 @@ def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
     """
     tau = tangent.base
     nq = cfg.n_quad_t
-    nodes, u = _arc_transports(pair, tau, nq, cfg.retraction)
+    nodes, u = _arc_transports(pair, tau, nq)
     w_full = u[-1]
     arcs = w_full @ np.linalg.inv(u)
     bvals = pair.B.matrices_at(tau.point(nodes), tangent.vector(nodes), tau.velocity(nodes))
@@ -260,23 +260,7 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     for i, t in enumerate(tt):
         phi_vals[i] = transgressed_phi(pair, lp.variation_at(float(t)), cfg).matrix
 
-    h_mat = np.eye(dh, dtype=complex)
-    step = 1.0 / n
-
-    def rhs(idx, hm):
-        return -(phi_vals[idx] @ hm) - hg.alpha_action_diff(pair.cm, a_vals[idx], hm)
-
-    for k in range(n):
-        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        k1 = rhs(i0, h_mat)
-        k2 = rhs(i1, h_mat + 0.5 * step * k1)
-        k3 = rhs(i1, h_mat + 0.5 * step * k2)
-        k4 = rhs(i2, h_mat + step * k3)
-        h_mat = h_mat + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if cfg.retraction:
-            h_mat = lc.retract(pair.cm.H, h_mat[None])[0]
-    if not np.all(np.isfinite(h_mat)):
-        raise NumericalError("loop-space transport blew up")
+    h_mat = _transformation_ode(pair.cm, phi_vals, a_vals, n)
 
     defect = lc.frob(route_functor - h_mat)
     return ConsistencyReport(route_functor, h_mat, defect)

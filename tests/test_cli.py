@@ -170,6 +170,21 @@ class TestMainEntry:
         rc = cli.main(["surface", "--config", str(cfg_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit, pointer", [
+        ({"crossed_module": "eg:GL(x)"}, "/crossed_module"),
+        ({"ambient_dim": "two"}, "/ambient_dim"),
+        ({"B": {"1,x": [["i"]]}}, "/B/1,x"),
+        ({"integrator": {"n_step_path": 64}}, "/integrator/n_step_path"),
+        ({"integrator": {"retraction": False}}, "/integrator/retraction"),
+    ], ids=["group_size", "ambient_dim", "two_form_key", "unknown_integrator_key",
+            "retraction_key"])
+    def test_invalid_config_is_a_config_error(self, tmp_path, capsys, edit, pointer):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**surface_cfg(), **edit}))
+        rc = cli.main(["surface", "--config", str(cfg_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
     def test_console_invocation(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(surface_cfg()))

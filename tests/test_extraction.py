@@ -184,7 +184,7 @@ def _transformation_data():
         g_el = g_map.element(x)
         acted = hg.alpha_g_star(cm, g_el, b(x, e1, e2)).matrix
         wedge = fm.alpha_wedge(cm, a_prime, phi, x, e1, e2).matrix
-        dphi = ex._d_one_form(phi, x, e1, e2)
+        dphi = fm.exterior_derivative_one_form(phi, x, e1, e2)
         p1 = phi.matrices_at(x, e1)
         p2 = phi.matrices_at(x, e2)
         return acted - wedge - dphi - (p1 @ p2 - p2 @ p1)

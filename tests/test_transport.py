@@ -299,6 +299,14 @@ class TestStokes:
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
 
+    def test_coarse_integration_reports_instead_of_raising(self, loop_and_contraction):
+        _, sig = loop_and_contraction
+        a = fm.one_form_from_expressions(
+            SU2, [su2_matrix_table("0.5*x2", "0.3*x1*x2", "0"),
+                  su2_matrix_table("0.25*x1", "0", "0.4*x1")], 2)
+        rep = tp.stokes_check(a, sig, tp.IntegratorConfig(8, 1, 2))
+        assert np.isfinite(rep.error)
+
     def test_abelian_matches_surface_integral(self, loop_and_contraction):
         from .oracles import leggauss_nodes
 

@@ -307,6 +307,19 @@ class TestStokes:
         rep = tp.stokes_check(a, sig, tp.IntegratorConfig(8, 1, 2))
         assert np.isfinite(rep.error)
 
+    def test_pole_outside_the_bigon(self):
+        # A is singular on x1 = 0.5, which the bigon (x1 in [0.1, 0.4]) avoids;
+        # evaluating A there would raise under this errstate
+        circle = geo.loop_from_expressions(
+            ["0.25 + 0.15*cos(2*pi*z)", "0.5 + 0.15*sin(2*pi*z)"])
+        sig = geo.contraction_bigon(geo.loop_to_path(circle))
+        a = fm.one_form_from_expressions(
+            SU2, [su2_matrix_table("0.5*x2", "0", "0.1/(x1 - 0.5)"),
+                  su2_matrix_table("0.25*x1", "0.2*x2", "0")], 2)
+        with np.errstate(divide="raise", invalid="raise"):
+            rep = tp.stokes_check(a, sig, tp.IntegratorConfig(64, 32, 32))
+        assert rep.error <= 1e-6
+
     def test_abelian_matches_surface_integral(self, loop_and_contraction):
         from .oracles import leggauss_nodes
 

@@ -14,7 +14,7 @@ independent; the reduction is numpy's deterministic pairwise sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .errors import DomainError
 from .forms import OneFormField, TwoFormField, add_one_forms, add_two_forms
 from .higher_group import CrossedModule
 from .lie_core import AlgebraElement
+
+# step of the central difference along each perturbation direction
+_CRITICALITY_EPSILON = 1e-3
 
 _PLANES4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # shuffle decomposition of a 4-form from two 2-forms: pairs of complementary
@@ -56,35 +59,29 @@ class PairingSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Uniform grid of n^4 cells over the unit 4-cube."""
+
     n: int = 12
-    box: tuple = field(default_factory=lambda: tuple((0.0, 1.0) for _ in range(4)))
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid must have at least 2 cells per axis")
-        if len(self.box) != 4:
-            raise DomainError("BF theory integrates over a 4-dimensional box")
 
     def cell_centers(self) -> np.ndarray:
-        axes = [
-            lo + (np.arange(self.n) + 0.5) * (hi - lo) / self.n
-            for lo, hi in self.box
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
+        axis = (np.arange(self.n) + 0.5) / self.n
+        grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def cell_volume(self) -> float:
-        vol = 1.0
-        for lo, hi in self.box:
-            vol *= (hi - lo) / self.n
-        return vol
+        r = 1.0 / self.n
+        return r * r * r * r
 
     def coarser(self) -> "GridSpec":
-        return GridSpec(max(2, self.n // 2), self.box)
+        return GridSpec(max(2, self.n // 2))
 
 
 def _beta_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                     xs: np.ndarray, fd_step: float = 1e-4) -> dict:
+                     xs: np.ndarray) -> dict:
     """beta = F_A - t_* B on all coordinate 2-planes at stacked points."""
     n = a.ambient_dim
     eye = np.eye(n)
@@ -92,19 +89,19 @@ def _beta_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     for (i, j) in [(i, j) for i in range(n) for j in range(i + 1, n)]:
         v1 = np.broadcast_to(eye[i], xs.shape)
         v2 = np.broadcast_to(eye[j], xs.shape)
-        k = fm.curvature_matrices_at(a, xs, v1, v2, fd_step)
+        k = fm.curvature_matrices_at(a, xs, v1, v2)
         tb = hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2))
         out[(i, j)] = k - tb
     return out
 
 
 def beta_field(cm: CrossedModule, a: OneFormField, b: TwoFormField, x,
-               planes=None, fd_step: float = 1e-4) -> dict:
+               planes=None) -> dict:
     """Pointwise beta = F_A - t_* B per coordinate 2-plane.  The input pair
     need not be fake-flat; this is the quantity whose vanishing
     characterizes critical points."""
     x = np.asarray(x, dtype=float)
-    comps = _beta_components(cm, a, b, x[None], fd_step)
+    comps = _beta_components(cm, a, b, x[None])
     wanted = planes if planes is not None else sorted(comps)
     return {
         pl: AlgebraElement(cm.G, comps[pl][0], validate=False) for pl in wanted
@@ -122,21 +119,20 @@ def _wedge_pair_integrand(pairing: PairingSpec, omega: dict, eta: dict) -> np.nd
 
 
 def bf_action(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-              pairing: PairingSpec = PairingSpec(), grid: GridSpec = GridSpec(),
-              fd_step: float = 1e-4) -> float:
+              pairing: PairingSpec = PairingSpec(), grid: GridSpec = GridSpec()) -> float:
     """S(A, B) = 1/2 integral <beta ^ beta> by the midpoint rule."""
     if a.ambient_dim != 4:
         raise DomainError("BF action requires ambient dimension 4")
     xs = grid.cell_centers()
-    beta = _beta_components(cm, a, b, xs, fd_step)
+    beta = _beta_components(cm, a, b, xs)
     integrand = 0.5 * _wedge_pair_integrand(pairing, beta, beta)
     return float(np.sum(integrand) * grid.cell_volume())
 
 
 def beta_sup_norm(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                  grid: GridSpec = GridSpec(), fd_step: float = 1e-4) -> float:
+                  grid: GridSpec = GridSpec()) -> float:
     xs = grid.cell_centers()
-    beta = _beta_components(cm, a, b, xs, fd_step)
+    beta = _beta_components(cm, a, b, xs)
     sup = 0.0
     for mat in beta.values():
         sup = max(sup, float(np.max(np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1))))))
@@ -156,8 +152,7 @@ class ActionDecomposition:
 
 def action_decomposition(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                          pairing: PairingSpec = PairingSpec(),
-                         grid: GridSpec = GridSpec(),
-                         fd_step: float = 1e-4) -> ActionDecomposition:
+                         grid: GridSpec = GridSpec()) -> ActionDecomposition:
     """Split S into the topological Yang-Mills term, the BF cross term and
     the cosmological term; the three sum to S on the same grid exactly up
     to floating point."""
@@ -169,7 +164,7 @@ def action_decomposition(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     for (i, j) in _PLANES4:
         v1 = np.broadcast_to(eye[i], xs.shape)
         v2 = np.broadcast_to(eye[j], xs.shape)
-        f_comp[(i, j)] = fm.curvature_matrices_at(a, xs, v1, v2, fd_step)
+        f_comp[(i, j)] = fm.curvature_matrices_at(a, xs, v1, v2)
         tb_comp[(i, j)] = hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2))
     vol = grid.cell_volume()
     ym = 0.5 * float(np.sum(_wedge_pair_integrand(pairing, f_comp, f_comp)) * vol)
@@ -180,12 +175,11 @@ def action_decomposition(cm: CrossedModule, a: OneFormField, b: TwoFormField,
 
 def quadrature_error_estimate(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                               pairing: PairingSpec = PairingSpec(),
-                              grid: GridSpec = GridSpec(),
-                              fd_step: float = 1e-4) -> float:
+                              grid: GridSpec = GridSpec()) -> float:
     """|S(n) - S(n/2)|: an upper bound on the change under one further
     refinement for the second-order midpoint rule."""
-    s_fine = bf_action(cm, a, b, pairing, grid, fd_step)
-    s_coarse = bf_action(cm, a, b, pairing, grid.coarser(), fd_step)
+    s_fine = bf_action(cm, a, b, pairing, grid)
+    s_coarse = bf_action(cm, a, b, pairing, grid.coarser())
     return abs(s_fine - s_coarse)
 
 
@@ -249,29 +243,29 @@ class CriticalityReport:
 def criticality_check(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                       pairing: PairingSpec = PairingSpec(),
                       grid: GridSpec = GridSpec(), n_directions: int = 8,
-                      epsilon: float = 1e-3, seed: int = 0,
-                      fd_step: float = 1e-4) -> CriticalityReport:
+                      seed: int = 0) -> CriticalityReport:
     """Central-difference directional derivatives of S along random smooth
     polynomial perturbations of A and of B (alternating), each with unit
     sup-norm.  Critical pairs are exactly those with beta = 0, so all
     derivatives vanish there up to the O(eps^2) bias of the difference.
     """
+    eps = _CRITICALITY_EPSILON
     rng = np.random.default_rng(seed)
     derivs = []
     for k in range(n_directions):
         if k % 2 == 0:
             delta = _perturbation_one_form(rng, a.descriptor, a.ambient_dim)
-            s_plus = bf_action(cm, add_one_forms(a, delta, epsilon), b, pairing, grid, fd_step)
-            s_minus = bf_action(cm, add_one_forms(a, delta, -epsilon), b, pairing, grid, fd_step)
+            s_plus = bf_action(cm, add_one_forms(a, delta, eps), b, pairing, grid)
+            s_minus = bf_action(cm, add_one_forms(a, delta, -eps), b, pairing, grid)
         else:
             delta = _perturbation_two_form(rng, b.descriptor, b.ambient_dim)
-            s_plus = bf_action(cm, a, add_two_forms(b, delta, epsilon), pairing, grid, fd_step)
-            s_minus = bf_action(cm, a, add_two_forms(b, delta, -epsilon), pairing, grid, fd_step)
-        derivs.append((s_plus - s_minus) / (2.0 * epsilon))
+            s_plus = bf_action(cm, a, add_two_forms(b, delta, eps), pairing, grid)
+            s_minus = bf_action(cm, a, add_two_forms(b, delta, -eps), pairing, grid)
+        derivs.append((s_plus - s_minus) / (2.0 * eps))
     return CriticalityReport(
         derivatives=tuple(derivs),
-        beta_sup=beta_sup_norm(cm, a, b, grid, fd_step),
-        action=bf_action(cm, a, b, pairing, grid, fd_step),
-        epsilon=epsilon,
+        beta_sup=beta_sup_norm(cm, a, b, grid),
+        action=bf_action(cm, a, b, pairing, grid),
+        epsilon=eps,
         seed=seed,
     )

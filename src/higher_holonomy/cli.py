@@ -114,6 +114,27 @@ def _require(cfg: dict, key: str, pointer: str = ""):
     return cfg[key]
 
 
+def _convert(kind, value, pointer: str):
+    """kind(value) (int or float), or a ConfigError at `pointer`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"expected {what}, got {value!r}", pointer) from exc
+
+
+def _parse_box(box, ambient_dim: int):
+    if not box:
+        return None
+    if not isinstance(box, list) or len(box) != ambient_dim:
+        raise ConfigError(f"box needs {ambient_dim} [lo, hi] intervals", "/box")
+    for k, iv in enumerate(box):
+        if not isinstance(iv, list) or len(iv) != 2:
+            raise ConfigError("box interval must be [lo, hi]", f"/box/{k}")
+    return tuple(tuple(_convert(float, c, f"/box/{k}/{m}") for m, c in enumerate(iv))
+                 for k, iv in enumerate(box))
+
+
 def _parse_one_form(tables, desc, ambient_dim, pointer):
     if tables is None:
         return fm.zero_one_form(desc, ambient_dim)
@@ -153,43 +174,58 @@ class Experiment:
     def __init__(self, cfg: dict):
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be an object", "/")
-        self.raw = cfg
-        try:
-            self.ambient_dim = int(_require(cfg, "ambient_dim"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("ambient_dim must be an integer", "/ambient_dim") from exc
+        self.ambient_dim = _convert(int, _require(cfg, "ambient_dim"), "/ambient_dim")
         if self.ambient_dim < 1:
             raise ConfigError("ambient_dim must be positive", "/ambient_dim")
         self.cm = parse_crossed_module(_require(cfg, "crossed_module"), "/crossed_module")
         self.A = _parse_one_form(cfg.get("A"), self.cm.G, self.ambient_dim, "/A")
         self.B = _parse_two_form(cfg.get("B"), self.cm.H, self.ambient_dim, "/B")
-        self.seed = int(cfg.get("seed", 0))
-        self.fc_tolerance = cfg.get("fc_tolerance")
-        box = cfg.get("box")
-        self.box = tuple(tuple(map(float, iv)) for iv in box) if box else None
+        self.seed = _convert(int, cfg.get("seed", 0), "/seed")
+        fc_tolerance = cfg.get("fc_tolerance")
+        self.fc_tolerance = (None if fc_tolerance is None
+                             else _convert(float, fc_tolerance, "/fc_tolerance"))
+        self.box = _parse_box(cfg.get("box"), self.ambient_dim)
 
         icfg = cfg.get("integrator", {})
         if not isinstance(icfg, dict):
             raise ConfigError("integrator must be an object", "/integrator")
-        known = {f.name for f in dataclasses.fields(tp.IntegratorConfig)}
+        fields = dataclasses.fields(tp.IntegratorConfig)
         for key in icfg:
-            if key not in known:
+            if key not in {f.name for f in fields}:
                 raise ConfigError(f"unknown integrator key {key!r}", f"/integrator/{key}")
+        steps = {f.name: _convert(int, icfg.get(f.name, f.default), f"/integrator/{f.name}")
+                 for f in fields}
         try:
-            self.integrator = tp.IntegratorConfig(
-                n_steps_path=int(icfg.get("n_steps_path", 256)),
-                n_steps_surface_s=int(icfg.get("n_steps_surface_s", 128)),
-                n_quad_t=int(icfg.get("n_quad_t", 128)),
-            )
+            self.integrator = tp.IntegratorConfig(**steps)
         except ValueError as exc:
             raise ConfigError(str(exc), "/integrator") from exc
         fcfg = cfg.get("fd", {})
+        if not isinstance(fcfg, dict):
+            raise ConfigError("fd must be an object", "/fd")
         try:
-            self.fd = ex.FdConfig(step=float(fcfg.get("step", 1e-3)),
+            self.fd = ex.FdConfig(step=_convert(float, fcfg.get("step", 1e-3), "/fd/step"),
                                   richardson=bool(fcfg.get("richardson", True)))
         except ValueError as exc:
             raise ConfigError(str(exc), "/fd") from exc
         self.geometry = cfg.get("geometry", {})
+        if not isinstance(self.geometry, dict):
+            raise ConfigError("geometry must be an object", "/geometry")
+
+        # bf settings are checked for every command, so a bad value fails before any work
+        grid_cfg = cfg.get("grid", {})
+        if not isinstance(grid_cfg, dict):
+            raise ConfigError("grid must be an object", "/grid")
+        try:
+            self.grid = bf.GridSpec(_convert(int, grid_cfg.get("n", 12), "/grid/n"))
+        except ValueError as exc:
+            raise ConfigError(str(exc), "/grid/n") from exc
+        try:
+            self.pairing = bf.PairingSpec(cfg.get("pairing", "neg_trace"))
+        except ValueError as exc:
+            raise ConfigError(str(exc), "/pairing") from exc
+        self.n_directions = _convert(int, cfg.get("n_directions", 8), "/n_directions")
+        if self.n_directions < 1:
+            raise ConfigError("n_directions must be at least 1", "/n_directions")
 
     def pair(self) -> fm.ConnectionPair:
         return fm.ConnectionPair(self.cm, self.A, self.B, fc_tolerance=self.fc_tolerance,
@@ -319,14 +355,11 @@ def _cmd_stokes(exp: Experiment) -> dict:
 
 
 def _cmd_bf(exp: Experiment) -> dict:
-    grid_cfg = exp.raw.get("grid", {})
-    grid = bf.GridSpec(int(grid_cfg.get("n", 12)))
-    pairing = bf.PairingSpec(exp.raw.get("pairing", "neg_trace"))
+    grid, pairing = exp.grid, exp.pairing
     action = bf.bf_action(exp.cm, exp.A, exp.B, pairing, grid)
     dec = bf.action_decomposition(exp.cm, exp.A, exp.B, pairing, grid)
     crit = bf.criticality_check(exp.cm, exp.A, exp.B, pairing, grid,
-                                n_directions=int(exp.raw.get("n_directions", 8)),
-                                seed=exp.seed)
+                                n_directions=exp.n_directions, seed=exp.seed)
     est = bf.quadrature_error_estimate(exp.cm, exp.A, exp.B, pairing, grid)
     decomposition_gap = abs(dec.total - action)
     return {
@@ -400,7 +433,7 @@ def run(command: str, cfg: dict, config_bytes: bytes | None = None) -> dict:
             "fc_tolerance": exp.fc_tolerance if exp.fc_tolerance is not None else
             (1e-5 if exp.A.is_symbolic else 1e-3),
             "fd_step": exp.fd.step,
-            "matching_hard_limit": 1e-3,
+            "matching_hard_limit": tp.MATCHING_HARD_LIMIT,
         },
         "integrator": {
             "n_steps_path": exp.integrator.n_steps_path,

@@ -3,8 +3,10 @@ curvatures, and the fake-curvature gate.
 
 Forms are tables of matrix-valued component fields.  Components backed by
 scalar expressions are differentiated symbolically; components backed by
-plain callables fall back to central finite differences (default step
-1e-4).  All evaluators broadcast over stacked sample points.
+plain callables fall back to central finite differences with the field's
+own step (`CallableMatrixField.fd_step`, default 1e-4), which every
+consumer -- curvature, the fake-curvature gate, BF theory -- uses.  All
+evaluators broadcast over stacked sample points.
 
 Wedge-bracket normalization used throughout the package:
 
@@ -17,6 +19,7 @@ a derivative 2-functor equals dA + [A ^ A] (see the transport tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +65,8 @@ class ExpressionMatrixField:
                 out[..., r, c] = self.entries[r][c].evaluate(env)
         return out
 
-    def partial(self, axis: int, fd_step: float | None = None) -> "ExpressionMatrixField":
-        # exact, so the step request is irrelevant; cached per axis
+    def partial(self, axis: int) -> "ExpressionMatrixField":
+        # exact; cached per axis
         cache = getattr(self, "_partials", None)
         if cache is None:
             cache = {}
@@ -101,8 +104,8 @@ class CallableMatrixField:
         out = np.stack([np.asarray(self.fn(p), dtype=complex) for p in flat])
         return out.reshape(base + (self.dim, self.dim))
 
-    def partial(self, axis: int, fd_step: float | None = None) -> "CallableMatrixField":
-        h = fd_step if fd_step is not None else self.fd_step
+    def partial(self, axis: int) -> "CallableMatrixField":
+        h = self.fd_step
 
         def dfn(x):
             x = np.asarray(x, dtype=float)
@@ -274,18 +277,6 @@ def two_form_from_callables(descriptor: GroupDescriptor, fns: dict, ambient_dim:
     return TwoFormField(descriptor, comps, ambient_dim)
 
 
-def scale_one_form(a: OneFormField, factor: float) -> OneFormField:
-    comps = []
-    for c in a.components:
-        if c.is_symbolic:
-            comps.append(_sym_scale(c, factor))
-        else:
-            comps.append(CallableMatrixField(
-                lambda x, c=c: factor * c.eval(x), a.descriptor.matrix_dim,
-                a.ambient_dim, vectorized=True, fd_step=getattr(c, "fd_step", _DEFAULT_FD)))
-    return OneFormField(a.descriptor, comps, a.ambient_dim)
-
-
 def add_one_forms(a: OneFormField, b: OneFormField, factor: float = 1.0) -> OneFormField:
     """a + factor * b, symbolic when both sides are."""
     comps = []
@@ -319,8 +310,7 @@ def add_two_forms(a: TwoFormField, b: TwoFormField, factor: float = 1.0) -> TwoF
     return TwoFormField(a.descriptor, comps, a.ambient_dim)
 
 
-def exterior_derivative_one_form(a: OneFormField, x, v1, v2,
-                                 fd_step: float | None = None) -> np.ndarray:
+def exterior_derivative_one_form(a: OneFormField, x, v1, v2) -> np.ndarray:
     """dA(v1, v2) for constant frames on stacked points."""
     x = np.asarray(x, dtype=float)
     v1 = np.asarray(v1, dtype=float)
@@ -332,21 +322,20 @@ def exterior_derivative_one_form(a: OneFormField, x, v1, v2,
             coef = v1[..., i] * v2[..., j] - v2[..., i] * v1[..., j]
             if np.all(coef == 0.0):
                 continue
-            da = da + a.components[j].partial(i, fd_step).eval(x) * coef[..., None, None]
+            da = da + a.components[j].partial(i).eval(x) * coef[..., None, None]
     return da
 
 
-def curvature_matrices_at(a: OneFormField, x, v1, v2, fd_step: float | None = None) -> np.ndarray:
+def curvature_matrices_at(a: OneFormField, x, v1, v2) -> np.ndarray:
     """K(v1, v2) = dA(v1, v2) + [A(v1), A(v2)] on stacked points."""
-    da = exterior_derivative_one_form(a, x, v1, v2, fd_step)
+    da = exterior_derivative_one_form(a, x, v1, v2)
     a1 = a.matrices_at(x, v1)
     a2 = a.matrices_at(x, v2)
     return da + a1 @ a2 - a2 @ a1
 
 
-def curvature_two_form(a: OneFormField, x, v1, v2, fd_step: float | None = None) -> AlgebraElement:
-    return AlgebraElement(a.descriptor, curvature_matrices_at(a, x, v1, v2, fd_step),
-                          validate=False)
+def curvature_two_form(a: OneFormField, x, v1, v2) -> AlgebraElement:
+    return AlgebraElement(a.descriptor, curvature_matrices_at(a, x, v1, v2), validate=False)
 
 
 def symbolic_curvature(a: OneFormField) -> TwoFormField:
@@ -365,8 +354,7 @@ def symbolic_curvature(a: OneFormField) -> TwoFormField:
     return TwoFormField(a.descriptor, comps, n)
 
 
-def exterior_derivative_two_form(b: TwoFormField, x, v1, v2, v3,
-                                 fd_step: float | None = None) -> np.ndarray:
+def exterior_derivative_two_form(b: TwoFormField, x, v1, v2, v3) -> np.ndarray:
     """dB(v1, v2, v3) for constant frames: the cyclic sum of directional
     derivatives of the contracted components."""
     x = np.asarray(x, dtype=float)
@@ -384,32 +372,28 @@ def exterior_derivative_two_form(b: TwoFormField, x, v1, v2, v3,
                 vk = va[..., k]
                 if np.all(vk == 0.0):
                     continue
-                acc = acc + fld.partial(k, fd_step).eval(x) * vk[..., None, None]
+                acc = acc + fld.partial(k).eval(x) * vk[..., None, None]
             out = out + acc * coef[..., None, None]
     return out
 
 
 def curvature_three_form(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                         x, v1, v2, v3, fd_step: float | None = None) -> AlgebraElement:
+                         x, v1, v2, v3) -> AlgebraElement:
     """dB + alpha_*(A ^ B) evaluated on a triple of vectors."""
-    db = exterior_derivative_two_form(b, x, v1, v2, v3, fd_step)
+    db = exterior_derivative_two_form(b, x, v1, v2, v3)
     total = db
     vs = [np.asarray(v, dtype=float) for v in (v1, v2, v3)]
     for c in range(3):
         va, vb_, vc = vs[c], vs[(c + 1) % 3], vs[(c + 2) % 3]
-        a_val = a(x, va)
-        b_val = b(x, vb_, vc)
-        total = total + hg.alpha_star(cm, a_val,
-                                      AlgebraElement(b.descriptor, b_val.matrix, validate=False),
-                                      fd_step if fd_step is not None else _DEFAULT_FD).matrix
+        total = total + hg.alpha_star(cm, a(x, va), b(x, vb_, vc)).matrix
     return AlgebraElement(b.descriptor, total, validate=False)
 
 
 def alpha_wedge(cm: CrossedModule, a_prime: OneFormField, phi: OneFormField,
-                x, v1, v2, fd_step: float = _DEFAULT_FD) -> AlgebraElement:
+                x, v1, v2) -> AlgebraElement:
     """alpha_*(A' ^ phi)(v1, v2)."""
-    t1 = hg.alpha_star(cm, a_prime(x, v1), phi(x, v2), fd_step).matrix
-    t2 = hg.alpha_star(cm, a_prime(x, v2), phi(x, v1), fd_step).matrix
+    t1 = hg.alpha_star(cm, a_prime(x, v1), phi(x, v2)).matrix
+    t2 = hg.alpha_star(cm, a_prime(x, v2), phi(x, v1)).matrix
     return AlgebraElement(phi.descriptor, t1 - t2, validate=False)
 
 
@@ -500,16 +484,15 @@ class FakeCurvatureReport:
     argmax_plane: tuple
     n_samples: int
     seed: int
-    fd_step: float
 
     def as_dict(self) -> dict:
+        # a non-finite residual (inf) has no JSON number; it reads null
         return {
-            "max_residual": self.max_residual,
+            "max_residual": self.max_residual if math.isfinite(self.max_residual) else None,
             "argmax_point": [float(c) for c in np.atleast_1d(self.argmax_point)],
             "argmax_plane": list(self.argmax_plane),
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "fd_step": self.fd_step,
         }
 
 
@@ -518,10 +501,11 @@ def default_box(ambient_dim: int):
 
 
 def fake_curvature_residual(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                            box=None, n_samples: int = 256, seed: int = 0,
-                            fd_step: float = _DEFAULT_FD) -> FakeCurvatureReport:
+                            box=None, n_samples: int = 256,
+                            seed: int = 0) -> FakeCurvatureReport:
     """Max over sampled points and coordinate 2-planes of
-    || dA + [A ^ A] - t_* B ||."""
+    || dA + [A ^ A] - t_* B ||.  A non-finite residual is reported as inf
+    at the first sample where it occurs."""
     n = a.ambient_dim
     box = np.asarray(box if box is not None else default_box(n), dtype=float)
     xs = halton_box(box, n_samples, seed)
@@ -531,13 +515,17 @@ def fake_curvature_residual(cm: CrossedModule, a: OneFormField, b: TwoFormField,
         for j in range(i + 1, n):
             v1 = np.broadcast_to(eye[i], xs.shape)
             v2 = np.broadcast_to(eye[j], xs.shape)
-            k = curvature_matrices_at(a, xs, v1, v2, fd_step)
+            k = curvature_matrices_at(a, xs, v1, v2)
             tb = hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2))
             res = np.sqrt(np.sum(np.abs(k - tb) ** 2, axis=(-2, -1)))
+            bad = ~np.isfinite(res)
+            if bad.any():
+                return FakeCurvatureReport(math.inf, xs[int(np.argmax(bad))], (i, j),
+                                           n_samples, seed)
             arg = int(np.argmax(res))
             if res[arg] > best[0]:
                 best = (float(res[arg]), xs[arg], (i, j))
-    return FakeCurvatureReport(best[0], best[1], best[2], n_samples, seed, fd_step)
+    return FakeCurvatureReport(best[0], best[1], best[2], n_samples, seed)
 
 
 class ConnectionPair:
@@ -546,12 +534,13 @@ class ConnectionPair:
 
     Construction fails with FakeCurvatureError when the sampled residual
     exceeds the tolerance (default 1e-5 for symbolic exterior derivatives,
-    1e-3 for finite-difference ones).
+    1e-3 for finite-difference ones), and then with MembershipError when A
+    or B leaves its Lie algebra on the same samples.
     """
 
     def __init__(self, cm: CrossedModule, a: OneFormField, b: TwoFormField,
                  fc_tolerance: float | None = None, box=None,
-                 n_samples: int = 256, seed: int = 0, fd_step: float = _DEFAULT_FD):
+                 n_samples: int = 256, seed: int = 0):
         if a.ambient_dim != b.ambient_dim:
             raise ValueError("A and B live on different ambient dimensions")
         self.cm = cm
@@ -562,13 +551,17 @@ class ConnectionPair:
         if fc_tolerance is None:
             fc_tolerance = 1e-5 if a.is_symbolic else 1e-3
         self.fc_tolerance = float(fc_tolerance)
-        self.fc_report = fake_curvature_residual(cm, a, b, self.box, n_samples, seed, fd_step)
+        self.fc_report = fake_curvature_residual(cm, a, b, self.box, n_samples, seed)
         if not self.fc_report.max_residual <= self.fc_tolerance:
             raise FakeCurvatureError(
                 f"fake-curvature residual {self.fc_report.max_residual:.3e} exceeds "
                 f"{self.fc_tolerance:.1e}",
                 report=self.fc_report,
             )
+        xs = halton_box(self.box, n_samples, seed)
+        lc.require_algebra(cm.G, np.stack([c.eval(xs) for c in a.components]), "A")
+        if b.components:
+            lc.require_algebra(cm.H, np.stack([c.eval(xs) for c in b.components.values()]), "B")
 
     @property
     def ambient_dim(self) -> int:

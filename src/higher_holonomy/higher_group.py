@@ -33,6 +33,12 @@ EG = "eg"
 AUT_INNER = "aut_inner"
 CUSTOM = "custom"
 
+# Central-difference steps for the induced maps of a `custom` crossed
+# module (the built-in kinds use closed forms): first differences, and the
+# mixed second difference of alpha_*.
+_FD_STEP = 1e-5
+_FD_STEP_MIXED = 1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class CrossedModule:
@@ -93,19 +99,19 @@ def make_aut_inner(h_desc: GroupDescriptor) -> CrossedModule:
     return replace(make_eg(h_desc), kind=AUT_INNER)
 
 
-def t_star(cm: CrossedModule, y: AlgebraElement, fd_step: float = 1e-5) -> AlgebraElement:
+def t_star(cm: CrossedModule, y: AlgebraElement) -> AlgebraElement:
     """Differential of t at the identity applied to y."""
     if cm.kind == B_ABELIAN:
         return lc.zero(cm.G)
     if cm.kind in (EG, AUT_INNER):
         return AlgebraElement(cm.G, y.matrix, validate=False)
-    gp = cm.t(lc.exp_map(AlgebraElement(y.descriptor, fd_step * y.matrix, validate=False)))
-    gm = cm.t(lc.exp_map(AlgebraElement(y.descriptor, -fd_step * y.matrix, validate=False)))
-    der = (gp.matrix - gm.matrix) / (2.0 * fd_step)
+    gp = cm.t(lc.exp_map(AlgebraElement(y.descriptor, _FD_STEP * y.matrix, validate=False)))
+    gm = cm.t(lc.exp_map(AlgebraElement(y.descriptor, -_FD_STEP * y.matrix, validate=False)))
+    der = (gp.matrix - gm.matrix) / (2.0 * _FD_STEP)
     return AlgebraElement(cm.G, lc.project_to_algebra(cm.G, der), validate=False)
 
 
-def t_star_matrix(cm: CrossedModule, y_mats: np.ndarray, fd_step: float = 1e-5) -> np.ndarray:
+def t_star_matrix(cm: CrossedModule, y_mats: np.ndarray) -> np.ndarray:
     """t_star on a stack of raw algebra matrices."""
     if cm.kind == B_ABELIAN:
         return np.zeros(y_mats.shape[:-2] + (cm.G.matrix_dim, cm.G.matrix_dim), dtype=complex)
@@ -113,20 +119,19 @@ def t_star_matrix(cm: CrossedModule, y_mats: np.ndarray, fd_step: float = 1e-5) 
         return np.asarray(y_mats, dtype=complex)
     flat = y_mats.reshape((-1,) + y_mats.shape[-2:])
     out = np.stack([
-        t_star(cm, AlgebraElement(cm.H, m, validate=False), fd_step).matrix for m in flat
+        t_star(cm, AlgebraElement(cm.H, m, validate=False)).matrix for m in flat
     ])
     return out.reshape(y_mats.shape[:-2] + out.shape[-2:])
 
 
-def alpha_star(cm: CrossedModule, x: AlgebraElement, y: AlgebraElement,
-               fd_step: float = 1e-4) -> AlgebraElement:
+def alpha_star(cm: CrossedModule, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Mixed differential of alpha at (1,1): the bilinear map
     (X, Y) -> d^2/ds du alpha(exp(sX), exp(uY)) at 0."""
     if cm.kind == B_ABELIAN:
         return lc.zero(cm.H)
     if cm.kind in (EG, AUT_INNER):
         return AlgebraElement(cm.H, x.matrix @ y.matrix - y.matrix @ x.matrix, validate=False)
-    h = fd_step
+    h = _FD_STEP_MIXED
 
     def a(sx, uy):
         gx = lc.exp_map(AlgebraElement(cm.G, sx * x.matrix, validate=False))
@@ -137,8 +142,7 @@ def alpha_star(cm: CrossedModule, x: AlgebraElement, y: AlgebraElement,
     return AlgebraElement(cm.H, lc.project_to_algebra(cm.H, stencil), validate=False)
 
 
-def alpha_g_star(cm: CrossedModule, g: GroupElement, y: AlgebraElement,
-                 fd_step: float = 1e-5) -> AlgebraElement:
+def alpha_g_star(cm: CrossedModule, g: GroupElement, y: AlgebraElement) -> AlgebraElement:
     """Differential of alpha_g: H -> H at the identity applied to y."""
     if cm.kind == B_ABELIAN:
         return AlgebraElement(cm.H, y.matrix, validate=False)
@@ -146,14 +150,13 @@ def alpha_g_star(cm: CrossedModule, g: GroupElement, y: AlgebraElement,
         return AlgebraElement(
             cm.H, g.matrix @ y.matrix @ np.linalg.inv(g.matrix), validate=False
         )
-    hp = cm.alpha(g, lc.exp_map(AlgebraElement(cm.H, fd_step * y.matrix, validate=False)))
-    hm = cm.alpha(g, lc.exp_map(AlgebraElement(cm.H, -fd_step * y.matrix, validate=False)))
-    der = (hp.matrix - hm.matrix) / (2.0 * fd_step)
+    hp = cm.alpha(g, lc.exp_map(AlgebraElement(cm.H, _FD_STEP * y.matrix, validate=False)))
+    hm = cm.alpha(g, lc.exp_map(AlgebraElement(cm.H, -_FD_STEP * y.matrix, validate=False)))
+    der = (hp.matrix - hm.matrix) / (2.0 * _FD_STEP)
     return AlgebraElement(cm.H, lc.project_to_algebra(cm.H, der), validate=False)
 
 
-def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndarray,
-                          fd_step: float = 1e-5) -> np.ndarray:
+def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndarray) -> np.ndarray:
     """(alpha_g)_* on stacks of raw matrices; closed form for built-ins."""
     if cm.kind == B_ABELIAN:
         return np.asarray(y_mats, dtype=complex)
@@ -163,31 +166,29 @@ def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndar
     flat_y = y_mats.reshape((-1,) + y_mats.shape[-2:])
     out = np.stack([
         alpha_g_star(cm, GroupElement(cm.G, gm, validate=False),
-                     AlgebraElement(cm.H, ym, validate=False), fd_step).matrix
+                     AlgebraElement(cm.H, ym, validate=False)).matrix
         for gm, ym in zip(flat_g, flat_y)
     ])
     return out.reshape(y_mats.shape[:-2] + out.shape[-2:])
 
 
-def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray,
-                      fd_step: float = 1e-5) -> np.ndarray:
+def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
     """Derivative of g -> alpha(g, h) at g = 1 in direction X, a tangent
     matrix at h (not at the identity)."""
     if cm.kind == B_ABELIAN:
         return np.zeros_like(np.asarray(h_mat, dtype=complex))
     if cm.kind in (EG, AUT_INNER):
         return x_mat @ h_mat - h_mat @ x_mat
-    gp = lc.exp_map(AlgebraElement(cm.G, fd_step * x_mat, validate=False))
-    gm = lc.exp_map(AlgebraElement(cm.G, -fd_step * x_mat, validate=False))
+    gp = lc.exp_map(AlgebraElement(cm.G, _FD_STEP * x_mat, validate=False))
+    gm = lc.exp_map(AlgebraElement(cm.G, -_FD_STEP * x_mat, validate=False))
     h_el = GroupElement(cm.H, h_mat, validate=False)
-    return (cm.alpha(gp, h_el).matrix - cm.alpha(gm, h_el).matrix) / (2.0 * fd_step)
+    return (cm.alpha(gp, h_el).matrix - cm.alpha(gm, h_el).matrix) / (2.0 * _FD_STEP)
 
 
-def alpha_conjugate_star(cm: CrossedModule, a: GroupElement, x: AlgebraElement,
-                         fd_step: float = 1e-5) -> AlgebraElement:
+def alpha_conjugate_star(cm: CrossedModule, a: GroupElement, x: AlgebraElement) -> AlgebraElement:
     """(r_a^{-1} o alpha_a)_* : the differential at 1 of g -> alpha(g, a) a^{-1},
     landing in the algebra of H."""
-    d = alpha_action_diff(cm, x.matrix, a.matrix, fd_step) @ np.linalg.inv(a.matrix)
+    d = alpha_action_diff(cm, x.matrix, a.matrix) @ np.linalg.inv(a.matrix)
     return AlgebraElement(cm.H, lc.project_to_algebra(cm.H, d), validate=False)
 
 

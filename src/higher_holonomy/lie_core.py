@@ -27,6 +27,7 @@ GL = "GL"
 UT = "UT"  # upper triangular unipotent
 
 _FAMILIES = (U1, SU, SO, GL, UT)
+_EXPM_ORDER = 16  # terms of the truncated exponential series
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -51,34 +52,30 @@ class GroupDescriptor:
         if self.family == SO and self.field != "real":
             raise ValueError("SO(n) is real")
 
-    @property
-    def is_unitary_family(self) -> bool:
-        return self.family in (U1, SU, SO)
-
     def __str__(self):
         if self.family == U1:
             return "U(1)"
         return f"{self.family}({self.matrix_dim})"
 
 
-def u1(tol: float = 1e-9) -> GroupDescriptor:
-    return GroupDescriptor(U1, 1, "complex", tol)
+def u1() -> GroupDescriptor:
+    return GroupDescriptor(U1, 1, "complex")
 
 
-def su(n: int, tol: float = 1e-9) -> GroupDescriptor:
-    return GroupDescriptor(SU, n, "complex", tol)
+def su(n: int) -> GroupDescriptor:
+    return GroupDescriptor(SU, n, "complex")
 
 
-def so(n: int, tol: float = 1e-9) -> GroupDescriptor:
-    return GroupDescriptor(SO, n, "real", tol)
+def so(n: int) -> GroupDescriptor:
+    return GroupDescriptor(SO, n, "real")
 
 
-def gl(n: int, field: str = "real", tol: float = 1e-9) -> GroupDescriptor:
-    return GroupDescriptor(GL, n, field, tol)
+def gl(n: int, field: str = "real") -> GroupDescriptor:
+    return GroupDescriptor(GL, n, field)
 
 
-def unipotent(n: int, field: str = "real", tol: float = 1e-9) -> GroupDescriptor:
-    return GroupDescriptor(UT, n, field, tol)
+def unipotent(n: int, field: str = "real") -> GroupDescriptor:
+    return GroupDescriptor(UT, n, field)
 
 
 def frob(m) -> float:
@@ -125,21 +122,44 @@ def group_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
     return frob(m.imag) if desc.field == "real" else 0.0
 
 
+def _frobs(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n)."""
+    return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+
+
 def algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
+    """Distance-like residual of the algebra membership predicate; 0 on the
+    algebra.  For a stack (..., n, n) it is the largest over the stack."""
+    m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         return math.inf
     if desc.family == U1:
-        return abs(m[0, 0].real)
-    if desc.family == SU:
-        return max(frob(m + m.conj().T), abs(np.trace(m)))
-    if desc.family == SO:
-        return max(frob(m + m.conj().T), frob(m.imag))
-    if desc.family == UT:
-        d = max(frob(np.tril(m, -1)), frob(np.diagonal(m)))
+        d = np.abs(m[..., 0, 0].real)
+    elif desc.family == SU:
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        d = np.maximum(_frobs(m + np.swapaxes(m.conj(), -2, -1)), np.hypot(tr.real, tr.imag))
+    elif desc.family == SO:
+        d = np.maximum(_frobs(m + np.swapaxes(m.conj(), -2, -1)), _frobs(m.imag))
+    elif desc.family == UT:
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
+        d = np.maximum(_frobs(np.tril(m, -1)), np.sqrt(np.sum(np.abs(diag) ** 2, axis=-1)))
         if desc.field == "real":
-            d = max(d, frob(m.imag))
-        return d
-    return frob(m.imag) if desc.field == "real" else 0.0
+            d = np.maximum(d, _frobs(m.imag))
+    elif desc.field == "real":
+        d = _frobs(m.imag)
+    else:
+        d = np.zeros(m.shape[:-2])
+    return float(np.max(d, initial=0.0))
+
+
+def require_algebra(desc: GroupDescriptor, m: np.ndarray, what: str) -> None:
+    """Raise MembershipError unless every matrix of the stack `m` lies in the
+    algebra of `desc` within membership_tolerance * max(1, largest |entry|)."""
+    m = np.asarray(m)
+    d = algebra_defect(desc, m)
+    scale = max(1.0, float(np.max(np.abs(m), initial=0.0))) if math.isfinite(d) else 1.0
+    if not d <= desc.membership_tolerance * scale:
+        raise MembershipError(f"{what} leaves the algebra of {desc} (defect {d:.3e})")
 
 
 def project_to_algebra(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:
@@ -216,7 +236,7 @@ def zero(desc: GroupDescriptor) -> AlgebraElement:
     return AlgebraElement(desc, np.zeros((desc.matrix_dim, desc.matrix_dim)), validate=False)
 
 
-def expm(m: np.ndarray, order: int = 16) -> np.ndarray:
+def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
     Accepts a single matrix or a stack (..., n, n).
@@ -230,7 +250,7 @@ def expm(m: np.ndarray, order: int = 16) -> np.ndarray:
     eye = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex)
     result = eye.copy()
     term = eye.copy()
-    for k in range(1, order + 1):
+    for k in range(1, _EXPM_ORDER + 1):
         term = term @ a / k
         result = result + term
     for _ in range(squarings):

@@ -68,6 +68,10 @@ class IntegratorConfig:
 
 DEFAULT_CONFIG = IntegratorConfig()
 
+# Largest relative target-matching residual that surface and transformation
+# transport accept before raising TargetMatchingError.
+MATCHING_HARD_LIMIT = 1e-3
+
 
 def _rk4(rhs, u0: np.ndarray, n: int, h: float, desc: GroupDescriptor,
          keep_nodes: bool) -> np.ndarray:
@@ -125,11 +129,14 @@ def _transformation_ode(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
 
 def transport_nodes(a_form: OneFormField, gamma: Path, n_steps: int) -> np.ndarray:
     """Transport along gamma, returning the solution at the n_steps+1
-    uniform nodes (used for partial-arc transports)."""
+    uniform nodes (used for partial-arc transports).  Raises
+    MembershipError when A(gamma') leaves the Lie algebra, which the
+    per-step retraction would otherwise hide."""
     tt = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     x = gamma.point(tt)
     v = gamma.velocity(tt)
     a = a_form.matrices_at(x, v)[None]
+    lc.require_algebra(a_form.descriptor, a, "A along the path")
     return _rk4_sweep(a, 1.0 / n_steps, a_form.descriptor)[0]
 
 
@@ -218,12 +225,11 @@ def _surface(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
 
 
 def surface_transport(pair: ConnectionPair, sigma: Bigon,
-                      cfg: IntegratorConfig = DEFAULT_CONFIG,
-                      hard_limit: float = 1e-3) -> SurfaceTransportResult:
+                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> SurfaceTransportResult:
     """Transport of a bigon under (A, B); raises TargetMatchingError when
-    the target-matching residual exceeds `hard_limit` (integration too
-    coarse, or the pair is invalid)."""
-    return _surface(pair.cm, pair.A, pair.B.matrices_at, sigma, cfg, hard_limit)
+    the target-matching residual exceeds MATCHING_HARD_LIMIT (integration
+    too coarse, or the pair is invalid)."""
+    return _surface(pair.cm, pair.A, pair.B.matrices_at, sigma, cfg, MATCHING_HARD_LIMIT)
 
 
 class TwoFunctor:
@@ -288,8 +294,7 @@ class TransformationTransportResult:
 def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
                              phi: OneFormField, a_prime: OneFormField,
                              gamma: Path, cfg: IntegratorConfig = DEFAULT_CONFIG,
-                             a_source: OneFormField | None = None,
-                             hard_limit: float = 1e-3) -> TransformationTransportResult:
+                             a_source: OneFormField | None = None) -> TransformationTransportResult:
     """Transport the h-component of a pseudonatural transformation along
     gamma: dh/dt = -phi(gamma') h - (alpha_h)_*(A'(gamma')), h(0) = 1.
 
@@ -312,7 +317,7 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
         lhs = f_tgt.matrix @ g_start.matrix
         rhs_m = cm.t(lc.ginv(h_el)).matrix @ g_end.matrix @ f_src.matrix
         residual = lc.frob(lhs - rhs_m) / max(1.0, lc.frob(rhs_m))
-        if residual > hard_limit:
+        if residual > MATCHING_HARD_LIMIT:
             raise TargetMatchingError(
                 f"transformation matching residual {residual:.3e}"
             )

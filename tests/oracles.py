@@ -68,30 +68,32 @@ def surface_k_product_oracle(cm_kind, a_eval, b_eval, sigma, ns, nt):
     """
     ds = 1.0 / ns
     dt = 1.0 / nt
+    t_mid = (np.arange(nt) + 0.5) * dt
     f = None
     for i in range(ns):
-        s = (i + 0.5) * ds
-        u_boundary = None
-        driver = None
+        # one array call per s-row for the field values and half steps;
+        # the ordered products and the fiber sum stay sequential in t
+        s = np.full(nt, (i + 0.5) * ds)
+        x = sigma.point(s, t_mid)
+        vt = sigma.dt(s, t_mid)
+        vs = sigma.ds(s, t_mid)
+        a_here = np.asarray(a_eval(x, vt), dtype=complex)
+        b_here = np.asarray(b_eval(x, vs, vt), dtype=complex)
+        halves = taylor_expm(-0.5 * dt * a_here)
+        u_boundary = np.eye(a_here.shape[-1], dtype=complex)
+        u_mids = np.empty_like(halves)
         for j in range(nt):
-            t_mid = (j + 0.5) * dt
-            x = sigma.point(s, t_mid)
-            vt = sigma.dt(s, t_mid)
-            vs = sigma.ds(s, t_mid)
-            a_here = np.asarray(a_eval(x, vt), dtype=complex)
-            if u_boundary is None:
-                u_boundary = np.eye(a_here.shape[0], dtype=complex)
-            half = taylor_expm(-0.5 * dt * a_here)
-            u_mid = half @ u_boundary
-            b_here = np.asarray(b_eval(x, vs, vt), dtype=complex)
-            if cm_kind == "eg":
-                acted = np.linalg.inv(u_mid) @ b_here @ u_mid
-            elif cm_kind == "b_abelian":
-                acted = b_here
-            else:
-                raise ValueError(cm_kind)
-            driver = acted * dt if driver is None else driver + acted * dt
-            u_boundary = half @ u_mid
+            u_mids[j] = halves[j] @ u_boundary
+            u_boundary = halves[j] @ u_mids[j]
+        if cm_kind == "eg":
+            acted = np.linalg.inv(u_mids) @ b_here @ u_mids
+        elif cm_kind == "b_abelian":
+            acted = b_here
+        else:
+            raise ValueError(cm_kind)
+        driver = acted[0] * dt
+        for j in range(1, nt):
+            driver = driver + acted[j] * dt
         # outer ordered product for f' = -A f with A = -driver
         step = taylor_expm(ds * driver)
         f = step @ f if f is not None else step

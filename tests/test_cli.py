@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from higher_holonomy import cli
@@ -176,14 +177,61 @@ class TestMainEntry:
         ({"B": {"1,x": [["i"]]}}, "/B/1,x"),
         ({"integrator": {"n_step_path": 64}}, "/integrator/n_step_path"),
         ({"integrator": {"retraction": False}}, "/integrator/retraction"),
+        ({"seed": "abc"}, "/seed"),
+        ({"grid": {"n": 1}}, "/grid/n"),
+        ({"pairing": "foo"}, "/pairing"),
+        ({"n_directions": "x"}, "/n_directions"),
+        ({"box": [[0, "a"], [0, 1]]}, "/box/0/1"),
+        ({"fc_tolerance": "x"}, "/fc_tolerance"),
+        ({"geometry": []}, "/geometry"),
+        ({"integrator": {"n_steps_path": None}}, "/integrator/n_steps_path"),
+        ({"fd": []}, "/fd"),
     ], ids=["group_size", "ambient_dim", "two_form_key", "unknown_integrator_key",
-            "retraction_key"])
+            "retraction_key", "seed", "grid_n", "pairing", "n_directions", "box_entry",
+            "fc_tolerance", "geometry", "integrator_null", "fd_list"])
     def test_invalid_config_is_a_config_error(self, tmp_path, capsys, edit, pointer):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**surface_cfg(), **edit}))
         rc = cli.main(["surface", "--config", str(cfg_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+    def test_check_fc_with_a_pole_fails_with_a_report(self, tmp_path, capsys):
+        # the first Halton sample has x1 = 0.5, where A is not finite
+        cfg = {
+            "ambient_dim": 2,
+            "crossed_module": "eg:SU(2)",
+            "A": [[["i*0.1/(x1 - 0.5)", "0"], ["0", "-i*0.1/(x1 - 0.5)"]],
+                  [["0", "0"], ["0", "0"]]],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rc = cli.main(["check-fc", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in out.err
+        report = json.loads(out.out)
+        assert report["pass"] is False
+        assert report["result"]["max_residual"] is None
+        assert report["result"]["argmax_point"][0] == 0.5
+
+    def test_holonomy_outside_the_algebra_is_rejected(self, tmp_path, capsys):
+        # Hermitian A: the per-step retraction would return SU(2) matrices
+        cfg = {
+            "ambient_dim": 2,
+            "crossed_module": "eg:SU(2)",
+            "A": [[["x1", "0"], ["0", "-x1"]], [["0", "0"], ["0", "0"]]],
+            "geometry": {"path": ["t", "0.5*t"]},
+            "integrator": {"n_steps_path": 64},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["holonomy", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err.startswith("error: A along the path leaves the algebra of SU(2)")
 
     def test_console_invocation(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

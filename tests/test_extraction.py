@@ -163,21 +163,19 @@ def _transformation_data():
               su2_matrix_table("0.15*x1", "0.1", "0")], 2)
 
     def a_prime_component(i):
+        # A' = Ad_g A - g*theta - t_* phi on stacked points
         def comp(x, i=i):
-            e = np.zeros(2)
-            e[i] = 1.0
+            x = np.asarray(x, dtype=float)
+            e = np.zeros(x.shape)
+            e[..., i] = 1.0
             g = g_map.matrix(x)
             ad = g @ a.matrices_at(x, e) @ np.linalg.inv(g)
             mc = g_map.mc_pullback(x, e)
-            return ad - mc - hg.t_star(cm, phi(x, e)).matrix
+            return ad - mc - hg.t_star_matrix(cm, phi.matrices_at(x, e))
         return comp
 
     a_prime = fm.OneFormField(
-        SU2,
-        [fm.CallableMatrixField(a_prime_component(i), 2, 2, vectorized=False)
-         for i in range(2)],
-        2,
-    )
+        SU2, [fm.CallableMatrixField(a_prime_component(i), 2, 2) for i in range(2)], 2)
 
     def b_prime_component(x):
         e1, e2 = np.eye(2)

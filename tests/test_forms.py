@@ -4,7 +4,7 @@ import pytest
 from higher_holonomy import forms as fm
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
-from higher_holonomy.errors import DomainError, FakeCurvatureError
+from higher_holonomy.errors import DomainError, FakeCurvatureError, MembershipError
 
 from .conftest import SU2, U1, su2_matrix_table
 
@@ -205,6 +205,64 @@ class TestFakeCurvature:
         r2 = fm.fake_curvature_residual(cm, su2_one_form, b, seed=9)
         assert r1.max_residual == r2.max_residual
         assert np.array_equal(r1.argmax_point, r2.argmax_point)
+
+    def test_gate_differences_with_the_field_step(self):
+        # a callable copy of a symbolic form carries its own step, and the
+        # gate must use it rather than a step of its own
+        tables = [su2_matrix_table("0.4*sin(2*x2)", "0.3*x1^3", "0"),
+                  su2_matrix_table("0.2*exp(x1*x2)", "0", "0.5*x2^3")]
+        sym = fm.one_form_from_expressions(SU2, tables, 2)
+        cm = hg.make_eg(SU2)
+        b = fm.symbolic_curvature(sym)
+        res = {}
+        for h in (0.2, 1e-4):
+            fd_form = fm.one_form_from_callables(
+                SU2, [lambda x, c=c: c.eval(x) for c in sym.components], 2, fd_step=h)
+            res[h] = fm.fake_curvature_residual(cm, fd_form, b).max_residual
+        assert res[1e-4] < 1e-6
+        assert res[0.2] > 1e4 * res[1e-4]
+
+    def test_non_finite_residual_fails(self):
+        # the first Halton sample of the unit box has x1 = 0.5 exactly
+        a = fm.one_form_from_expressions(
+            SU2, [su2_matrix_table("0.1/(x1 - 0.5)", "0", "0"),
+                  su2_matrix_table("0", "0", "0")], 2)
+        b = fm.two_form_from_expressions(SU2, {}, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(FakeCurvatureError) as err:
+                fm.ConnectionPair(hg.make_eg(SU2), a, b)
+        rep = err.value.report
+        assert rep.max_residual == float("inf")
+        assert rep.argmax_point[0] == 0.5
+        assert rep.as_dict()["max_residual"] is None
+
+
+class TestAlgebraGate:
+    def test_hermitian_a_rejected(self):
+        # A = diag(x1, -x1) dx1 is flat with B = 0 but is not in su(2)
+        a = fm.one_form_from_expressions(SU2, [[["x1", "0"], ["0", "-x1"]],
+                                               [["0", "0"], ["0", "0"]]], 2)
+        b = fm.two_form_from_expressions(SU2, {}, 2)
+        with pytest.raises(MembershipError, match="^A leaves"):
+            fm.ConnectionPair(hg.make_eg(SU2), a, b)
+
+    def test_real_b_rejected(self):
+        # t_* vanishes in b_u1, so a real (non-u(1)) B passes the
+        # fake-curvature gate and only the algebra gate catches it
+        cm = hg.make_b_abelian(U1)
+        b = fm.two_form_from_expressions(U1, {(0, 1): [["1 + x1"]]}, 2)
+        with pytest.raises(MembershipError, match="^B leaves"):
+            fm.ConnectionPair(cm, fm.zero_one_form(cm.G, 2), b)
+
+    def test_tolerance_scales_with_the_entries(self):
+        # a defect of 4e-9 passes at |entry| = 50 (tolerance 1e-9 * 50)
+        cm = hg.make_eg(SU2)
+        a = fm.one_form_from_callables(
+            SU2, [lambda x: np.broadcast_to(50.0j * np.diag([1.0, -1.0]) + 1e-9,
+                                            x.shape[:-1] + (2, 2)),
+                  lambda x: np.zeros(x.shape[:-1] + (2, 2))], 2)
+        b = fm.two_form_from_callables(SU2, {(0, 1): lambda x: np.zeros(x.shape[:-1] + (2, 2))}, 2)
+        fm.ConnectionPair(cm, a, b)
 
 
 class TestGroupValuedMap:

@@ -204,3 +204,20 @@ class TestRetraction:
         m = np.eye(3) + np.triu(np.ones((3, 3)), 1) + 1e-8 * np.ones((3, 3))
         fixed = lc.retract(d, m)
         assert lc.group_defect(d, fixed) == 0.0
+
+
+class TestAlgebraDefect:
+    @pytest.mark.parametrize("desc", [lc.u1(), lc.su(2), lc.so(3), lc.gl(2),
+                                      lc.unipotent(3)], ids=str)
+    def test_stack_gives_the_largest_defect(self, desc):
+        rng = np.random.default_rng(12)
+        n = desc.matrix_dim
+        stack = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+        singles = [lc.algebra_defect(desc, m) for m in stack.reshape(-1, n, n)]
+        assert lc.algebra_defect(desc, stack) == max(singles)
+
+    def test_require_algebra_names_the_form(self):
+        bad = np.stack([np.zeros((2, 2)), np.diag([1.0, -1.0])])
+        lc.require_algebra(lc.su(2), bad[:1], "A")
+        with pytest.raises(MembershipError, match="^A leaves the algebra of SU"):
+            lc.require_algebra(lc.su(2), bad, "A")

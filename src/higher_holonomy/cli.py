@@ -97,6 +97,8 @@ def parse_group(name: str, pointer: str) -> lc.GroupDescriptor:
 
 
 def parse_crossed_module(spec: str, pointer: str) -> hg.CrossedModule:
+    if not isinstance(spec, str):
+        raise ConfigError("crossed module must be a string", pointer)
     spec = spec.strip()
     if spec == "b_u1":
         return hg.make_b_abelian(lc.u1())
@@ -138,17 +140,19 @@ def _parse_box(box, ambient_dim: int):
 def _parse_one_form(tables, desc, ambient_dim, pointer):
     if tables is None:
         return fm.zero_one_form(desc, ambient_dim)
-    if len(tables) != ambient_dim:
+    if not isinstance(tables, list) or len(tables) != ambient_dim:
         raise ConfigError(f"expected {ambient_dim} component matrices", pointer)
     try:
         return fm.one_form_from_expressions(desc, tables, ambient_dim)
-    except HolonomyError as exc:
+    except (HolonomyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), pointer) from exc
 
 
 def _parse_two_form(tables, desc, ambient_dim, pointer):
     if tables is None:
         return fm.two_form_from_expressions(desc, {}, ambient_dim)
+    if not isinstance(tables, dict):
+        raise ConfigError("expected an object of 'i,j' keys", pointer)
     parsed = {}
     for key, matrix in tables.items():
         parts = key.replace("(", "").replace(")", "").split(",")
@@ -164,7 +168,7 @@ def _parse_two_form(tables, desc, ambient_dim, pointer):
         parsed[(i, j)] = matrix
     try:
         return fm.two_form_from_expressions(desc, parsed, ambient_dim)
-    except HolonomyError as exc:
+    except (HolonomyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), pointer) from exc
 
 
@@ -231,39 +235,37 @@ class Experiment:
         return fm.ConnectionPair(self.cm, self.A, self.B, fc_tolerance=self.fc_tolerance,
                                  box=self.box, seed=self.seed)
 
+    def _geometry(self, key: str, build):
+        """build(expressions) for geometry.<key>, with its errors located."""
+        pointer = f"/geometry/{key}"
+        exprs = self.geometry.get(key)
+        if exprs is None:
+            raise ConfigError(f"command needs geometry.{key}", pointer)
+        if not isinstance(exprs, list):
+            raise ConfigError("expected a list of expressions", pointer)
+        try:
+            return build(exprs)
+        except (HolonomyError, TypeError, ValueError) as exc:
+            raise ConfigError(str(exc), pointer) from exc
+
     def geometry_path(self) -> geo.Path:
         exprs = self.geometry.get("path")
-        if exprs is None:
-            raise ConfigError("command needs geometry.path", "/geometry/path")
-        if len(exprs) != self.ambient_dim:
+        if isinstance(exprs, list) and len(exprs) != self.ambient_dim:
             raise ConfigError("path needs one expression per coordinate", "/geometry/path")
-        return geo.path_from_expressions(exprs)
+        return self._geometry("path", geo.path_from_expressions)
 
     def geometry_loop(self) -> geo.Loop:
-        exprs = self.geometry.get("loop")
-        if exprs is None:
-            raise ConfigError("command needs geometry.loop", "/geometry/loop")
-        return geo.loop_from_expressions(exprs)
+        return self._geometry("loop", geo.loop_from_expressions)
 
     def geometry_bigon(self) -> geo.Bigon:
-        exprs = self.geometry.get("bigon")
-        if exprs is None:
-            raise ConfigError("command needs geometry.bigon", "/geometry/bigon")
-        chart = geo.chart_from_expressions(exprs)
-        sigma = geo.standard_bigon(chart, 1.0, 1.0)
-        return sigma
+        return self._geometry(
+            "bigon", lambda e: geo.standard_bigon(geo.chart_from_expressions(e), 1.0, 1.0))
 
     def geometry_loop_path(self) -> tg.LoopPath:
-        exprs = self.geometry.get("loop_path")
-        if exprs is None:
-            raise ConfigError("command needs geometry.loop_path", "/geometry/loop_path")
-        return tg.loop_path_from_expressions(exprs)
+        return self._geometry("loop_path", tg.loop_path_from_expressions)
 
     def geometry_variation(self) -> object:
-        exprs = self.geometry.get("variation")
-        if exprs is None:
-            raise ConfigError("command needs geometry.variation", "/geometry/variation")
-        return geo.loop_from_expressions(exprs).point
+        return self._geometry("variation", lambda e: geo.loop_from_expressions(e).point)
 
 
 # ---------------------------------------------------------------------------

@@ -509,7 +509,7 @@ def fake_curvature_residual(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     n = a.ambient_dim
     box = np.asarray(box if box is not None else default_box(n), dtype=float)
     xs = halton_box(box, n_samples, seed)
-    best = (-1.0, xs[0], (0, 1))
+    best = (0.0, xs[0], (0, 1))
     eye = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):

@@ -186,9 +186,15 @@ class TestMainEntry:
         ({"geometry": []}, "/geometry"),
         ({"integrator": {"n_steps_path": None}}, "/integrator/n_steps_path"),
         ({"fd": []}, "/fd"),
+        ({"crossed_module": 5}, "/crossed_module"),
+        ({"A": [1, 2]}, "/A"),
+        ({"B": []}, "/B"),
+        ({"geometry": {"bigon": 5}}, "/geometry/bigon"),
+        ({"geometry": {"bigon": ["s", "q"]}}, "/geometry/bigon"),
     ], ids=["group_size", "ambient_dim", "two_form_key", "unknown_integrator_key",
             "retraction_key", "seed", "grid_n", "pairing", "n_directions", "box_entry",
-            "fc_tolerance", "geometry", "integrator_null", "fd_list"])
+            "fc_tolerance", "geometry", "integrator_null", "fd_list", "crossed_module_type",
+            "one_form_type", "two_form_type", "bigon_type", "bigon_identifier"])
     def test_invalid_config_is_a_config_error(self, tmp_path, capsys, edit, pointer):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**surface_cfg(), **edit}))

@@ -181,6 +181,10 @@ class TestFakeCurvature:
         rep = fm.fake_curvature_residual(cm, fm.zero_one_form(cm.G, 2),
                                          fm.two_form_from_expressions(U1, {}, 2))
         assert rep.max_residual == 0.0
+        # one dimension has no 2-planes, so nothing can be violated
+        rep = fm.fake_curvature_residual(cm, fm.zero_one_form(cm.G, 1),
+                                         fm.two_form_from_expressions(U1, {}, 1))
+        assert rep.max_residual == 0.0
 
     def test_eg_pair_passes(self, su2_one_form):
         pair = fm.eg_pair(su2_one_form)

@@ -29,7 +29,6 @@ from .lie_core import AlgebraElement
 # step of the central difference along each perturbation direction
 _CRITICALITY_EPSILON = 1e-3
 
-_PLANES4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # shuffle decomposition of a 4-form from two 2-forms: pairs of complementary
 # planes with their permutation signs
 _SHUFFLES = (((0, 1), (2, 3), 1.0), ((0, 2), (1, 3), -1.0), ((0, 3), (1, 2), 1.0),
@@ -80,19 +79,23 @@ class GridSpec:
         return GridSpec(max(2, self.n // 2))
 
 
-def _beta_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                     xs: np.ndarray) -> dict:
-    """beta = F_A - t_* B on all coordinate 2-planes at stacked points."""
+def _plane_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
+                      xs: np.ndarray):
+    """Yield ((i, j), F_A, t_* B) for every coordinate 2-plane, i < j, at
+    stacked points, one plane at a time."""
     n = a.ambient_dim
     eye = np.eye(n)
-    out = {}
     for (i, j) in [(i, j) for i in range(n) for j in range(i + 1, n)]:
         v1 = np.broadcast_to(eye[i], xs.shape)
         v2 = np.broadcast_to(eye[j], xs.shape)
-        k = fm.curvature_matrices_at(a, xs, v1, v2)
-        tb = hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2))
-        out[(i, j)] = k - tb
-    return out
+        yield ((i, j), fm.curvature_matrices_at(a, xs, v1, v2),
+               hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2)))
+
+
+def _beta_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
+                     xs: np.ndarray) -> dict:
+    """beta = F_A - t_* B on all coordinate 2-planes at stacked points."""
+    return {pl: f - tb for pl, f, tb in _plane_components(cm, a, b, xs)}
 
 
 def beta_field(cm: CrossedModule, a: OneFormField, b: TwoFormField, x,
@@ -156,16 +159,9 @@ def action_decomposition(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     """Split S into the topological Yang-Mills term, the BF cross term and
     the cosmological term; the three sum to S on the same grid exactly up
     to floating point."""
-    xs = grid.cell_centers()
-    n = a.ambient_dim
-    eye = np.eye(n)
-    f_comp = {}
-    tb_comp = {}
-    for (i, j) in _PLANES4:
-        v1 = np.broadcast_to(eye[i], xs.shape)
-        v2 = np.broadcast_to(eye[j], xs.shape)
-        f_comp[(i, j)] = fm.curvature_matrices_at(a, xs, v1, v2)
-        tb_comp[(i, j)] = hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2))
+    f_comp, tb_comp = {}, {}
+    for pl, f, tb in _plane_components(cm, a, b, grid.cell_centers()):
+        f_comp[pl], tb_comp[pl] = f, tb
     vol = grid.cell_volume()
     ym = 0.5 * float(np.sum(_wedge_pair_integrand(pairing, f_comp, f_comp)) * vol)
     cross = -float(np.sum(_wedge_pair_integrand(pairing, tb_comp, f_comp)) * vol)

@@ -10,9 +10,15 @@ iff all embedded pass flags are true.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
+import functools
 import hashlib
 import json
+import math
+import operator
+import os
+import re
+import reprlib
 import sys
 
 import numpy as np
@@ -26,7 +32,8 @@ from . import higher_group as hg
 from . import lie_core as lc
 from . import transgression as tg
 from . import transport as tp
-from .errors import ConfigError, HolonomyError
+from .errors import ConfigError, HolonomyError, MembershipError
+from .sampling import MAX_DIM, halton_box
 
 COMMANDS = ("holonomy", "surface", "check-cm", "check-fc", "roundtrip",
             "stokes", "bf", "transgress")
@@ -82,6 +89,77 @@ def _matrix_json(m: np.ndarray):
 # ---------------------------------------------------------------------------
 # config ingestion
 
+@functools.cache
+def config_schema() -> dict:
+    """The packaged config schema, read once, on first use."""
+    with open(os.path.join(os.path.dirname(__file__), "schema", "config.schema.json")) as fh:
+        return json.load(fh)
+
+
+# JSON Schema 2020-12 types: a bool is no number, 2.0 is an integer, and
+# JSON has no NaN or infinity
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and math.isfinite(v)),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+# bounds on a number, and on the length of an array
+_NUMBER_BOUNDS = {"minimum": operator.ge, "maximum": operator.le,
+                  "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt}
+_LENGTH_BOUNDS = {"minItems": operator.ge, "maxItems": operator.le}
+
+
+def validate(value, schema: dict | None = None, pointer: str = ""):
+    """A copy of `value`, checked against `schema` (default: the config
+    schema), with every "integer" an int and every "number" a float.
+    Knows the JSON Schema 2020-12 keywords type, enum, pattern, required,
+    properties, additionalProperties, items and the bounds above, and
+    ignores the rest.  Raises ConfigError at the JSON pointer of the first
+    violation."""
+    schema = config_schema() if schema is None else schema
+    at = pointer or "/"
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_TYPES[k](value) for k in kinds):
+        raise ConfigError(f"expected {' or '.join(kinds)}, got {reprlib.repr(value)}", at)
+    if kinds == ["integer"]:
+        value = int(value)
+    elif kinds == ["number"]:
+        value = float(value)
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"expected one of {', '.join(map(json.dumps, schema['enum']))}", at)
+    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+        raise ConfigError(f"{value!r} does not match {schema['pattern']}", at)
+    size = len(value) if isinstance(value, list) else value
+    bounds = (_LENGTH_BOUNDS if isinstance(value, list)
+              else _NUMBER_BOUNDS if _TYPES["number"](value) else {})
+    for key, holds in bounds.items():
+        if key in schema and not holds(size, schema[key]):
+            raise ConfigError(f"violates {key} {schema[key]} (got {size})", at)
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"missing required key {key!r}", f"{pointer}/{key}")
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
+        checked = {}
+        for key, item in value.items():
+            where = f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+            if props.get(key, extra) is False:
+                raise ConfigError(f"unknown key {key!r}", where)
+            checked[key] = validate(item, props.get(key, extra), where)
+        value = checked
+    if isinstance(value, list):
+        value = [validate(item, schema.get("items", {}), f"{pointer}/{k}")
+                 for k, item in enumerate(value)]
+    return value
+
+
 def parse_group(name: str, pointer: str) -> lc.GroupDescriptor:
     name = name.strip()
     if name == "U(1)":
@@ -97,8 +175,6 @@ def parse_group(name: str, pointer: str) -> lc.GroupDescriptor:
 
 
 def parse_crossed_module(spec: str, pointer: str) -> hg.CrossedModule:
-    if not isinstance(spec, str):
-        raise ConfigError("crossed module must be a string", pointer)
     spec = spec.strip()
     if spec == "b_u1":
         return hg.make_b_abelian(lc.u1())
@@ -110,37 +186,10 @@ def parse_crossed_module(spec: str, pointer: str) -> hg.CrossedModule:
                       "(expected b_u1, eg:<group>, aut_inner:<group>)", pointer)
 
 
-def _require(cfg: dict, key: str, pointer: str = ""):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}", pointer or f"/{key}")
-    return cfg[key]
-
-
-def _convert(kind, value, pointer: str):
-    """kind(value) (int or float), or a ConfigError at `pointer`."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"expected {what}, got {value!r}", pointer) from exc
-
-
-def _parse_box(box, ambient_dim: int):
-    if not box:
-        return None
-    if not isinstance(box, list) or len(box) != ambient_dim:
-        raise ConfigError(f"box needs {ambient_dim} [lo, hi] intervals", "/box")
-    for k, iv in enumerate(box):
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise ConfigError("box interval must be [lo, hi]", f"/box/{k}")
-    return tuple(tuple(_convert(float, c, f"/box/{k}/{m}") for m, c in enumerate(iv))
-                 for k, iv in enumerate(box))
-
-
 def _parse_one_form(tables, desc, ambient_dim, pointer):
     if tables is None:
         return fm.zero_one_form(desc, ambient_dim)
-    if not isinstance(tables, list) or len(tables) != ambient_dim:
+    if len(tables) != ambient_dim:
         raise ConfigError(f"expected {ambient_dim} component matrices", pointer)
     try:
         return fm.one_form_from_expressions(desc, tables, ambient_dim)
@@ -149,22 +198,13 @@ def _parse_one_form(tables, desc, ambient_dim, pointer):
 
 
 def _parse_two_form(tables, desc, ambient_dim, pointer):
-    if tables is None:
-        return fm.two_form_from_expressions(desc, {}, ambient_dim)
-    if not isinstance(tables, dict):
-        raise ConfigError("expected an object of 'i,j' keys", pointer)
     parsed = {}
     for key, matrix in tables.items():
-        parts = key.replace("(", "").replace(")", "").split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad two-form key {key!r} (want 'i,j')", f"{pointer}/{key}")
-        try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError as exc:
-            raise ConfigError(f"bad two-form key {key!r} (want 'i,j')",
-                              f"{pointer}/{key}") from exc
+        ij = re.fullmatch(r"\(?\s*(\d+)\s*,\s*(\d+)\s*\)?", key)
+        i, j = (int(ij[1]) - 1, int(ij[2]) - 1) if ij else (-1, -1)
         if not 0 <= i < j < ambient_dim:
-            raise ConfigError(f"two-form key {key!r} out of range", f"{pointer}/{key}")
+            raise ConfigError(f"bad two-form key {key!r} (want 'i,j' with "
+                              f"1 <= i < j <= {ambient_dim})", f"{pointer}/{key}")
         parsed[(i, j)] = matrix
     try:
         return fm.two_form_from_expressions(desc, parsed, ambient_dim)
@@ -172,86 +212,67 @@ def _parse_two_form(tables, desc, ambient_dim, pointer):
         raise ConfigError(str(exc), pointer) from exc
 
 
+@contextlib.contextmanager
+def _algebra_gates_located():
+    """An algebra-gate MembershipError on A or B, as a ConfigError there."""
+    try:
+        yield
+    except MembershipError as exc:
+        if exc.form is None:
+            raise
+        raise ConfigError(str(exc), f"/{exc.form}") from exc
+
+
 class Experiment:
-    """Validated experiment configuration."""
+    """A configuration checked against the config schema, then parsed."""
 
     def __init__(self, cfg: dict):
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be an object", "/")
-        self.ambient_dim = _convert(int, _require(cfg, "ambient_dim"), "/ambient_dim")
-        if self.ambient_dim < 1:
-            raise ConfigError("ambient_dim must be positive", "/ambient_dim")
-        self.cm = parse_crossed_module(_require(cfg, "crossed_module"), "/crossed_module")
+        cfg = validate(cfg)
+        self.ambient_dim = cfg["ambient_dim"]
+        self.cm = parse_crossed_module(cfg["crossed_module"], "/crossed_module")
         self.A = _parse_one_form(cfg.get("A"), self.cm.G, self.ambient_dim, "/A")
-        self.B = _parse_two_form(cfg.get("B"), self.cm.H, self.ambient_dim, "/B")
-        self.seed = _convert(int, cfg.get("seed", 0), "/seed")
-        fc_tolerance = cfg.get("fc_tolerance")
-        self.fc_tolerance = (None if fc_tolerance is None
-                             else _convert(float, fc_tolerance, "/fc_tolerance"))
-        self.box = _parse_box(cfg.get("box"), self.ambient_dim)
-
-        icfg = cfg.get("integrator", {})
-        if not isinstance(icfg, dict):
-            raise ConfigError("integrator must be an object", "/integrator")
-        fields = dataclasses.fields(tp.IntegratorConfig)
-        for key in icfg:
-            if key not in {f.name for f in fields}:
-                raise ConfigError(f"unknown integrator key {key!r}", f"/integrator/{key}")
-        steps = {f.name: _convert(int, icfg.get(f.name, f.default), f"/integrator/{f.name}")
-                 for f in fields}
+        self.B = _parse_two_form(cfg.get("B", {}), self.cm.H, self.ambient_dim, "/B")
+        self.seed = cfg.get("seed", 0)
+        self.fc_tolerance = cfg.get("fc_tolerance", fm.default_fc_tolerance(self.A))
+        self.box = cfg.get("box")
+        if self.box is not None and len(self.box) != self.ambient_dim:
+            raise ConfigError(f"box needs {self.ambient_dim} [lo, hi] intervals", "/box")
         try:
-            self.integrator = tp.IntegratorConfig(**steps)
-        except ValueError as exc:
+            self.integrator = tp.IntegratorConfig(**cfg.get("integrator", {}))
+        except ValueError as exc:  # n_quad_t must be even
             raise ConfigError(str(exc), "/integrator") from exc
-        fcfg = cfg.get("fd", {})
-        if not isinstance(fcfg, dict):
-            raise ConfigError("fd must be an object", "/fd")
-        try:
-            self.fd = ex.FdConfig(step=_convert(float, fcfg.get("step", 1e-3), "/fd/step"),
-                                  richardson=bool(fcfg.get("richardson", True)))
-        except ValueError as exc:
-            raise ConfigError(str(exc), "/fd") from exc
+        self.fd = ex.FdConfig(**cfg.get("fd", {}))
         self.geometry = cfg.get("geometry", {})
-        if not isinstance(self.geometry, dict):
-            raise ConfigError("geometry must be an object", "/geometry")
+        self.grid = bf.GridSpec(**cfg.get("grid", {}))
+        self.pairing = bf.PairingSpec(cfg.get("pairing", "neg_trace"))
+        self.n_directions = cfg.get("n_directions", 8)
 
-        # bf settings are checked for every command, so a bad value fails before any work
-        grid_cfg = cfg.get("grid", {})
-        if not isinstance(grid_cfg, dict):
-            raise ConfigError("grid must be an object", "/grid")
-        try:
-            self.grid = bf.GridSpec(_convert(int, grid_cfg.get("n", 12), "/grid/n"))
-        except ValueError as exc:
-            raise ConfigError(str(exc), "/grid/n") from exc
-        try:
-            self.pairing = bf.PairingSpec(cfg.get("pairing", "neg_trace"))
-        except ValueError as exc:
-            raise ConfigError(str(exc), "/pairing") from exc
-        self.n_directions = _convert(int, cfg.get("n_directions", 8), "/n_directions")
-        if self.n_directions < 1:
-            raise ConfigError("n_directions must be at least 1", "/n_directions")
+    def sampling_box(self):
+        """The box (None: the unit box) for commands that sample it."""
+        if self.ambient_dim > MAX_DIM:
+            raise ConfigError(f"sampling supports at most {MAX_DIM} dimensions",
+                              "/ambient_dim")
+        return self.box
 
     def pair(self) -> fm.ConnectionPair:
-        return fm.ConnectionPair(self.cm, self.A, self.B, fc_tolerance=self.fc_tolerance,
-                                 box=self.box, seed=self.seed)
+        with _algebra_gates_located():
+            return fm.ConnectionPair(self.cm, self.A, self.B, fc_tolerance=self.fc_tolerance,
+                                     box=self.sampling_box(), seed=self.seed)
 
     def _geometry(self, key: str, build):
-        """build(expressions) for geometry.<key>, with its errors located."""
+        """build(expressions) for geometry.<key>, one expression per
+        coordinate, with its errors located."""
         pointer = f"/geometry/{key}"
-        exprs = self.geometry.get(key)
-        if exprs is None:
+        if key not in self.geometry:
             raise ConfigError(f"command needs geometry.{key}", pointer)
-        if not isinstance(exprs, list):
-            raise ConfigError("expected a list of expressions", pointer)
+        if len(self.geometry[key]) != self.ambient_dim:
+            raise ConfigError(f"{key} needs one expression per coordinate", pointer)
         try:
-            return build(exprs)
-        except (HolonomyError, TypeError, ValueError) as exc:
+            return build(self.geometry[key])
+        except (HolonomyError, ValueError) as exc:
             raise ConfigError(str(exc), pointer) from exc
 
     def geometry_path(self) -> geo.Path:
-        exprs = self.geometry.get("path")
-        if isinstance(exprs, list) and len(exprs) != self.ambient_dim:
-            raise ConfigError("path needs one expression per coordinate", "/geometry/path")
         return self._geometry("path", geo.path_from_expressions)
 
     def geometry_loop(self) -> geo.Loop:
@@ -305,19 +326,15 @@ def _cmd_check_cm(exp: Experiment) -> dict:
 
 
 def _cmd_check_fc(exp: Experiment) -> dict:
-    report = fm.fake_curvature_residual(exp.cm, exp.A, exp.B, exp.box,
+    report = fm.fake_curvature_residual(exp.cm, exp.A, exp.B, exp.sampling_box(),
                                         n_samples=256, seed=exp.seed)
-    tol = exp.fc_tolerance if exp.fc_tolerance is not None else \
-        (1e-5 if exp.A.is_symbolic else 1e-3)
     out = report.as_dict()
-    out["tolerance"] = tol
-    out["pass"] = bool(report.max_residual <= tol)
+    out["tolerance"] = exp.fc_tolerance
+    out["pass"] = bool(report.max_residual <= exp.fc_tolerance)
     return out
 
 
 def _cmd_roundtrip(exp: Experiment) -> dict:
-    from .sampling import halton_box
-
     pair = exp.pair()
     functor = tp.two_functor(pair, exp.integrator)
     box = np.asarray(pair.box, dtype=float)
@@ -357,6 +374,8 @@ def _cmd_stokes(exp: Experiment) -> dict:
 
 
 def _cmd_bf(exp: Experiment) -> dict:
+    if exp.ambient_dim != 4:
+        raise ConfigError("bf needs ambient_dim 4", "/ambient_dim")
     grid, pairing = exp.grid, exp.pairing
     action = bf.bf_action(exp.cm, exp.A, exp.B, pairing, grid)
     dec = bf.action_decomposition(exp.cm, exp.A, exp.B, pairing, grid)
@@ -379,10 +398,13 @@ def _cmd_bf(exp: Experiment) -> dict:
 
 
 def _cmd_transgress(exp: Experiment) -> dict:
+    if not {"loop", "variation", "loop_path"} & exp.geometry.keys():
+        raise ConfigError("transgress needs geometry.loop with geometry.variation, "
+                          "or geometry.loop_path", "/geometry")
     pair = exp.pair()
     out = {}
     ok = True
-    if "loop" in exp.geometry and "variation" in exp.geometry:
+    if "loop" in exp.geometry or "variation" in exp.geometry:
         tau = exp.geometry_loop()
         tangent = tg.LoopTangent(tau, exp.geometry_variation())
         phi = tg.transgressed_phi(pair, tangent, exp.integrator)
@@ -421,7 +443,8 @@ def run(command: str, cfg: dict, config_bytes: bytes | None = None) -> dict:
     declared = cfg.get("command")
     if declared is not None and declared != command:
         raise ConfigError(f"config declares command {declared!r}", "/command")
-    result = _HANDLERS[command](exp)
+    with _algebra_gates_located():
+        result = _HANDLERS[command](exp)
     digest = hashlib.sha256(
         config_bytes if config_bytes is not None
         else json.dumps(cfg, sort_keys=True).encode()
@@ -432,8 +455,7 @@ def run(command: str, cfg: dict, config_bytes: bytes | None = None) -> dict:
         "config_hash": digest,
         "seed": exp.seed,
         "tolerances": {
-            "fc_tolerance": exp.fc_tolerance if exp.fc_tolerance is not None else
-            (1e-5 if exp.A.is_symbolic else 1e-3),
+            "fc_tolerance": exp.fc_tolerance,
             "fd_step": exp.fd.step,
             "matching_hard_limit": tp.MATCHING_HARD_LIMIT,
         },
@@ -467,18 +489,15 @@ def main(argv=None) -> int:
         with open(args.config, "rb") as fh:
             config_bytes = fh.read()
         try:
-            cfg = json.loads(config_bytes)
+            cfg = validate(json.loads(config_bytes))  # the overrides need an object
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", "/") from exc
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.steps is not None:
-            exp_probe = dict(cfg)
-            icfg = dict(exp_probe.get("integrator", {}))
-            icfg["n_steps_path"] = max(8, args.steps)
-            icfg["n_steps_surface_s"] = args.steps
-            icfg["n_quad_t"] = args.steps if args.steps % 2 == 0 else args.steps + 1
-            cfg["integrator"] = icfg
+            cfg["integrator"] = {**cfg.get("integrator", {}), "n_steps_path": max(8, args.steps),
+                                 "n_steps_surface_s": args.steps,
+                                 "n_quad_t": args.steps + args.steps % 2}
         report = run(args.command, cfg, config_bytes)
     except HolonomyError as exc:
         sys.stderr.write(f"error: {exc}\n")

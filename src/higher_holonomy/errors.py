@@ -18,7 +18,12 @@ class CompositionError(HolonomyError):
 
 
 class MembershipError(HolonomyError):
-    """A matrix fails its group or algebra membership test."""
+    """A matrix fails its group or algebra membership test; `form` names the
+    connection form ("A" or "B") whose values left their algebra, if any."""
+
+    def __init__(self, message, form=None):
+        super().__init__(message)
+        self.form = form
 
 
 class FakeCurvatureError(HolonomyError):

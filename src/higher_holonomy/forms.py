@@ -500,6 +500,12 @@ def default_box(ambient_dim: int):
     return tuple((0.0, 1.0) for _ in range(ambient_dim))
 
 
+def default_fc_tolerance(a: OneFormField) -> float:
+    """Fake-curvature tolerance for A: 1e-5 when its exterior derivative is
+    symbolic, 1e-3 when it is a finite difference."""
+    return 1e-5 if a.is_symbolic else 1e-3
+
+
 def fake_curvature_residual(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                             box=None, n_samples: int = 256,
                             seed: int = 0) -> FakeCurvatureReport:
@@ -509,7 +515,7 @@ def fake_curvature_residual(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     n = a.ambient_dim
     box = np.asarray(box if box is not None else default_box(n), dtype=float)
     xs = halton_box(box, n_samples, seed)
-    best = (0.0, xs[0], (0, 1))
+    best = (0.0, xs[0], (0, 1) if n > 1 else ())
     eye = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -533,9 +539,9 @@ class ConnectionPair:
     the fake-curvature condition dA + [A ^ A] = t_* B within fc_tolerance.
 
     Construction fails with FakeCurvatureError when the sampled residual
-    exceeds the tolerance (default 1e-5 for symbolic exterior derivatives,
-    1e-3 for finite-difference ones), and then with MembershipError when A
-    or B leaves its Lie algebra on the same samples.
+    exceeds the tolerance (default_fc_tolerance(a) when none is given), and
+    then with MembershipError when A or B leaves its Lie algebra on the same
+    samples.
     """
 
     def __init__(self, cm: CrossedModule, a: OneFormField, b: TwoFormField,
@@ -548,9 +554,8 @@ class ConnectionPair:
         self.B = b
         self.box = tuple(tuple(map(float, iv)) for iv in
                          (box if box is not None else default_box(a.ambient_dim)))
-        if fc_tolerance is None:
-            fc_tolerance = 1e-5 if a.is_symbolic else 1e-3
-        self.fc_tolerance = float(fc_tolerance)
+        self.fc_tolerance = float(default_fc_tolerance(a) if fc_tolerance is None
+                                  else fc_tolerance)
         self.fc_report = fake_curvature_residual(cm, a, b, self.box, n_samples, seed)
         if not self.fc_report.max_residual <= self.fc_tolerance:
             raise FakeCurvatureError(

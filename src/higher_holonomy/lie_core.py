@@ -152,14 +152,16 @@ def algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
     return float(np.max(d, initial=0.0))
 
 
-def require_algebra(desc: GroupDescriptor, m: np.ndarray, what: str) -> None:
-    """Raise MembershipError unless every matrix of the stack `m` lies in the
-    algebra of `desc` within membership_tolerance * max(1, largest |entry|)."""
+def require_algebra(desc: GroupDescriptor, m: np.ndarray, form: str, where: str = "") -> None:
+    """Raise MembershipError for `form` (the name of the form whose values
+    `m` are) unless every matrix of the stack `m` lies in the algebra of
+    `desc` within membership_tolerance * max(1, largest |entry|)."""
     m = np.asarray(m)
     d = algebra_defect(desc, m)
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0))) if math.isfinite(d) else 1.0
     if not d <= desc.membership_tolerance * scale:
-        raise MembershipError(f"{what} leaves the algebra of {desc} (defect {d:.3e})")
+        raise MembershipError(f"{form}{where} leaves the algebra of {desc} (defect {d:.3e})",
+                              form=form)
 
 
 def project_to_algebra(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:

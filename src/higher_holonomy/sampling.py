@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# Halton sampling covers at most this many coordinates, one prime each.
+MAX_DIM = len(_PRIMES)
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -20,8 +22,8 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
 
 def halton_points(n: int, dim: int, seed: int = 0) -> np.ndarray:
     """First n Halton points in [0,1)^dim, offset deterministically by seed."""
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    if dim > MAX_DIM:
+        raise ValueError(f"halton supports up to {MAX_DIM} dimensions")
     indices = np.arange(1 + seed, n + 1 + seed)
     return np.stack([_radical_inverse(indices, _PRIMES[k]) for k in range(dim)], axis=-1)
 

@@ -136,7 +136,7 @@ def transport_nodes(a_form: OneFormField, gamma: Path, n_steps: int) -> np.ndarr
     x = gamma.point(tt)
     v = gamma.velocity(tt)
     a = a_form.matrices_at(x, v)[None]
-    lc.require_algebra(a_form.descriptor, a, "A along the path")
+    lc.require_algebra(a_form.descriptor, a, "A", " along the path")
     return _rk4_sweep(a, 1.0 / n_steps, a_form.descriptor)[0]
 
 

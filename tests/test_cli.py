@@ -1,13 +1,18 @@
+import copy
 import json
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higher_holonomy import cli
-from higher_holonomy.errors import ConfigError
+from higher_holonomy.errors import ConfigError, FakeCurvatureError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -187,14 +192,35 @@ class TestMainEntry:
         ({"integrator": {"n_steps_path": None}}, "/integrator/n_steps_path"),
         ({"fd": []}, "/fd"),
         ({"crossed_module": 5}, "/crossed_module"),
-        ({"A": [1, 2]}, "/A"),
+        ({"A": [1, 2]}, "/A/0"),
         ({"B": []}, "/B"),
         ({"geometry": {"bigon": 5}}, "/geometry/bigon"),
         ({"geometry": {"bigon": ["s", "q"]}}, "/geometry/bigon"),
+        ({"fd": {"richardson": "false"}}, "/fd/richardson"),
+        ({"fc_tolerence": 1e-3}, "/fc_tolerence"),
+        ({"fd": {"stepp": 1e-3}}, "/fd/stepp"),
+        ({"grid": {"m": 4}}, "/grid/m"),
+        ({"geometry": {"bigon": ["s", "t"], "variaton": ["0", "0"]}}, "/geometry/variaton"),
+        ({"ambient_dim": 2.7}, "/ambient_dim"),
+        ({"ambient_dim": True}, "/ambient_dim"),
+        ({"seed": 3.9}, "/seed"),
+        ({"seed": -1}, "/seed"),
+        ({"integrator": {"n_steps_path": 64.9}}, "/integrator/n_steps_path"),
+        ({"n_directions": 2.5}, "/n_directions"),
+        ({"fc_tolerance": -1}, "/fc_tolerance"),
+        ({"integrator": {**FAST_INTEGRATOR, "n_quad_t": 33}}, "/integrator"),
+        ({"box": [[0, 1]]}, "/box"),
+        ({"B": {"1,2": [["1 + x1"]]}}, "/B"),
+        ({"ambient_dim": 11, "geometry": {"bigon": ["s", "t"] + ["0"] * 9}}, "/ambient_dim"),
     ], ids=["group_size", "ambient_dim", "two_form_key", "unknown_integrator_key",
             "retraction_key", "seed", "grid_n", "pairing", "n_directions", "box_entry",
             "fc_tolerance", "geometry", "integrator_null", "fd_list", "crossed_module_type",
-            "one_form_type", "two_form_type", "bigon_type", "bigon_identifier"])
+            "one_form_type", "two_form_type", "bigon_type", "bigon_identifier",
+            "richardson_string", "top_level_typo", "fd_typo", "grid_typo", "geometry_typo",
+            "ambient_dim_fraction", "ambient_dim_bool", "seed_fraction", "seed_negative",
+            "steps_fraction", "n_directions_fraction", "fc_tolerance_negative",
+            "n_quad_t_odd", "box_length", "two_form_outside_the_algebra",
+            "sampling_dimension"])
     def test_invalid_config_is_a_config_error(self, tmp_path, capsys, edit, pointer):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**surface_cfg(), **edit}))
@@ -237,7 +263,43 @@ class TestMainEntry:
         out = capsys.readouterr()
         assert rc == 2
         assert out.out == ""
-        assert out.err.startswith("error: A along the path leaves the algebra of SU(2)")
+        assert out.err.startswith("error: /A: A along the path leaves the algebra of SU(2)")
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("check-fc", {"ambient_dim": 11, "crossed_module": "b_u1"}),
+        ("bf", {"ambient_dim": 2, "crossed_module": "eg:SU(2)"}),
+    ], ids=["check_fc_sampling", "bf"])
+    def test_unsupported_dimension_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main([command, "--config", str(cfg_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: /ambient_dim: ")
+
+    def test_holonomy_needs_no_sampling(self):
+        cfg = {"ambient_dim": 11, "crossed_module": "eg:SU(2)",
+               "geometry": {"path": ["t"] * 11}, "integrator": {"n_steps_path": 16}}
+        assert cli.run("holonomy", cfg)["pass"] is True
+
+    @pytest.mark.parametrize("geometry, pointer", [
+        ({}, "/geometry"),
+        ({"loop": ["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "0.2"]}, "/geometry/variation"),
+        ({"variaton": ["0", "0", "0.3"], "looppath": ["z", "0", "t"]}, "/geometry/variaton"),
+        ({"loop_path": ["z", "t"]}, "/geometry/loop_path"),
+        ({"loop": ["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)"], "variation": ["0", "0", "0.3"]},
+         "/geometry/loop"),
+    ], ids=["no_route", "loop_without_variation", "misspelled_keys", "short_loop_path",
+            "short_loop"])
+    def test_transgress_must_check_something(self, tmp_path, capsys, geometry, pointer):
+        cfg = json.loads((CONFIG_DIR / "transgress_bu1.json").read_text())
+        cfg["geometry"] = geometry
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["transgress", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err.startswith(f"error: {pointer}: ")
 
     def test_console_invocation(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -250,3 +312,118 @@ class TestMainEntry:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["command"] == "surface"
+
+
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+# commands whose handlers build a ConnectionPair from the config
+PAIR_COMMANDS = {"surface", "roundtrip", "transgress"}
+
+SUPPORTED_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items",
+                      "minItems", "maxItems", "enum", "pattern", "minimum", "maximum",
+                      "exclusiveMinimum", "exclusiveMaximum"}
+ANNOTATIONS = {"$schema", "title", "description", "default"}
+
+
+def _keywords(schema):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _keywords(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            yield from _keywords(schema[key])
+
+
+def _locations(value, path=()):
+    """The path of every object member and array item below `value`."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, item in children:
+        yield path + (key,)
+        yield from _locations(item, path + (key,))
+
+
+# Replacement values.  Numbers stay small: a large grid.n or step count is
+# slow, not wrong.
+REPLACEMENTS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.sampled_from([0.0, 0.5, -1.5, 2.0, 3.7, 1e-3, 64.0]),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one key dropped or renamed, or one value
+    replaced; returns (the shipped config's command, the mutated config)."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    cfg = copy.deepcopy(SHIPPED[name])
+    path = draw(st.sampled_from(list(_locations(cfg))))
+    parent, key = reduce(getitem, path[:-1], cfg), path[-1]
+    edit = draw(st.sampled_from(["drop", "rename", "replace"]))
+    if edit == "drop":
+        parent.pop(key)
+    elif edit == "rename" and isinstance(parent, dict):
+        parent[draw(st.sampled_from([key + "x", key[:-1], key.upper()]))] = parent.pop(key)
+    else:
+        parent[key] = draw(REPLACEMENTS)
+    return SHIPPED[name]["command"], cfg
+
+
+@pytest.fixture(scope="module")
+def reference_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft202012Validator(cli.config_schema())
+
+
+class TestSchema:
+    def test_schema_uses_only_supported_keywords(self):
+        assert set(_keywords(cli.config_schema())) <= SUPPORTED_KEYWORDS | ANNOTATIONS
+
+    def test_shipped_configs_are_valid(self):
+        for name, cfg in SHIPPED.items():
+            assert cli.validate(cfg) == cfg, name
+
+    def test_integral_floats_are_integers(self):
+        cfg = {**surface_cfg(), "ambient_dim": 2.0, "seed": 3.0,
+               "integrator": {key: float(n) for key, n in FAST_INTEGRATOR.items()}}
+        checked = cli.validate(cfg)
+        assert type(checked["ambient_dim"]) is int and type(checked["seed"]) is int
+        assert checked["integrator"] == FAST_INTEGRATOR
+        assert cli.dump_json(cli.run("surface", cfg)["result"]) == \
+            cli.dump_json(cli.run("surface", surface_cfg())["result"])
+
+    def test_non_finite_numbers_are_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError) as err:
+                cli.Experiment({**surface_cfg(), "fc_tolerance": value})
+            assert err.value.pointer == "/fc_tolerance"
+
+    def test_pointer_escapes_slash_and_tilde(self):
+        with pytest.raises(ConfigError) as err:
+            cli.validate({**surface_cfg(), "a/b~c": 1})
+        assert err.value.pointer == "/a~1b~0c"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mutated_configs())
+    def test_mutated_config_is_accepted_or_located(self, mutated):
+        command, cfg = mutated
+        try:
+            exp = cli.Experiment(cfg)
+            if command in PAIR_COMMANDS:
+                exp.pair()
+        except ConfigError as exc:
+            assert exc.pointer.startswith("/"), str(exc)
+        except FakeCurvatureError:
+            pass  # a valid config whose forms are not fake-flat
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_configs())
+    def test_validator_agrees_with_jsonschema(self, reference_validator, mutated):
+        _, cfg = mutated
+        try:
+            cli.validate(cfg)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert accepted == reference_validator.is_valid(cfg)

@@ -83,13 +83,8 @@ def _plane_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                       xs: np.ndarray):
     """Yield ((i, j), F_A, t_* B) for every coordinate 2-plane, i < j, at
     stacked points, one plane at a time."""
-    n = a.ambient_dim
-    eye = np.eye(n)
-    for (i, j) in [(i, j) for i in range(n) for j in range(i + 1, n)]:
-        v1 = np.broadcast_to(eye[i], xs.shape)
-        v2 = np.broadcast_to(eye[j], xs.shape)
-        yield ((i, j), fm.curvature_matrices_at(a, xs, v1, v2),
-               hg.t_star_matrix(cm, b.matrices_at(xs, v1, v2)))
+    for (i, j), f in fm.coordinate_curvatures(a, xs):
+        yield (i, j), f, hg.t_star_matrix(cm, b.component_matrix(i, j, xs))
 
 
 def _beta_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,

@@ -32,7 +32,7 @@ from . import higher_group as hg
 from . import lie_core as lc
 from . import transgression as tg
 from . import transport as tp
-from .errors import ConfigError, HolonomyError, MembershipError
+from .errors import ConfigError, FakeCurvatureError, HolonomyError, MembershipError
 from .sampling import MAX_DIM, halton_box
 
 COMMANDS = ("holonomy", "surface", "check-cm", "check-fc", "roundtrip",
@@ -213,14 +213,18 @@ def _parse_two_form(tables, desc, ambient_dim, pointer):
 
 
 @contextlib.contextmanager
-def _algebra_gates_located():
-    """An algebra-gate MembershipError on A or B, as a ConfigError there."""
+def _pair_gates_located():
+    """An algebra-gate MembershipError on A or B, as a ConfigError there;
+    a fake-curvature rejection, as a ConfigError at B, the 2-form that
+    dA + [A ^ A] = t_* B fixes."""
     try:
         yield
     except MembershipError as exc:
         if exc.form is None:
             raise
         raise ConfigError(str(exc), f"/{exc.form}") from exc
+    except FakeCurvatureError as exc:
+        raise ConfigError(str(exc), "/B") from exc
 
 
 class Experiment:
@@ -255,7 +259,7 @@ class Experiment:
         return self.box
 
     def pair(self) -> fm.ConnectionPair:
-        with _algebra_gates_located():
+        with _pair_gates_located():
             return fm.ConnectionPair(self.cm, self.A, self.B, fc_tolerance=self.fc_tolerance,
                                      box=self.sampling_box(), seed=self.seed)
 
@@ -398,27 +402,28 @@ def _cmd_bf(exp: Experiment) -> dict:
 
 
 def _cmd_transgress(exp: Experiment) -> dict:
-    if not {"loop", "variation", "loop_path"} & exp.geometry.keys():
-        raise ConfigError("transgress needs geometry.loop with geometry.variation, "
-                          "or geometry.loop_path", "/geometry")
-    pair = exp.pair()
-    out = {}
-    ok = True
-    if "loop" in exp.geometry or "variation" in exp.geometry:
+    # only the loop_path route compares two results; the loop route reports
+    # phi, A and the loop holonomy alongside it
+    loop_route = "loop" in exp.geometry or "variation" in exp.geometry
+    if loop_route:
         tau = exp.geometry_loop()
         tangent = tg.LoopTangent(tau, exp.geometry_variation())
+    if "loop_path" not in exp.geometry:
+        raise ConfigError("transgress needs geometry.loop_path, the route that checks "
+                          "consistency", "/geometry")
+    lp = exp.geometry_loop_path()
+    pair = exp.pair()
+    out = {}
+    if loop_route:
         phi = tg.transgressed_phi(pair, tangent, exp.integrator)
         a_val = tg.transgressed_A(pair, tangent)
         hol = tg.loop_holonomy(pair, tau, exp.integrator)
         out["phi"] = _matrix_json(phi.matrix)
         out["A_base"] = _matrix_json(a_val.matrix)
         out["holonomy"] = _matrix_json(hol.matrix)
-    if "loop_path" in exp.geometry:
-        lp = exp.geometry_loop_path()
-        rep = tg.transgression_consistency(pair, lp, exp.integrator)
-        out["consistency_defect"] = rep.defect
-        ok = ok and rep.defect <= 1e-4
-    out["pass"] = bool(ok)
+    rep = tg.transgression_consistency(pair, lp, exp.integrator)
+    out["consistency_defect"] = rep.defect
+    out["pass"] = bool(rep.defect <= 1e-4)
     return out
 
 
@@ -443,7 +448,7 @@ def run(command: str, cfg: dict, config_bytes: bytes | None = None) -> dict:
     declared = cfg.get("command")
     if declared is not None and declared != command:
         raise ConfigError(f"config declares command {declared!r}", "/command")
-    with _algebra_gates_located():
+    with _pair_gates_located():
         result = _HANDLERS[command](exp)
     digest = hashlib.sha256(
         config_bytes if config_bytes is not None

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,68 @@ class TestCriticality:
         r1 = bf.criticality_check(cm, a, b, grid=bf.GridSpec(4), n_directions=2, seed=7)
         r2 = bf.criticality_check(cm, a, b, grid=bf.GridSpec(4), n_directions=2, seed=7)
         assert r1.derivatives == r2.derivatives
+
+
+PLANES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+class TestBetaAssembly:
+    """beta is built from one evaluation of each field component, and never
+    writes into an array that a field returned."""
+
+    def test_each_component_evaluated_once_per_action(self):
+        rng = np.random.default_rng(0)
+        calls = Counter()
+
+        def counted(name, mat):
+            def fn(x):
+                calls[name] += 1
+                return x[..., 0, None, None] * mat
+            return fn
+
+        a = fm.one_form_from_callables(
+            SU2, [counted(k, lc.random_algebra(SU2, rng).matrix) for k in range(4)], 4)
+        b = fm.two_form_from_callables(
+            SU2, {pl: counted(pl, lc.random_algebra(SU2, rng).matrix)
+                  for pl in PLANES}, 4)
+        bf.bf_action(hg.make_eg(SU2), a, b, grid=bf.GridSpec(4))
+        # one value and three central differences (two values each) per A
+        # component, one value per B component
+        assert {k: calls[k] for k in range(4)} == {k: 7 for k in range(4)}
+        assert {pl: calls[pl] for pl in PLANES} == {pl: 1 for pl in PLANES}
+
+    def test_callable_may_return_one_matrix_for_any_stack(self):
+        rng = np.random.default_rng(1)
+        cm = hg.make_eg(SU2)
+        b0 = fm.two_form_from_expressions(SU2, {}, 4)
+        x0 = lc.random_algebra(SU2, rng).matrix
+        same = fm.one_form_from_callables(SU2, [lambda x: x0] * 4, 4)
+        assert bf.bf_action(cm, same, b0, grid=bf.GridSpec(4)) == 0.0
+        # one stacked component next to three constant (d, d) ones
+        mats = [lc.random_algebra(SU2, rng).matrix for _ in range(4)]
+        fns = [lambda x: x[..., 1, None, None] * mats[0]]
+        fns += [lambda x, m=m: m for m in mats[1:]]
+        entries = [[[f"({v.real!r} + {v.imag!r}*i)" for v in row.tolist()] for row in m]
+                   for m in mats]
+        entries[0] = [[f"x2*{e}" for e in row] for row in entries[0]]
+        mixed = fm.one_form_from_callables(SU2, fns, 4)
+        symbolic = fm.one_form_from_expressions(SU2, entries, 4)
+        s = bf.bf_action(cm, mixed, b0, grid=bf.GridSpec(4))
+        assert s != 0.0
+        assert s == pytest.approx(bf.bf_action(cm, symbolic, b0, grid=bf.GridSpec(4)),
+                                  rel=1e-9)
+
+    def test_cached_field_values_stay_unchanged(self):
+        # GridSpec(4) has 256 cells, as many as the gate's default samples
+        rng = np.random.default_rng(2)
+        cached = {key: np.stack([lc.random_algebra(SU2, rng).matrix for _ in range(256)])
+                  for key in list(range(4)) + PLANES}
+        before = {key: arr.copy() for key, arr in cached.items()}
+        a = fm.one_form_from_callables(SU2, [lambda x, k=k: cached[k] for k in range(4)], 4)
+        b = fm.two_form_from_callables(
+            SU2, {pl: (lambda x, pl=pl: cached[pl]) for pl in PLANES}, 4)
+        cm = hg.make_eg(SU2)
+        bf.bf_action(cm, a, b, grid=bf.GridSpec(4))
+        fm.fake_curvature_residual(cm, a, b)
+        for key, arr in cached.items():
+            assert np.array_equal(arr, before[key])

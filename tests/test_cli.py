@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higher_holonomy import cli
-from higher_holonomy.errors import ConfigError, FakeCurvatureError
+from higher_holonomy.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -265,6 +265,17 @@ class TestMainEntry:
         assert out.out == ""
         assert out.err.startswith("error: /A: A along the path leaves the algebra of SU(2)")
 
+    def test_pair_that_is_not_fake_flat_is_located_at_b(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "surface_eg_su2.json").read_text())
+        del cfg["B"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["surface", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err == "error: /B: fake-curvature residual 7.707e-01 exceeds 1.0e-05\n"
+
     @pytest.mark.parametrize("command, cfg", [
         ("check-fc", {"ambient_dim": 11, "crossed_module": "b_u1"}),
         ("bf", {"ambient_dim": 2, "crossed_module": "eg:SU(2)"}),
@@ -288,8 +299,10 @@ class TestMainEntry:
         ({"loop_path": ["z", "t"]}, "/geometry/loop_path"),
         ({"loop": ["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)"], "variation": ["0", "0", "0.3"]},
          "/geometry/loop"),
+        ({"loop": ["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "0.2"],
+          "variation": ["0.1*cos(2*pi*z)", "0", "0.3"]}, "/geometry"),
     ], ids=["no_route", "loop_without_variation", "misspelled_keys", "short_loop_path",
-            "short_loop"])
+            "short_loop", "loop_and_variation_only"])
     def test_transgress_must_check_something(self, tmp_path, capsys, geometry, pointer):
         cfg = json.loads((CONFIG_DIR / "transgress_bu1.json").read_text())
         cfg["geometry"] = geometry
@@ -414,8 +427,6 @@ class TestSchema:
                 exp.pair()
         except ConfigError as exc:
             assert exc.pointer.startswith("/"), str(exc)
-        except FakeCurvatureError:
-            pass  # a valid config whose forms are not fake-flat
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mutated_configs())

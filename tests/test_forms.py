@@ -117,6 +117,53 @@ class TestCurvature:
                            fm.curvature_two_form(su2_one_form, x, e1, e2).matrix)
 
 
+def _expression_form(descriptor, ambient_dim, seed):
+    """A one-form whose every entry is a seeded mix of sin and a square, so
+    that partials and brackets are all nonzero."""
+    rng = np.random.default_rng(seed)
+    d = descriptor.matrix_dim
+
+    def entry():
+        a, b, c = (float(v) for v in rng.uniform(-1.0, 1.0, 3))
+        p, q = rng.integers(1, ambient_dim + 1, 2)
+        return f"{a!r}*sin({b!r}*x{p}) + {c!r}*i*x{q}^2"
+
+    tables = [[[entry() for _ in range(d)] for _ in range(d)] for _ in range(ambient_dim)]
+    return fm.one_form_from_expressions(descriptor, tables, ambient_dim)
+
+
+def _callable_copy(a, vectorized):
+    return fm.one_form_from_callables(
+        a.descriptor, [lambda x, c=c: c.eval(x) for c in a.components], a.ambient_dim,
+        vectorized=vectorized)
+
+
+CURVATURE_FORMS = {
+    "symbolic_su2": lambda: _expression_form(SU2, 4, 0),
+    "vectorized_callable": lambda: _callable_copy(_expression_form(SU2, 4, 1), True),
+    "per_point_callable": lambda: _callable_copy(_expression_form(SU2, 3, 2), False),
+    "u1": lambda: _expression_form(U1, 3, 3),
+    "dim_3": lambda: _expression_form(lc.su(3), 3, 4),
+}
+
+
+class TestCoordinateCurvatures:
+    @pytest.mark.parametrize("form", sorted(CURVATURE_FORMS))
+    def test_matches_curvature_on_unit_frames(self, form):
+        a = CURVATURE_FORMS[form]()
+        n = a.ambient_dim
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, n))
+        eye = np.eye(n)
+        planes = []
+        for (i, j), k in fm.coordinate_curvatures(a, xs):
+            ref = fm.curvature_matrices_at(a, xs, np.broadcast_to(eye[i], xs.shape),
+                                           np.broadcast_to(eye[j], xs.shape))
+            assert k.shape == ref.shape
+            assert np.linalg.norm(k - ref) <= 1e-13 * np.linalg.norm(ref)
+            planes.append((i, j))
+        assert planes == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 class TestThreeForm:
     def test_constant_b_trivial_a(self):
         cm = hg.make_b_abelian(U1)

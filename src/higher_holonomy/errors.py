@@ -2,7 +2,12 @@
 
 
 class HolonomyError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `report`, when set, is the check
+    report behind the failure."""
+
+    def __init__(self, message="", report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NumericalError(HolonomyError):
@@ -14,7 +19,8 @@ class DomainError(HolonomyError):
 
 
 class CompositionError(HolonomyError):
-    """Endpoints or boundary paths do not match within tolerance."""
+    """Endpoints or boundary paths do not match within tolerance, or a
+    crossed module fails the axioms its composition laws rest on."""
 
 
 class MembershipError(HolonomyError):
@@ -28,10 +34,6 @@ class MembershipError(HolonomyError):
 
 class FakeCurvatureError(HolonomyError):
     """Connection pair violates dA + [A wedge A] = t_* B beyond tolerance."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class TargetMatchingError(HolonomyError):

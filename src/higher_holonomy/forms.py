@@ -127,17 +127,11 @@ def _sym_scale(field: ExpressionMatrixField, factor) -> ExpressionMatrixField:
     return ExpressionMatrixField(rows, field.dim, field.ambient_dim)
 
 
-def _sym_add(a: ExpressionMatrixField, b: ExpressionMatrixField) -> ExpressionMatrixField:
+def _sym_entrywise(op: str, a: ExpressionMatrixField,
+                   b: ExpressionMatrixField) -> ExpressionMatrixField:
+    """a op b entry by entry, for op "+" or "-"."""
     rows = [
-        [xp.simplify(xp.Bin("+", ea, eb)) for ea, eb in zip(ra, rb)]
-        for ra, rb in zip(a.entries, b.entries)
-    ]
-    return ExpressionMatrixField(rows, a.dim, a.ambient_dim)
-
-
-def _sym_sub(a: ExpressionMatrixField, b: ExpressionMatrixField) -> ExpressionMatrixField:
-    rows = [
-        [xp.simplify(xp.Bin("-", ea, eb)) for ea, eb in zip(ra, rb)]
+        [xp.simplify(xp.Bin(op, ea, eb)) for ea, eb in zip(ra, rb)]
         for ra, rb in zip(a.entries, b.entries)
     ]
     return ExpressionMatrixField(rows, a.dim, a.ambient_dim)
@@ -208,17 +202,11 @@ class TwoFormField:
 
     def component_matrix(self, i: int, j: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if i == j:
-            d = self.descriptor.matrix_dim
-            return np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        fld = self.components.get((i, j))
+        fld = self.components.get((min(i, j), max(i, j)))  # (i, i) is never stored
         if fld is None:
             d = self.descriptor.matrix_dim
             return np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-        return sign * fld.eval(x)
+        return (1.0 if i < j else -1.0) * fld.eval(x)
 
     def matrices_at(self, x, v1, v2) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -277,36 +265,24 @@ def two_form_from_callables(descriptor: GroupDescriptor, fns: dict, ambient_dim:
     return TwoFormField(descriptor, comps, ambient_dim)
 
 
+def _add_fields(ca, cb, factor: float):
+    """ca + factor * cb, symbolic when both are."""
+    if ca.is_symbolic and cb.is_symbolic:
+        return _sym_entrywise("+", ca, _sym_scale(cb, factor))
+    return CallableMatrixField(lambda x: ca.eval(x) + factor * cb.eval(x),
+                               ca.dim, ca.ambient_dim, vectorized=True)
+
+
 def add_one_forms(a: OneFormField, b: OneFormField, factor: float = 1.0) -> OneFormField:
     """a + factor * b, symbolic when both sides are."""
-    comps = []
-    for ca, cb in zip(a.components, b.components):
-        if ca.is_symbolic and cb.is_symbolic:
-            comps.append(_sym_add(ca, _sym_scale(cb, factor)))
-        else:
-            comps.append(CallableMatrixField(
-                lambda x, ca=ca, cb=cb: ca.eval(x) + factor * cb.eval(x),
-                a.descriptor.matrix_dim, a.ambient_dim, vectorized=True))
+    comps = [_add_fields(ca, cb, factor) for ca, cb in zip(a.components, b.components)]
     return OneFormField(a.descriptor, comps, a.ambient_dim)
 
 
 def add_two_forms(a: TwoFormField, b: TwoFormField, factor: float = 1.0) -> TwoFormField:
-    comps = {}
-    keys = set(a.components) | set(b.components)
-    d = a.descriptor.matrix_dim
-    for key in keys:
-        ca = a.components.get(key)
-        cb = b.components.get(key)
-        if ca is None:
-            ca = _zero_field(d, a.ambient_dim)
-        if cb is None:
-            cb = _zero_field(d, a.ambient_dim)
-        if ca.is_symbolic and cb.is_symbolic:
-            comps[key] = _sym_add(ca, _sym_scale(cb, factor))
-        else:
-            comps[key] = CallableMatrixField(
-                lambda x, ca=ca, cb=cb: ca.eval(x) + factor * cb.eval(x),
-                d, a.ambient_dim, vectorized=True)
+    zero = _zero_field(a.descriptor.matrix_dim, a.ambient_dim)
+    comps = {key: _add_fields(a.components.get(key, zero), b.components.get(key, zero), factor)
+             for key in set(a.components) | set(b.components)}
     return TwoFormField(a.descriptor, comps, a.ambient_dim)
 
 
@@ -324,14 +300,6 @@ def exterior_derivative_one_form(a: OneFormField, x, v1, v2) -> np.ndarray:
                 continue
             da = da + a.components[j].partial(i).eval(x) * coef[..., None, None]
     return da
-
-
-def curvature_matrices_at(a: OneFormField, x, v1, v2) -> np.ndarray:
-    """K(v1, v2) = dA(v1, v2) + [A(v1), A(v2)] on stacked points."""
-    da = exterior_derivative_one_form(a, x, v1, v2)
-    a1 = a.matrices_at(x, v1)
-    a2 = a.matrices_at(x, v2)
-    return da + a1 @ a2 - a2 @ a1
 
 
 def _add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -353,23 +321,52 @@ def _add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
             entry -= yx
 
 
+def _plane_curvature(a: OneFormField, xs: np.ndarray, i: int, j: int,
+                     a_i: np.ndarray, a_j: np.ndarray) -> np.ndarray:
+    """K_ij = d_i A_j - d_j A_i + [A_i, A_j] at stacked points xs, the
+    curvature on the unit frame (e_i, e_j), from the values a_i, a_j of
+    A_i and A_j there; a fresh array of the full stacked shape."""
+    d = a.descriptor.matrix_dim
+    k = np.zeros(xs.shape[:-1] + (d, d), dtype=complex)
+    k -= a.components[i].partial(j).eval(xs)
+    k += a.components[j].partial(i).eval(xs)
+    _add_commutator(k, a_i, a_j)
+    return k
+
+
 def coordinate_curvatures(a: OneFormField, xs):
     """Yield ((i, j), K_ij) for every coordinate plane i < j at stacked
-    points xs (..., n), where K_ij = d_i A_j - d_j A_i + [A_i, A_j] is the
-    curvature on the unit frame (e_i, e_j).  Each component of A, and each
-    partial d_i A_j (i != j), is evaluated once per call; each K_ij is a
-    fresh array of the full stacked shape."""
+    points xs (..., n).  Each component of A, and each partial d_i A_j
+    (i != j), is evaluated once per call."""
     xs = np.asarray(xs, dtype=float)
-    d = a.descriptor.matrix_dim
     comps = [c.eval(xs) for c in a.components]
     for i in range(a.ambient_dim):
         for j in range(i + 1, a.ambient_dim):
-            # (0 - d_j A_i) + d_i A_j rounds as curvature_matrices_at does
-            k = np.zeros(xs.shape[:-1] + (d, d), dtype=complex)
-            k -= a.components[i].partial(j).eval(xs)
-            k += a.components[j].partial(i).eval(xs)
-            _add_commutator(k, comps[i], comps[j])
-            yield (i, j), k
+            yield (i, j), _plane_curvature(a, xs, i, j, comps[i], comps[j])
+
+
+def curvature_matrices_at(a: OneFormField, x, v1, v2) -> np.ndarray:
+    """K(v1, v2) = dA(v1, v2) + [A(v1), A(v2)] on stacked points, as the
+    frame contraction sum over i < j of (v1_i v2_j - v1_j v2_i) K_ij.
+    Planes whose coefficient is identically zero are skipped, and only the
+    components of A the other planes need are evaluated."""
+    x = np.asarray(x, dtype=float)
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    d = a.descriptor.matrix_dim
+    out = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    comps = {}
+    for i in range(a.ambient_dim):
+        for j in range(i + 1, a.ambient_dim):
+            coef = v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i]
+            if np.all(coef == 0.0):
+                continue
+            for m in (i, j):
+                if m not in comps:
+                    comps[m] = a.components[m].eval(x)
+            k = _plane_curvature(a, x, i, j, comps[i], comps[j])
+            out = out + k * coef[..., None, None]
+    return out
 
 
 def curvature_two_form(a: OneFormField, x, v1, v2) -> AlgebraElement:
@@ -385,10 +382,10 @@ def symbolic_curvature(a: OneFormField) -> TwoFormField:
     n = a.ambient_dim
     for i in range(n):
         for j in range(i + 1, n):
-            d_ij = _sym_sub(a.components[j].partial(i), a.components[i].partial(j))
-            br = _sym_sub(_sym_matmul(a.components[i], a.components[j]),
-                          _sym_matmul(a.components[j], a.components[i]))
-            comps[(i, j)] = _sym_add(d_ij, br)
+            d_ij = _sym_entrywise("-", a.components[j].partial(i), a.components[i].partial(j))
+            br = _sym_entrywise("-", _sym_matmul(a.components[i], a.components[j]),
+                                _sym_matmul(a.components[j], a.components[i]))
+            comps[(i, j)] = _sym_entrywise("+", d_ij, br)
     return TwoFormField(a.descriptor, comps, n)
 
 
@@ -608,23 +605,16 @@ class ConnectionPair:
 
 def eg_pair(a: OneFormField, box=None, **kwargs) -> ConnectionPair:
     """The canonical fake-flat pair (A, K_A) in the inner 2-group of A's
-    group, with B built symbolically when possible."""
+    group.  B is `symbolic_curvature(a)` for an expression-backed A, and
+    otherwise one callable field per coordinate plane over the curvature
+    kernel `_plane_curvature`."""
     cm = hg.make_eg(a.descriptor)
-    b = symbolic_curvature(a) if a.is_symbolic else _fd_curvature_two_form(a)
+    if a.is_symbolic:
+        b = symbolic_curvature(a)
+    else:
+        n = a.ambient_dim
+        b = two_form_from_callables(a.descriptor, {
+            (i, j): (lambda x, i=i, j=j: _plane_curvature(
+                a, x, i, j, a.components[i].eval(x), a.components[j].eval(x)))
+            for i in range(n) for j in range(i + 1, n)}, n)
     return ConnectionPair(cm, a, b, box=box, **kwargs)
-
-
-def _fd_curvature_two_form(a: OneFormField) -> TwoFormField:
-    n = a.ambient_dim
-    eye = np.eye(n)
-    fns = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            def comp(x, i=i, j=j):
-                x = np.asarray(x, dtype=float)
-                v1 = np.broadcast_to(eye[i], x.shape)
-                v2 = np.broadcast_to(eye[j], x.shape)
-                return curvature_matrices_at(a, x, v1, v2)
-
-            fns[(i, j)] = comp
-    return two_form_from_callables(a.descriptor, fns, n)

@@ -1,26 +1,27 @@
 """Smooth crossed modules (G, H, t, alpha), their induced algebra maps,
 and the 2-group composition laws.
 
-Three built-in kinds are provided:
+A `CrossedModule` carries its induced maps (t_*, alpha_*, (alpha_g)_* and
+the action derivative) as fields on stacks of raw matrices; the
+module-level functions of the same names delegate to them.  Builders:
 
-* ``b_abelian`` -- G trivial, H an abelian group; t collapses to 1 and the
-  action is trivial.  G is realized as the one-element subgroup of GL(1).
-* ``eg`` -- H = G, t the identity, alpha conjugation.  Between any two
-  1-morphisms there is a unique 2-morphism filler h = g' g^{-1}.
-* ``aut_inner`` -- the automorphism 2-group of H restricted to its inner
-  image: G-elements are matrices of H acting by conjugation and t sends h
-  to the representative of conjugation by h.  (Representing the full
-  automorphism group as matrices is out of scope; this restriction is
-  intentional and documented.)
-
-Induced maps t_*, alpha_* and (alpha_g)_* use closed forms for the
-built-in kinds and central difference quotients for user-supplied
-evaluators.
+* ``make_b_abelian`` -- G trivial (the one-element subgroup of GL(1)), H
+  abelian, t collapsing to 1 and the action trivial; closed forms.
+* ``make_eg`` -- H = G, t the identity, alpha conjugation; closed forms.
+  Between any two 1-morphisms there is a unique 2-morphism filler
+  h = g' g^{-1}.
+* ``make_aut_inner`` -- the automorphism 2-group of H restricted to its
+  inner image (the full automorphism group as matrices is out of scope).
+  On this image it is ``make_eg`` under the ``aut_inner`` label.
+* ``custom_crossed_module`` -- black-box t and alpha, with central
+  difference quotients for the induced maps and the axioms verified on
+  construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -28,36 +29,37 @@ from . import lie_core as lc
 from .errors import CompositionError
 from .lie_core import AlgebraElement, GroupDescriptor, GroupElement
 
-B_ABELIAN = "b_abelian"
-EG = "eg"
-AUT_INNER = "aut_inner"
-CUSTOM = "custom"
-
-# Central-difference steps for the induced maps of a `custom` crossed
-# module (the built-in kinds use closed forms): first differences, and the
-# mixed second difference of alpha_*.
+# Central-difference steps for the induced maps of a custom crossed module:
+# first differences, and the mixed second difference of alpha_*.
 _FD_STEP = 1e-5
 _FD_STEP_MIXED = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
 class CrossedModule:
-    """The tuple (G, H, t, alpha) of a smooth crossed module."""
+    """The tuple (G, H, t, alpha) of a smooth crossed module, t and alpha
+    acting on `GroupElement`s, with its induced maps on stacks (..., d, d)
+    of raw matrices:
+
+    * t_star(y): the differential of t at 1;
+    * alpha_star(x, y): the mixed differential of alpha at (1, 1);
+    * alpha_g_star(g, y): the differential of alpha_g: H -> H at 1;
+    * action_diff(x, h): the derivative of g -> alpha(g, h) at g = 1 in
+      direction x, a tangent matrix at h (not at the identity).
+    """
 
     G: GroupDescriptor
     H: GroupDescriptor
-    t_eval: object
-    alpha_eval: object
-    kind: str = CUSTOM
-
-    def t(self, h: GroupElement) -> GroupElement:
-        return self.t_eval(h)
-
-    def alpha(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self.alpha_eval(g, h)
+    t: Callable
+    alpha: Callable
+    t_star: Callable
+    alpha_star: Callable
+    alpha_g_star: Callable
+    action_diff: Callable
+    kind: str = "custom"
 
     def sample_g(self, rng, scale: float = 0.7) -> GroupElement:
-        if self.kind == B_ABELIAN:
+        if self.kind == "b_abelian":
             return lc.identity(self.G)
         return lc.random_group(self.G, rng, scale)
 
@@ -69,120 +71,140 @@ def make_b_abelian(abelian_desc: GroupDescriptor) -> CrossedModule:
     """Crossed module with trivial G over an abelian H."""
     g_desc = lc.gl(1, "real")
 
-    def t_eval(h):
-        return lc.identity(g_desc)
+    def zero_h(x, y):
+        return np.zeros_like(np.asarray(y, dtype=complex))
 
-    def alpha_eval(g, h):
-        return h
-
-    return CrossedModule(g_desc, abelian_desc, t_eval, alpha_eval, kind=B_ABELIAN)
+    return CrossedModule(
+        g_desc, abelian_desc, lambda h: lc.identity(g_desc), lambda g, h: h,
+        t_star=lambda y: np.zeros(np.shape(y)[:-2] + (1, 1), dtype=complex),
+        alpha_star=zero_h,
+        alpha_g_star=lambda g, y: np.asarray(y, dtype=complex),
+        action_diff=zero_h,
+        kind="b_abelian",
+    )
 
 
 def make_eg(group_desc: GroupDescriptor) -> CrossedModule:
     """H = G with t the identity and alpha conjugation."""
 
-    def t_eval(h):
-        return GroupElement(group_desc, h.matrix, validate=False)
-
-    def alpha_eval(g, h):
+    def alpha(g, h):
         return GroupElement(
             group_desc, g.matrix @ h.matrix @ np.linalg.inv(g.matrix), validate=False
         )
 
-    return CrossedModule(group_desc, group_desc, t_eval, alpha_eval, kind=EG)
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    return CrossedModule(
+        group_desc, group_desc,
+        lambda h: GroupElement(group_desc, h.matrix, validate=False), alpha,
+        t_star=lambda y: np.asarray(y, dtype=complex),
+        alpha_star=bracket,
+        alpha_g_star=lambda g, y: g @ y @ np.linalg.inv(g),
+        action_diff=bracket,
+        kind="eg",
+    )
 
 
 def make_aut_inner(h_desc: GroupDescriptor) -> CrossedModule:
     """Inner-automorphism image of AUT(H): G-elements are conjugation
     representatives (H-matrices modulo center).  On this image t and alpha
-    coincide with the inner 2-group's, so only the kind tag differs."""
-    return replace(make_eg(h_desc), kind=AUT_INNER)
+    coincide with the inner 2-group's, so only the kind label differs."""
+    return replace(make_eg(h_desc), kind="aut_inner")
+
+
+def _one_at_a_time(fn):
+    """Lift `fn` on single matrices to stacks whose leading shapes
+    broadcast."""
+    def lifted(*stacks):
+        stacks = [np.asarray(s, dtype=complex) for s in stacks]
+        lead = np.broadcast_shapes(*(s.shape[:-2] for s in stacks))
+        flat = [np.broadcast_to(s, lead + s.shape[-2:]).reshape((-1,) + s.shape[-2:])
+                for s in stacks]
+        out = np.stack([fn(*ms) for ms in zip(*flat)])
+        return out.reshape(lead + out.shape[-2:])
+    return lifted
+
+
+def custom_crossed_module(G: GroupDescriptor, H: GroupDescriptor, t,
+                          alpha) -> CrossedModule:
+    """Crossed module from black-box evaluators t(h) and alpha(g, h) on
+    `GroupElement`s.  Its induced maps are central difference quotients
+    with steps `_FD_STEP` and `_FD_STEP_MIXED`, taken one matrix at a time.
+
+    The axioms are checked on construction by `verify_axioms` with its
+    defaults; a module that fails them raises CompositionError carrying
+    the `AxiomReport` as `report`.
+    """
+    def exp_g(m):
+        return lc.exp_map(AlgebraElement(G, m, validate=False))
+
+    def exp_h(m):
+        return lc.exp_map(AlgebraElement(H, m, validate=False))
+
+    def central(f, step):
+        return (f(step).matrix - f(-step).matrix) / (2.0 * step)
+
+    def t_star(y):
+        return lc.project_to_algebra(G, central(lambda s: t(exp_h(s * y)), _FD_STEP))
+
+    def alpha_star(x, y):
+        h = _FD_STEP_MIXED
+
+        def a(sx, uy):
+            return alpha(exp_g(sx * x), exp_h(uy * y)).matrix
+
+        stencil = (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4.0 * h * h)
+        return lc.project_to_algebra(H, stencil)
+
+    def alpha_g_star(g, y):
+        g_el = GroupElement(G, g, validate=False)
+        return lc.project_to_algebra(
+            H, central(lambda s: alpha(g_el, exp_h(s * y)), _FD_STEP))
+
+    def action_diff(x, h):
+        h_el = GroupElement(H, h, validate=False)
+        return central(lambda s: alpha(exp_g(s * x), h_el), _FD_STEP)
+
+    cm = CrossedModule(G, H, t, alpha, _one_at_a_time(t_star),
+                       _one_at_a_time(alpha_star), _one_at_a_time(alpha_g_star),
+                       _one_at_a_time(action_diff))
+    report = verify_axioms(cm)
+    if not report.passed:
+        raise CompositionError(
+            f"crossed-module axioms fail: max residual {report.max_residual:.3e} "
+            f"exceeds {report.tol:.1e}", report=report)
+    return cm
 
 
 def t_star(cm: CrossedModule, y: AlgebraElement) -> AlgebraElement:
     """Differential of t at the identity applied to y."""
-    if cm.kind == B_ABELIAN:
-        return lc.zero(cm.G)
-    if cm.kind in (EG, AUT_INNER):
-        return AlgebraElement(cm.G, y.matrix, validate=False)
-    gp = cm.t(lc.exp_map(AlgebraElement(y.descriptor, _FD_STEP * y.matrix, validate=False)))
-    gm = cm.t(lc.exp_map(AlgebraElement(y.descriptor, -_FD_STEP * y.matrix, validate=False)))
-    der = (gp.matrix - gm.matrix) / (2.0 * _FD_STEP)
-    return AlgebraElement(cm.G, lc.project_to_algebra(cm.G, der), validate=False)
+    return AlgebraElement(cm.G, cm.t_star(y.matrix), validate=False)
 
 
 def t_star_matrix(cm: CrossedModule, y_mats: np.ndarray) -> np.ndarray:
     """t_star on a stack of raw algebra matrices."""
-    if cm.kind == B_ABELIAN:
-        return np.zeros(y_mats.shape[:-2] + (cm.G.matrix_dim, cm.G.matrix_dim), dtype=complex)
-    if cm.kind in (EG, AUT_INNER):
-        return np.asarray(y_mats, dtype=complex)
-    flat = y_mats.reshape((-1,) + y_mats.shape[-2:])
-    out = np.stack([
-        t_star(cm, AlgebraElement(cm.H, m, validate=False)).matrix for m in flat
-    ])
-    return out.reshape(y_mats.shape[:-2] + out.shape[-2:])
+    return cm.t_star(y_mats)
 
 
 def alpha_star(cm: CrossedModule, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Mixed differential of alpha at (1,1): the bilinear map
-    (X, Y) -> d^2/ds du alpha(exp(sX), exp(uY)) at 0."""
-    if cm.kind == B_ABELIAN:
-        return lc.zero(cm.H)
-    if cm.kind in (EG, AUT_INNER):
-        return AlgebraElement(cm.H, x.matrix @ y.matrix - y.matrix @ x.matrix, validate=False)
-    h = _FD_STEP_MIXED
-
-    def a(sx, uy):
-        gx = lc.exp_map(AlgebraElement(cm.G, sx * x.matrix, validate=False))
-        hy = lc.exp_map(AlgebraElement(cm.H, uy * y.matrix, validate=False))
-        return cm.alpha(gx, hy).matrix
-
-    stencil = (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4.0 * h * h)
-    return AlgebraElement(cm.H, lc.project_to_algebra(cm.H, stencil), validate=False)
+    """Mixed differential of alpha at (1,1): d^2/ds du alpha(exp(sX), exp(uY))."""
+    return AlgebraElement(cm.H, cm.alpha_star(x.matrix, y.matrix), validate=False)
 
 
 def alpha_g_star(cm: CrossedModule, g: GroupElement, y: AlgebraElement) -> AlgebraElement:
     """Differential of alpha_g: H -> H at the identity applied to y."""
-    if cm.kind == B_ABELIAN:
-        return AlgebraElement(cm.H, y.matrix, validate=False)
-    if cm.kind in (EG, AUT_INNER):
-        return AlgebraElement(
-            cm.H, g.matrix @ y.matrix @ np.linalg.inv(g.matrix), validate=False
-        )
-    hp = cm.alpha(g, lc.exp_map(AlgebraElement(cm.H, _FD_STEP * y.matrix, validate=False)))
-    hm = cm.alpha(g, lc.exp_map(AlgebraElement(cm.H, -_FD_STEP * y.matrix, validate=False)))
-    der = (hp.matrix - hm.matrix) / (2.0 * _FD_STEP)
-    return AlgebraElement(cm.H, lc.project_to_algebra(cm.H, der), validate=False)
+    return AlgebraElement(cm.H, cm.alpha_g_star(g.matrix, y.matrix), validate=False)
 
 
 def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndarray) -> np.ndarray:
-    """(alpha_g)_* on stacks of raw matrices; closed form for built-ins."""
-    if cm.kind == B_ABELIAN:
-        return np.asarray(y_mats, dtype=complex)
-    if cm.kind in (EG, AUT_INNER):
-        return g_mats @ y_mats @ np.linalg.inv(g_mats)
-    flat_g = g_mats.reshape((-1,) + g_mats.shape[-2:])
-    flat_y = y_mats.reshape((-1,) + y_mats.shape[-2:])
-    out = np.stack([
-        alpha_g_star(cm, GroupElement(cm.G, gm, validate=False),
-                     AlgebraElement(cm.H, ym, validate=False)).matrix
-        for gm, ym in zip(flat_g, flat_y)
-    ])
-    return out.reshape(y_mats.shape[:-2] + out.shape[-2:])
+    """(alpha_g)_* on stacks of raw matrices."""
+    return cm.alpha_g_star(g_mats, y_mats)
 
 
 def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-    """Derivative of g -> alpha(g, h) at g = 1 in direction X, a tangent
-    matrix at h (not at the identity)."""
-    if cm.kind == B_ABELIAN:
-        return np.zeros_like(np.asarray(h_mat, dtype=complex))
-    if cm.kind in (EG, AUT_INNER):
-        return x_mat @ h_mat - h_mat @ x_mat
-    gp = lc.exp_map(AlgebraElement(cm.G, _FD_STEP * x_mat, validate=False))
-    gm = lc.exp_map(AlgebraElement(cm.G, -_FD_STEP * x_mat, validate=False))
-    h_el = GroupElement(cm.H, h_mat, validate=False)
-    return (cm.alpha(gp, h_el).matrix - cm.alpha(gm, h_el).matrix) / (2.0 * _FD_STEP)
+    """Derivative of g -> alpha(g, h) at g = 1 in direction X (at h)."""
+    return cm.action_diff(x_mat, h_mat)
 
 
 def alpha_conjugate_star(cm: CrossedModule, a: GroupElement, x: AlgebraElement) -> AlgebraElement:
@@ -249,6 +271,10 @@ def hcompose(a: TwoMorphismValue, b: TwoMorphismValue) -> TwoMorphismValue:
     )
 
 
+_AXIOMS = ("t_homomorphism", "action_identity", "action_homomorphism",
+           "action_composition", "equivariance", "peiffer")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Max residual per crossed-module axiom over seeded random samples."""
@@ -265,14 +291,7 @@ class AxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.t_homomorphism,
-            self.action_identity,
-            self.action_homomorphism,
-            self.action_composition,
-            self.equivariance,
-            self.peiffer,
-        )
+        return max(getattr(self, name) for name in _AXIOMS)
 
     @property
     def passed(self) -> bool:
@@ -280,12 +299,7 @@ class AxiomReport:
 
     def as_dict(self) -> dict:
         return {
-            "t_homomorphism": self.t_homomorphism,
-            "action_identity": self.action_identity,
-            "action_homomorphism": self.action_homomorphism,
-            "action_composition": self.action_composition,
-            "equivariance": self.equivariance,
-            "peiffer": self.peiffer,
+            **{name: getattr(self, name) for name in _AXIOMS},
             "max_residual": self.max_residual,
             "n_samples": self.n_samples,
             "seed": self.seed,
@@ -304,48 +318,26 @@ def verify_axioms(cm: CrossedModule, n_samples: int = 100, tol: float = 1e-9,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    res = dict.fromkeys(
-        ["t_hom", "act_id", "act_hom", "act_comp", "equiv", "peiffer"], 0.0
-    )
+    res = dict.fromkeys(_AXIOMS, 0.0)
     for _ in range(n_samples):
         g = cm.sample_g(rng)
         g2 = cm.sample_g(rng)
         h1 = cm.sample_h(rng)
         h2 = cm.sample_h(rng)
         x = cm.sample_h(rng)
-
-        lhs = cm.t(lc.gmul(h1, h2)).matrix
-        rhs = cm.t(h1).matrix @ cm.t(h2).matrix
-        res["t_hom"] = max(res["t_hom"], lc.frob(lhs - rhs))
-
-        res["act_id"] = max(
-            res["act_id"], lc.frob(cm.alpha(lc.identity(cm.G), h1).matrix - h1.matrix)
-        )
-
-        lhs = cm.alpha(g, lc.gmul(h1, h2)).matrix
-        rhs = cm.alpha(g, h1).matrix @ cm.alpha(g, h2).matrix
-        res["act_hom"] = max(res["act_hom"], lc.frob(lhs - rhs))
-
-        lhs = cm.alpha(lc.gmul(g, g2), h1).matrix
-        rhs = cm.alpha(g, cm.alpha(g2, h1)).matrix
-        res["act_comp"] = max(res["act_comp"], lc.frob(lhs - rhs))
-
-        lhs = cm.t(cm.alpha(g, h1)).matrix
-        rhs = g.matrix @ cm.t(h1).matrix @ np.linalg.inv(g.matrix)
-        res["equiv"] = max(res["equiv"], lc.frob(lhs - rhs))
-
-        lhs = cm.alpha(cm.t(h1), x).matrix
-        rhs = h1.matrix @ x.matrix @ np.linalg.inv(h1.matrix)
-        res["peiffer"] = max(res["peiffer"], lc.frob(lhs - rhs))
-
-    return AxiomReport(
-        t_homomorphism=res["t_hom"],
-        action_identity=res["act_id"],
-        action_homomorphism=res["act_hom"],
-        action_composition=res["act_comp"],
-        equivariance=res["equiv"],
-        peiffer=res["peiffer"],
-        n_samples=n_samples,
-        seed=seed,
-        tol=tol,
-    )
+        sides = {
+            "t_homomorphism": (cm.t(lc.gmul(h1, h2)).matrix,
+                               cm.t(h1).matrix @ cm.t(h2).matrix),
+            "action_identity": (cm.alpha(lc.identity(cm.G), h1).matrix, h1.matrix),
+            "action_homomorphism": (cm.alpha(g, lc.gmul(h1, h2)).matrix,
+                                    cm.alpha(g, h1).matrix @ cm.alpha(g, h2).matrix),
+            "action_composition": (cm.alpha(lc.gmul(g, g2), h1).matrix,
+                                   cm.alpha(g, cm.alpha(g2, h1)).matrix),
+            "equivariance": (cm.t(cm.alpha(g, h1)).matrix,
+                             g.matrix @ cm.t(h1).matrix @ np.linalg.inv(g.matrix)),
+            "peiffer": (cm.alpha(cm.t(h1), x).matrix,
+                        h1.matrix @ x.matrix @ np.linalg.inv(h1.matrix)),
+        }
+        for name, (lhs, rhs) in sides.items():
+            res[name] = max(res[name], lc.frob(lhs - rhs))
+    return AxiomReport(**res, n_samples=n_samples, seed=seed, tol=tol)

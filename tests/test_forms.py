@@ -150,18 +150,58 @@ CURVATURE_FORMS = {
 class TestCoordinateCurvatures:
     @pytest.mark.parametrize("form", sorted(CURVATURE_FORMS))
     def test_matches_curvature_on_unit_frames(self, form):
+        # K_ij = d_i A_j - d_j A_i + A_i A_j - A_j A_i, written out here
         a = CURVATURE_FORMS[form]()
         n = a.ambient_dim
         xs = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, n))
-        eye = np.eye(n)
+        vals = [c.eval(xs) for c in a.components]
+        exact = fm.symbolic_curvature(a) if a.is_symbolic else None
         planes = []
         for (i, j), k in fm.coordinate_curvatures(a, xs):
-            ref = fm.curvature_matrices_at(a, xs, np.broadcast_to(eye[i], xs.shape),
-                                           np.broadcast_to(eye[j], xs.shape))
+            ref = (a.components[j].partial(i).eval(xs) - a.components[i].partial(j).eval(xs)
+                   + vals[i] @ vals[j] - vals[j] @ vals[i])
             assert k.shape == ref.shape
             assert np.linalg.norm(k - ref) <= 1e-13 * np.linalg.norm(ref)
+            if exact is not None:
+                sym = exact.component_matrix(i, j, xs)
+                assert np.linalg.norm(k - sym) <= 1e-13 * np.linalg.norm(sym)
             planes.append((i, j))
         assert planes == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    @pytest.mark.parametrize("form", sorted(CURVATURE_FORMS))
+    def test_general_frames_match_the_exterior_derivative(self, form):
+        a = CURVATURE_FORMS[form]()
+        n = a.ambient_dim
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(0.0, 1.0, (3, 4, n))
+        v1, v2 = rng.uniform(-1.0, 1.0, (2, 3, 4, n))
+        a1 = a.matrices_at(xs, v1)
+        a2 = a.matrices_at(xs, v2)
+        ref = fm.exterior_derivative_one_form(a, xs, v1, v2) + a1 @ a2 - a2 @ a1
+        k = fm.curvature_matrices_at(a, xs, v1, v2)
+        assert np.linalg.norm(k - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestEgPair:
+    def test_callable_pair_evaluates_each_component_26_times_in_4d(self):
+        # per component: 7 for the fake-curvature gate's coordinate
+        # curvatures, 1 for the algebra gate, and 3 in each of the 3 planes
+        # of B that contain it, once per gate
+        tables = [su2_matrix_table(f"0.3*sin(x{m % 4 + 1})", f"0.2*x{m + 1}*x{(m + 2) % 4 + 1}",
+                                   f"0.1*x{m + 1}") for m in range(4)]
+        sym = fm.one_form_from_expressions(SU2, tables, 4)
+        counts = [0] * 4
+
+        def counted(m):
+            def fn(x):
+                counts[m] += 1
+                return sym.components[m].eval(x)
+            return fn
+
+        a = fm.one_form_from_callables(SU2, [counted(m) for m in range(4)], 4)
+        pair = fm.eg_pair(a)
+        assert counts == [26] * 4
+        assert pair.fc_report.max_residual == 0.0
 
 
 class TestThreeForm:

@@ -70,9 +70,11 @@ class TestVerifyAxioms:
         def t_eval(h):
             return lc.GroupElement(SU2, h.matrix, validate=False)
 
-        bad = hg.CrossedModule(SU2, SU2, t_eval, bad_alpha, kind=hg.CUSTOM)
-        report = hg.verify_axioms(bad, n_samples=60, tol=1e-9, seed=5)
-        assert not report.passed
+        # rejected on construction, with the failing report attached
+        with pytest.raises(CompositionError) as err:
+            hg.custom_crossed_module(SU2, SU2, t_eval, bad_alpha)
+        report = err.value.report
+        assert not report.passed and report.tol == 1e-9
         assert report.peiffer > 0.1
 
     def test_report_is_seed_deterministic(self, eg_su2):
@@ -114,7 +116,7 @@ class TestInducedMaps:
         def alpha_eval(g, h):
             return h
 
-        cm = hg.CrossedModule(U1, U1, t_eval, alpha_eval, kind=hg.CUSTOM)
+        cm = hg.custom_crossed_module(U1, U1, t_eval, alpha_eval)
         y = lc.AlgebraElement(U1, [[0.7j]])
         out = hg.t_star(cm, y)
         assert abs(out.matrix[0, 0] - 1.4j) < 1e-9
@@ -144,12 +146,30 @@ class TestInducedMaps:
             return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
                                    validate=False)
 
-        cm = hg.CrossedModule(SU2, SU2, t_eval, alpha_eval, kind=hg.CUSTOM)
+        cm = hg.custom_crossed_module(SU2, SU2, t_eval, alpha_eval)
         rng = np.random.default_rng(7)
         x = lc.random_algebra(SU2, rng)
         y = lc.random_algebra(SU2, rng)
         got = hg.alpha_star(cm, x, y)
         assert np.allclose(got.matrix, lc.bracket(x, y).matrix, atol=1e-6)
+
+    def test_custom_maps_on_stacks_match_closed_forms(self, eg_su2):
+        # a custom EG(SU(2)) lifts its difference quotients to stacks,
+        # broadcasting a single g against a stack of y
+        def alpha_eval(g, h):
+            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
+                                   validate=False)
+
+        cm = hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
+        rng = np.random.default_rng(9)
+        ys = np.stack([lc.random_algebra(SU2, rng).matrix for _ in range(6)]).reshape(2, 3, 2, 2)
+        g = lc.random_group(SU2, rng).matrix
+        for name, args in [("t_star", (ys,)), ("alpha_g_star", (g, ys)),
+                           ("alpha_star", (ys[0], ys[1])), ("action_diff", (ys, g))]:
+            got = getattr(cm, name)(*args)
+            want = getattr(eg_su2, name)(*args)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, atol=1e-6), name
 
     def test_alpha_g_star_identity_and_conjugation(self, eg_su2, bu1):
         rng = np.random.default_rng(8)

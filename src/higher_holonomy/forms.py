@@ -412,24 +412,29 @@ def exterior_derivative_two_form(b: TwoFormField, x, v1, v2, v3) -> np.ndarray:
     return out
 
 
+def _algebra_value(descriptor: GroupDescriptor, m: np.ndarray):
+    """An AlgebraElement at one point; the raw (..., d, d) stack otherwise."""
+    return AlgebraElement(descriptor, m, validate=False) if m.ndim == 2 else m
+
+
 def curvature_three_form(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                         x, v1, v2, v3) -> AlgebraElement:
-    """dB + alpha_*(A ^ B) evaluated on a triple of vectors."""
-    db = exterior_derivative_two_form(b, x, v1, v2, v3)
-    total = db
+                         x, v1, v2, v3):
+    """dB + alpha_*(A ^ B) evaluated on a triple of vectors, at one point or
+    on stacked points (see `_algebra_value`)."""
+    total = exterior_derivative_two_form(b, x, v1, v2, v3)
     vs = [np.asarray(v, dtype=float) for v in (v1, v2, v3)]
     for c in range(3):
         va, vb_, vc = vs[c], vs[(c + 1) % 3], vs[(c + 2) % 3]
-        total = total + hg.alpha_star(cm, a(x, va), b(x, vb_, vc)).matrix
-    return AlgebraElement(b.descriptor, total, validate=False)
+        total = total + cm.alpha_star(a.matrices_at(x, va), b.matrices_at(x, vb_, vc))
+    return _algebra_value(b.descriptor, total)
 
 
-def alpha_wedge(cm: CrossedModule, a_prime: OneFormField, phi: OneFormField,
-                x, v1, v2) -> AlgebraElement:
-    """alpha_*(A' ^ phi)(v1, v2)."""
-    t1 = hg.alpha_star(cm, a_prime(x, v1), phi(x, v2)).matrix
-    t2 = hg.alpha_star(cm, a_prime(x, v2), phi(x, v1)).matrix
-    return AlgebraElement(phi.descriptor, t1 - t2, validate=False)
+def alpha_wedge(cm: CrossedModule, a_prime: OneFormField, phi: OneFormField, x, v1, v2):
+    """alpha_*(A' ^ phi)(v1, v2), at one point or on stacked points (see
+    `_algebra_value`)."""
+    t1 = cm.alpha_star(a_prime.matrices_at(x, v1), phi.matrices_at(x, v2))
+    t2 = cm.alpha_star(a_prime.matrices_at(x, v2), phi.matrices_at(x, v1))
+    return _algebra_value(phi.descriptor, t1 - t2)
 
 
 class GroupValuedMap:
@@ -547,12 +552,25 @@ def fake_curvature_residual(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     """Max over sampled points and coordinate 2-planes of
     || dA + [A ^ A] - t_* B ||.  A non-finite residual is reported as inf
     at the first sample where it occurs."""
-    n = a.ambient_dim
-    box = np.asarray(box if box is not None else default_box(n), dtype=float)
-    xs = halton_box(box, n_samples, seed)
+    xs = halton_box(box if box is not None else default_box(a.ambient_dim), n_samples, seed)
+    return _fc_scan(cm, a, xs, _plane_samples(b, xs), seed)
+
+
+def _plane_samples(b: TwoFormField, xs) -> dict:
+    """B on every coordinate plane i < j at the samples `xs`; each stored
+    component is evaluated once."""
+    n = xs.shape[-1]
+    return {(i, j): b.component_matrix(i, j, xs) for i in range(n) for j in range(i + 1, n)}
+
+
+def _fc_scan(cm: CrossedModule, a: OneFormField, xs, b_planes: dict,
+             seed: int) -> FakeCurvatureReport:
+    """The fake-curvature residual on the samples `xs`, given B there by
+    `_plane_samples`."""
+    n_samples, n = xs.shape
     best = (0.0, xs[0], (0, 1) if n > 1 else ())
     for (i, j), k in coordinate_curvatures(a, xs):
-        tb = hg.t_star_matrix(cm, b.component_matrix(i, j, xs))
+        tb = hg.t_star_matrix(cm, b_planes[(i, j)])
         res = np.sqrt(np.sum(np.abs(k - tb) ** 2, axis=(-2, -1)))
         bad = ~np.isfinite(res)
         if bad.any():
@@ -586,17 +604,19 @@ class ConnectionPair:
                          (box if box is not None else default_box(a.ambient_dim)))
         self.fc_tolerance = float(default_fc_tolerance(a) if fc_tolerance is None
                                   else fc_tolerance)
-        self.fc_report = fake_curvature_residual(cm, a, b, self.box, n_samples, seed)
+        # B is evaluated once on the samples and feeds both gates
+        xs = halton_box(self.box, n_samples, seed)
+        b_planes = _plane_samples(b, xs)
+        self.fc_report = _fc_scan(cm, a, xs, b_planes, seed)
         if not self.fc_report.max_residual <= self.fc_tolerance:
             raise FakeCurvatureError(
                 f"fake-curvature residual {self.fc_report.max_residual:.3e} exceeds "
                 f"{self.fc_tolerance:.1e}",
                 report=self.fc_report,
             )
-        xs = halton_box(self.box, n_samples, seed)
         lc.require_algebra(cm.G, np.stack([c.eval(xs) for c in a.components]), "A")
         if b.components:
-            lc.require_algebra(cm.H, np.stack([c.eval(xs) for c in b.components.values()]), "B")
+            lc.require_algebra(cm.H, np.stack([b_planes[ij] for ij in b.components]), "B")
 
     @property
     def ambient_dim(self) -> int:

@@ -6,6 +6,10 @@ quadrature routines.  Sitting instants are realized by a mollifier-based
 profile that is genuinely flat near the parameter boundary, so compositions
 stay smooth.  Polynomial smoothsteps are only finitely flat and are not
 offered.
+
+Every constructor that uses the profile builds a core map and hands it to
+`_profiled`, the one place where the profile is applied; the chain rules
+behind it also serve `reparameterize` and `Bigon.reparameterized`.
 """
 
 from __future__ import annotations
@@ -66,11 +70,42 @@ class SmoothingProfile:
 DEFAULT_PROFILE = SmoothingProfile(0.1)
 
 
-def _fd_curve_deriv(fn, t, h=_FD_STEP):
-    t = np.asarray(t, dtype=float)
-    tp = np.minimum(t + h, 1.0)
-    tm = np.maximum(t - h, 0.0)
-    return (fn(tp) - fn(tm)) / (tp - tm)[..., None]
+def _difference(fn, u, periodic=False):
+    """Difference quotient of `fn` at `u` with step _FD_STEP: central and
+    wrapped mod 1 in a periodic slot, otherwise clipped to [0, 1], so that
+    it turns one-sided at the ends."""
+    u = np.asarray(u, dtype=float)
+    if periodic:
+        return (fn((u + _FD_STEP) % 1.0) - fn((u - _FD_STEP) % 1.0)) / (2.0 * _FD_STEP)
+    up, um = np.minimum(u + _FD_STEP, 1.0), np.maximum(u - _FD_STEP, 0.0)
+    return (fn(up) - fn(um)) / (up - um)[..., None]
+
+
+def _halves(u, first, second):
+    """Concatenation at u = 1/2: `first` on [0, 1/2) and `second` on
+    [1/2, 1], each run over its own [0, 1] at double speed."""
+    u = np.asarray(u, dtype=float)
+    return np.where((u < 0.5)[..., None], first(np.clip(2.0 * u, 0.0, 1.0)),
+                    second(np.clip(2.0 * u - 1.0, 0.0, 1.0)))
+
+
+def _expression_map(component_exprs, variables):
+    """Evaluators of one real expression per coordinate, taking the
+    `variables` positionally and broadcasting: (n, map, [partial in each
+    variable])."""
+    exprs = [xp.parse(e) for e in component_exprs]
+
+    def evaluator(items):
+        def ev(*args):
+            args = [np.asarray(a, dtype=float) for a in args]
+            shape = np.broadcast_shapes(*(a.shape for a in args))
+            env = dict(zip(variables, args))
+            return np.stack([np.broadcast_to(np.real(e.evaluate(env)), shape)
+                             for e in items], axis=-1).astype(float)
+        return ev
+
+    return len(exprs), evaluator(exprs), [
+        evaluator([xp.derivative(e, v) for e in exprs]) for v in variables]
 
 
 class Path:
@@ -92,7 +127,7 @@ class Path:
     def velocity(self, t):
         if self.deriv_fn is not None:
             return self.deriv_fn(t)
-        return _fd_curve_deriv(self.eval_fn, t)
+        return _difference(self.eval_fn, t)
 
     def start(self):
         return self.point(0.0)
@@ -119,42 +154,18 @@ def constant_path(x, ambient_dim=None) -> Path:
 def line_path(a, b, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
     """Straight segment from a to b with sitting instants."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-
-    def ev(t):
-        w = np.asarray(profile(t), dtype=float)
-        return a + w[..., None] * d
-
-    def dv(t):
-        w = np.asarray(profile.derivative(t), dtype=float)
-        return w[..., None] * d
-
-    return Path(ev, a.shape[-1], dv, sitting=profile)
+    d = np.asarray(b, dtype=float) - a
+    core = Path(lambda u: a + np.asarray(u, dtype=float)[..., None] * d, a.shape[-1],
+                lambda u: np.broadcast_to(d, np.shape(u) + d.shape))
+    return _profiled(core, profile)
 
 
 def path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
                           var: str = "t") -> Path:
     """Path from one expression per coordinate in the variable `var`,
     reparameterized by the sitting profile."""
-    exprs = [xp.parse(e) for e in component_exprs]
-    derivs = [xp.derivative(e, var) for e in exprs]
-    n = len(exprs)
-
-    def ev(t):
-        w = np.asarray(profile(t), dtype=float)
-        env = {var: w}
-        return np.stack([np.broadcast_to(np.real(e.evaluate(env)), w.shape)
-                         for e in exprs], axis=-1).astype(float)
-
-    def dv(t):
-        w = np.asarray(profile(t), dtype=float)
-        dw = np.asarray(profile.derivative(t), dtype=float)
-        env = {var: w}
-        return np.stack([np.broadcast_to(np.real(d.evaluate(env)), w.shape)
-                         for d in derivs], axis=-1) * dw[..., None]
-
-    return Path(ev, n, dv, sitting=profile)
+    n, ev, (dv,) = _expression_map(component_exprs, (var,))
+    return _profiled(Path(ev, n, dv), profile)
 
 
 def path_compose(gamma1: Path, gamma2: Path, tol: float = 1e-10) -> Path:
@@ -163,24 +174,13 @@ def path_compose(gamma1: Path, gamma2: Path, tol: float = 1e-10) -> Path:
     if gap > tol:
         raise CompositionError(f"endpoint mismatch {gap:.3e} exceeds {tol:.1e}")
 
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        p1 = gamma1.point(np.clip(2.0 * t, 0.0, 1.0))
-        p2 = gamma2.point(np.clip(2.0 * t - 1.0, 0.0, 1.0))
-        return np.where((t < 0.5)[..., None], p1, p2)
-
-    def dv(t):
-        t = np.asarray(t, dtype=float)
-        v1 = 2.0 * gamma1.velocity(np.clip(2.0 * t, 0.0, 1.0))
-        v2 = 2.0 * gamma2.velocity(np.clip(2.0 * t - 1.0, 0.0, 1.0))
-        return np.where((t < 0.5)[..., None], v1, v2)
-
     sitting = None
     if gamma1.sitting is not None and gamma2.sitting is not None:
         sitting = SmoothingProfile(
             min(gamma1.sitting.epsilon, gamma2.sitting.epsilon) / 2.0
         )
-    return Path(ev, gamma1.ambient_dim, dv, sitting=sitting)
+    return Path(lambda t: _halves(t, gamma1.point, gamma2.point), gamma1.ambient_dim,
+                lambda t: 2.0 * _halves(t, gamma1.velocity, gamma2.velocity), sitting=sitting)
 
 
 def path_reverse(gamma: Path) -> Path:
@@ -198,20 +198,7 @@ def reparameterize(gamma: Path, beta, beta_deriv=None) -> Path:
 
     `beta` may be a SmoothingProfile (derivative known exactly) or a plain
     callable (derivative by finite differences unless given)."""
-    if isinstance(beta, SmoothingProfile):
-        beta_deriv = beta.derivative
-
-    def ev(t):
-        return gamma.point(beta(np.asarray(t, dtype=float)))
-
-    if beta_deriv is not None:
-        def dv(t):
-            t = np.asarray(t, dtype=float)
-            return gamma.velocity(beta(t)) * np.asarray(beta_deriv(t))[..., None]
-    else:
-        dv = None
-
-    return Path(ev, gamma.ambient_dim, dv, sitting=None)
+    return _path_chain(gamma, beta, beta_deriv)
 
 
 def sup_distance(p: Path, q: Path, n_nodes: int = 64) -> float:
@@ -251,45 +238,21 @@ class Loop:
         z = np.asarray(z, dtype=float) % 1.0
         if self.deriv_fn is not None:
             return self.deriv_fn(z)
-        h = _FD_STEP
-        return (self.eval_fn((z + h) % 1.0) - self.eval_fn((z - h) % 1.0)) / (2.0 * h)
+        return _difference(self.eval_fn, z, periodic=True)
 
     def base_point(self):
         return self.point(0.0)
 
 
 def loop_from_expressions(component_exprs, var: str = "z") -> Loop:
-    exprs = [xp.parse(e) for e in component_exprs]
-    derivs = [xp.derivative(e, var) for e in exprs]
-    n = len(exprs)
-
-    def ev(z):
-        z = np.asarray(z, dtype=float)
-        env = {var: z}
-        return np.stack([np.broadcast_to(np.real(e.evaluate(env)), z.shape)
-                         for e in exprs], axis=-1).astype(float)
-
-    def dv(z):
-        z = np.asarray(z, dtype=float)
-        env = {var: z}
-        return np.stack([np.broadcast_to(np.real(d.evaluate(env)), z.shape)
-                         for d in derivs], axis=-1).astype(float)
-
+    n, ev, (dv,) = _expression_map(component_exprs, (var,))
     return Loop(ev, n, dv)
 
 
 def loop_to_path(tau: Loop, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
     """Based path t -> tau(beta(t)) traversing the loop once from its base
     point, with sitting instants supplied by the profile."""
-
-    def ev(t):
-        return tau.point(profile(np.asarray(t, dtype=float)))
-
-    def dv(t):
-        t = np.asarray(t, dtype=float)
-        return tau.velocity(profile(t)) * np.asarray(profile.derivative(t))[..., None]
-
-    return Path(ev, tau.ambient_dim, dv, sitting=profile)
+    return _profiled(tau, profile)
 
 
 class Chart:
@@ -329,27 +292,14 @@ def identity_chart() -> Chart:
 
 
 def chart_from_expressions(component_exprs, vars=("s", "t")) -> Chart:
-    exprs = [xp.parse(e) for e in component_exprs]
-    partials = [[xp.derivative(e, v) for v in vars] for e in exprs]
-    n = len(exprs)
+    n, ev, partials = _expression_map(component_exprs, vars)
 
-    def ev(p):
+    def coords(p):
         p = np.asarray(p, dtype=float)
-        env = {vars[0]: p[..., 0], vars[1]: p[..., 1]}
-        return np.stack([np.broadcast_to(np.real(e.evaluate(env)), p.shape[:-1])
-                         for e in exprs], axis=-1).astype(float)
+        return p[..., 0], p[..., 1]
 
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        env = {vars[0]: p[..., 0], vars[1]: p[..., 1]}
-        cols = [
-            np.stack([np.broadcast_to(np.real(partials[i][k].evaluate(env)), p.shape[:-1])
-                      for i in range(n)], axis=-1)
-            for k in range(2)
-        ]
-        return np.stack(cols, axis=-1).astype(float)
-
-    return Chart(ev, jac, n)
+    return Chart(lambda p: ev(*coords(p)),
+                 lambda p: np.stack([d(*coords(p)) for d in partials], axis=-1), n)
 
 
 class Bigon:
@@ -372,18 +322,12 @@ class Bigon:
     def ds(self, s, t):
         if self.ds_fn is not None:
             return self.ds_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        h = _FD_STEP
-        s = np.asarray(s, dtype=float)
-        sp, sm = np.minimum(s + h, 1.0), np.maximum(s - h, 0.0)
-        return (self.point(sp, t) - self.point(sm, t)) / (sp - sm)[..., None]
+        return _difference(lambda u: self.point(u, t), s)
 
     def dt(self, s, t):
         if self.dt_fn is not None:
             return self.dt_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        h = _FD_STEP
-        t = np.asarray(t, dtype=float)
-        tp, tm = np.minimum(t + h, 1.0), np.maximum(t - h, 0.0)
-        return (self.point(s, tp) - self.point(s, tm)) / (tp - tm)[..., None]
+        return _difference(lambda u: self.point(s, u), t)
 
     def source_path(self) -> Path:
         return Path(
@@ -402,27 +346,9 @@ class Bigon:
         )
 
     def reparameterized(self, beta_s=None, beta_t=None) -> "Bigon":
-        """Precompose both parameters with diffeomorphisms of [0,1]."""
-        bs = beta_s if beta_s is not None else (lambda u: u)
-        bt = beta_t if beta_t is not None else (lambda u: u)
-        dbs = beta_s.derivative if isinstance(beta_s, SmoothingProfile) else None
-        dbt = beta_t.derivative if isinstance(beta_t, SmoothingProfile) else None
-
-        def ev(s, t):
-            return self.point(bs(s), bt(t))
-
-        ds_fn = None
-        dt_fn = None
-        if dbs is not None:
-            def ds_fn(s, t):
-                s = np.asarray(s, dtype=float)
-                return self.ds(bs(s), bt(t)) * np.asarray(dbs(s))[..., None]
-        if dbt is not None:
-            def dt_fn(s, t):
-                t = np.asarray(t, dtype=float)
-                return self.dt(bs(s), bt(t)) * np.asarray(dbt(t))[..., None]
-
-        return Bigon(ev, self.ambient_dim, ds_fn, dt_fn, sitting=None)
+        """Precompose both parameters with diffeomorphisms of [0,1]; a slot
+        left None stays as it is, with its partial exact."""
+        return _bigon_chain(self, beta_s, beta_t)
 
 
 def identity_bigon(gamma: Path) -> Bigon:
@@ -454,21 +380,15 @@ def bigon_between(p0: Path, p1: Path, profile: SmoothingProfile = DEFAULT_PROFIL
     for p in (p0, p1):
         if p.sitting is not None:
             eps = min(eps, p.sitting.epsilon)
-    sitting = SmoothingProfile(eps)
 
-    def ev(s, t):
-        w = np.asarray(profile(s), dtype=float)[..., None]
-        return (1.0 - w) * p0.point(t) + w * p1.point(t)
+    def ev(u, t):
+        return (1.0 - u[..., None]) * p0.point(t) + u[..., None] * p1.point(t)
 
-    def dsf(s, t):
-        dw = np.asarray(profile.derivative(s), dtype=float)[..., None]
-        return dw * (p1.point(t) - p0.point(t))
+    def dtf(u, t):
+        return (1.0 - u[..., None]) * p0.velocity(t) + u[..., None] * p1.velocity(t)
 
-    def dtf(s, t):
-        w = np.asarray(profile(s), dtype=float)[..., None]
-        return (1.0 - w) * p0.velocity(t) + w * p1.velocity(t)
-
-    return Bigon(ev, p0.ambient_dim, dsf, dtf, sitting=sitting)
+    core = Bigon(ev, p0.ambient_dim, lambda u, t: p1.point(t) - p0.point(t), dtf)
+    return _profiled(core, profile, SmoothingProfile(eps))
 
 
 def bigon_vcompose(sigma: Bigon, sigma_prime: Bigon, tol: float = 1e-8) -> Bigon:
@@ -479,22 +399,13 @@ def bigon_vcompose(sigma: Bigon, sigma_prime: Bigon, tol: float = 1e-8) -> Bigon
         raise CompositionError(f"target/source paths differ by {gap:.3e}")
 
     def ev(s, t):
-        s = np.asarray(s, dtype=float)
-        a = sigma.point(np.clip(2.0 * s, 0.0, 1.0), t)
-        b = sigma_prime.point(np.clip(2.0 * s - 1.0, 0.0, 1.0), t)
-        return np.where((s < 0.5)[..., None], a, b)
+        return _halves(s, lambda u: sigma.point(u, t), lambda u: sigma_prime.point(u, t))
 
     def dsf(s, t):
-        s = np.asarray(s, dtype=float)
-        a = 2.0 * sigma.ds(np.clip(2.0 * s, 0.0, 1.0), t)
-        b = 2.0 * sigma_prime.ds(np.clip(2.0 * s - 1.0, 0.0, 1.0), t)
-        return np.where((s < 0.5)[..., None], a, b)
+        return 2.0 * _halves(s, lambda u: sigma.ds(u, t), lambda u: sigma_prime.ds(u, t))
 
     def dtf(s, t):
-        s = np.asarray(s, dtype=float)
-        a = sigma.dt(np.clip(2.0 * s, 0.0, 1.0), t)
-        b = sigma_prime.dt(np.clip(2.0 * s - 1.0, 0.0, 1.0), t)
-        return np.where((s < 0.5)[..., None], a, b)
+        return _halves(s, lambda u: sigma.dt(u, t), lambda u: sigma_prime.dt(u, t))
 
     return Bigon(ev, sigma.ambient_dim, dsf, dtf, sitting=None)
 
@@ -509,22 +420,13 @@ def bigon_hcompose(sigma1: Bigon, sigma2: Bigon, tol: float = 1e-8) -> Bigon:
         raise CompositionError(f"path families do not meet (gap {gap:.3e})")
 
     def ev(s, t):
-        t = np.asarray(t, dtype=float)
-        a = sigma1.point(s, np.clip(2.0 * t, 0.0, 1.0))
-        b = sigma2.point(s, np.clip(2.0 * t - 1.0, 0.0, 1.0))
-        return np.where((t < 0.5)[..., None], a, b)
+        return _halves(t, lambda u: sigma1.point(s, u), lambda u: sigma2.point(s, u))
 
     def dsf(s, t):
-        t = np.asarray(t, dtype=float)
-        a = sigma1.ds(s, np.clip(2.0 * t, 0.0, 1.0))
-        b = sigma2.ds(s, np.clip(2.0 * t - 1.0, 0.0, 1.0))
-        return np.where((t < 0.5)[..., None], a, b)
+        return _halves(t, lambda u: sigma1.ds(s, u), lambda u: sigma2.ds(s, u))
 
     def dtf(s, t):
-        t = np.asarray(t, dtype=float)
-        a = 2.0 * sigma1.dt(s, np.clip(2.0 * t, 0.0, 1.0))
-        b = 2.0 * sigma2.dt(s, np.clip(2.0 * t - 1.0, 0.0, 1.0))
-        return np.where((t < 0.5)[..., None], a, b)
+        return 2.0 * _halves(t, lambda u: sigma1.dt(s, u), lambda u: sigma2.dt(s, u))
 
     return Bigon(ev, sigma1.ambient_dim, dsf, dtf, sitting=None)
 
@@ -577,20 +479,9 @@ def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) 
     x0 = np.asarray(gamma.start(), dtype=float)
     if float(np.max(np.abs(gamma.end() - x0))) > 1e-10:
         raise CompositionError("contraction_bigon needs a closed loop")
-
-    def ev(s, t):
-        w = np.asarray(profile(s), dtype=float)[..., None]
-        return x0 + w * (gamma.point(t) - x0)
-
-    def dsf(s, t):
-        dw = np.asarray(profile.derivative(s), dtype=float)[..., None]
-        return dw * (gamma.point(t) - x0)
-
-    def dtf(s, t):
-        w = np.asarray(profile(s), dtype=float)[..., None]
-        return w * gamma.velocity(t)
-
-    return Bigon(ev, gamma.ambient_dim, dsf, dtf, sitting=profile)
+    core = Bigon(lambda u, t: x0 + u[..., None] * (gamma.point(t) - x0), gamma.ambient_dim,
+                 lambda u, t: gamma.point(t) - x0, lambda u, t: u[..., None] * gamma.velocity(t))
+    return _profiled(core, profile)
 
 
 def bigon_boundary_defect(sigma: Bigon, n_nodes: int = 12) -> float:
@@ -614,3 +505,48 @@ def bigon_boundary_defect(sigma: Bigon, n_nodes: int = 12) -> float:
     for ss in strip1:
         d = max(d, float(np.max(np.abs(sigma.point(np.full(n_nodes, ss), t) - tgt.point(t)))))
     return d
+
+
+def _path_chain(core, beta, beta_deriv=None, sitting=None) -> Path:
+    """The path t -> core(beta(t)) of a path or loop core, with velocity
+    core'(beta(t)) beta'(t).  A SmoothingProfile supplies its own beta';
+    without one the velocity falls back to the difference quotient."""
+    if isinstance(beta, SmoothingProfile):
+        beta_deriv = beta.derivative
+    dv = None
+    if beta_deriv is not None:
+        def dv(t):
+            t = np.asarray(t, dtype=float)
+            return core.velocity(beta(t)) * np.asarray(beta_deriv(t))[..., None]
+    return Path(lambda t: core.point(beta(np.asarray(t, dtype=float))), core.ambient_dim, dv,
+                sitting=sitting)
+
+
+def _bigon_chain(core: Bigon, beta_s=None, beta_t=None, sitting=None) -> Bigon:
+    """The bigon (s, t) -> core(beta_s(s), beta_t(t)); a slot left None is
+    not moved and passes its partial through exactly.  A SmoothingProfile
+    supplies its own derivative; the partial along a slot moved by any
+    other callable falls back to the difference quotient."""
+    bs = (lambda u: u) if beta_s is None else beta_s
+    bt = (lambda u: u) if beta_t is None else beta_t
+
+    def chain(partial, beta, slot):
+        if beta is None:
+            return lambda s, t: partial(bs(s), bt(t))
+        if isinstance(beta, SmoothingProfile):
+            return lambda s, t: (partial(bs(s), bt(t))
+                                 * np.asarray(beta.derivative((s, t)[slot]))[..., None])
+        return None
+
+    return Bigon(lambda s, t: core.point(bs(s), bt(t)), core.ambient_dim,
+                 chain(core.ds, beta_s, 0), chain(core.dt, beta_t, 1), sitting=sitting)
+
+
+def _profiled(core, profile: SmoothingProfile, sitting=None):
+    """Run a core map through the sitting profile: a path or loop core in
+    its parameter, a bigon core in its first slot.  The result sits as
+    `sitting`, by default as the profile itself."""
+    sitting = profile if sitting is None else sitting
+    if isinstance(core, Bigon):
+        return _bigon_chain(core, profile, None, sitting)
+    return _path_chain(core, profile, sitting=sitting)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expressions as xp
 from . import higher_group as hg
 from . import lie_core as lc
 from .forms import ConnectionPair
@@ -33,6 +32,9 @@ from .geometry import (
     Loop,
     Path,
     SmoothingProfile,
+    _difference,
+    _expression_map,
+    _profiled,
     loop_to_path,
     standard_bigon,
 )
@@ -79,18 +81,14 @@ class LoopPath:
         z = np.asarray(z, dtype=float) % 1.0
         if self.dt_fn is not None:
             return self.dt_fn(t, z)
-        h = 1e-6
-        tp_ = np.minimum(t + h, 1.0)
-        tm = np.maximum(t - h, 0.0)
-        return (self.eval_fn(tp_, z) - self.eval_fn(tm, z)) / (tp_ - tm)[..., None]
+        return _difference(lambda u: self.eval_fn(u, z), t)
 
     def dz(self, t, z):
         t = np.asarray(t, dtype=float)
         z = np.asarray(z, dtype=float) % 1.0
         if self.dz_fn is not None:
             return self.dz_fn(t, z)
-        h = 1e-6
-        return (self.eval_fn(t, (z + h) % 1.0) - self.eval_fn(t, (z - h) % 1.0)) / (2.0 * h)
+        return _difference(lambda u: self.eval_fn(t, u), z, periodic=True)
 
     def at_time(self, t: float) -> Loop:
         t = float(t)
@@ -118,38 +116,12 @@ class LoopPath:
 def loop_path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
                                time_var: str = "t", angle_var: str = "z") -> LoopPath:
     """Loop path from expressions in the time and angle variables; the time
-    slot is reparameterized by the sitting profile."""
-    exprs = [xp.parse(e) for e in component_exprs]
-    dts = [xp.derivative(e, time_var) for e in exprs]
-    dzs = [xp.derivative(e, angle_var) for e in exprs]
-    n = len(exprs)
-
-    def _stack(items, env, shape):
-        return np.stack([np.broadcast_to(np.real(e.evaluate(env)), shape)
-                         for e in items], axis=-1).astype(float)
-
-    def ev(t, z):
-        w = np.asarray(profile(t), dtype=float)
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(w.shape, z.shape)
-        return _stack(exprs, {time_var: w, angle_var: z}, shape)
-
-    def dt(t, z):
-        t = np.asarray(t, dtype=float)
-        w = np.asarray(profile(t), dtype=float)
-        dw = np.asarray(profile.derivative(t), dtype=float)
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(w.shape, z.shape)
-        return _stack(dts, {time_var: w, angle_var: z}, shape) * \
-            np.broadcast_to(dw, shape)[..., None]
-
-    def dz(t, z):
-        w = np.asarray(profile(t), dtype=float)
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(np.shape(w), z.shape)
-        return _stack(dzs, {time_var: w, angle_var: z}, shape)
-
-    return LoopPath(ev, n, dt, dz)
+    slot is reparameterized by the sitting profile.  The (time, angle) map
+    is a two-slot core, so the profile meets it in its first slot."""
+    slots = (time_var, angle_var)
+    n, ev, (dt, dz) = _expression_map(component_exprs, slots)
+    swept = _profiled(Bigon(ev, n, dt, dz), profile)
+    return LoopPath(swept.point, n, swept.ds, swept.dt)
 
 
 def loop_holonomy(pair: ConnectionPair, tau: Loop,

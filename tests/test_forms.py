@@ -183,10 +183,10 @@ class TestCoordinateCurvatures:
 
 
 class TestEgPair:
-    def test_callable_pair_evaluates_each_component_26_times_in_4d(self):
+    def test_callable_pair_evaluates_each_component_17_times_in_4d(self):
         # per component: 7 for the fake-curvature gate's coordinate
         # curvatures, 1 for the algebra gate, and 3 in each of the 3 planes
-        # of B that contain it, once per gate
+        # of B that contain it, evaluated once and shared by both gates
         tables = [su2_matrix_table(f"0.3*sin(x{m % 4 + 1})", f"0.2*x{m + 1}*x{(m + 2) % 4 + 1}",
                                    f"0.1*x{m + 1}") for m in range(4)]
         sym = fm.one_form_from_expressions(SU2, tables, 4)
@@ -200,7 +200,7 @@ class TestEgPair:
 
         a = fm.one_form_from_callables(SU2, [counted(m) for m in range(4)], 4)
         pair = fm.eg_pair(a)
-        assert counts == [26] * 4
+        assert counts == [17] * 4
         assert pair.fc_report.max_residual == 0.0
 
 
@@ -230,6 +230,40 @@ class TestThreeForm:
         w = np.array([1.0, 0.0, 0.4])
         val = fm.curvature_three_form(cm, a, b, np.zeros(3), v, w, v)
         assert lc.frob(val.matrix) <= 1e-14
+
+
+def _stacked_three_form_case(module):
+    """(cm, A, B, A', phi) in 3-D for a b_u1 or an eg:SU(2) module."""
+    if module == "b_u1":
+        cm = hg.make_b_abelian(U1)
+        b = fm.two_form_from_expressions(U1, {(0, 1): [["i*x3*x2"]], (1, 2): [["i*x1"]]}, 3)
+        phi = fm.one_form_from_expressions(U1, [[["i*x2"]], [["i*x1*x3"]], [["i"]]], 3)
+        return cm, fm.zero_one_form(cm.G, 3), b, fm.zero_one_form(cm.G, 3), phi
+    cm = hg.make_eg(SU2)
+    a = fm.one_form_from_expressions(SU2, [su2_matrix_table("0.4*x2", "0.1*x3", "0"),
+                                           su2_matrix_table("0", "0.3*x1", "0.2"),
+                                           su2_matrix_table("0.5*x1*x2", "0", "0.1*x3")], 3)
+    b = fm.two_form_from_expressions(SU2, {(0, 1): su2_matrix_table("0.2*x3", "0", "0.1"),
+                                           (0, 2): su2_matrix_table("0", "0.3*x2", "0"),
+                                           (1, 2): su2_matrix_table("0.1", "0.2*x1", "x3")}, 3)
+    phi = fm.one_form_from_expressions(SU2, [su2_matrix_table("0.2*x2", "0", "0.1"),
+                                             su2_matrix_table("0.15*x1", "0.1", "0"),
+                                             su2_matrix_table("0", "0.3", "0.2*x1")], 3)
+    return cm, a, b, a, phi
+
+
+@pytest.mark.parametrize("module", ["b_u1", "eg:SU(2)"])
+def test_three_forms_on_stacked_points_match_a_per_point_loop(module):
+    cm, a, b, a_prime, phi = _stacked_three_form_case(module)
+    rng = np.random.default_rng(3)
+    x, v1, v2, v3 = (rng.uniform(-1.0, 1.0, (4, 3)) for _ in range(4))
+    three = fm.curvature_three_form(cm, a, b, x, v1, v2, v3)
+    wedge = fm.alpha_wedge(cm, a_prime, phi, x, v1, v2)
+    for k in range(4):
+        one = fm.curvature_three_form(cm, a, b, x[k], v1[k], v2[k], v3[k]).matrix
+        assert np.max(np.abs(three[k] - one)) <= 1e-14 * max(1.0, np.max(np.abs(one)))
+        one = fm.alpha_wedge(cm, a_prime, phi, x[k], v1[k], v2[k]).matrix
+        assert np.max(np.abs(wedge[k] - one)) <= 1e-14 * max(1.0, np.max(np.abs(one)))
 
 
 class TestAlphaWedge:

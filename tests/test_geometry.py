@@ -3,6 +3,7 @@ import pytest
 
 from higher_holonomy import geometry as geo
 from higher_holonomy.errors import CompositionError, DomainError
+from higher_holonomy.transgression import LoopPath
 
 
 class TestSmoothingProfile:
@@ -184,6 +185,77 @@ class TestBigons:
                       for h in (0.0, 0.4, 0.8))
         comp = geo.bigon_vcompose(geo.bigon_between(g0, g1), geo.bigon_between(g1, g2))
         assert geo.bigon_boundary_defect(comp) <= 1e-12
+
+
+class TestReparameterizedBigon:
+    # a slot left None is not moved, so its partial stays the exact one
+    def _chart_bigon(self):
+        ch = geo.chart_from_expressions(["3*s + 0.2*s*t", "5*t - 0.1*s^2 + 2*t^2"])
+        return geo.standard_bigon(ch, 0.8, 0.9)
+
+    def test_unmoved_t_slot_keeps_the_exact_dt(self):
+        sig, prof = self._chart_bigon(), geo.SmoothingProfile(0.2)
+        s, t = np.linspace(0.0, 1.0, 13), np.linspace(0.0, 1.0, 13)[::-1]
+        assert np.array_equal(sig.reparameterized(prof, None).dt(s, t), sig.dt(prof(s), t))
+
+    def test_unmoved_s_slot_keeps_the_exact_ds(self):
+        sig, prof = self._chart_bigon(), geo.SmoothingProfile(0.2)
+        s, t = np.linspace(0.0, 1.0, 13), np.linspace(0.0, 1.0, 13)[::-1]
+        assert np.array_equal(sig.reparameterized(None, prof).ds(s, t), sig.ds(s, prof(t)))
+
+
+def _two_slot_map(exprs, variables):
+    """An expression map of two parameters with its exact partials, read
+    off a chart: (point, d_first, d_second)."""
+    ch = geo.chart_from_expressions(exprs, variables)
+
+    def at(a, b):
+        return np.stack(np.broadcast_arrays(np.asarray(a, dtype=float),
+                                            np.asarray(b, dtype=float)), axis=-1)
+
+    return (lambda a, b: ch.point(at(a, b)), lambda a, b: ch.jacobian(at(a, b))[..., 0],
+            lambda a, b: ch.jacobian(at(a, b))[..., 1])
+
+
+# Nodes with both ends of each clipped slot, where the quotient is one-sided,
+# and z = 0 of the periodic slot, where it wraps.  The second derivatives of
+# the maps below vanish at the ends of every clipped slot, so the one-sided
+# quotients are second-order accurate there too.
+_S = np.array([0.0, 0.0, 0.37, 0.8, 1.0, 1.0])
+_T = np.array([0.0, 1.0, 0.52, 0.0, 0.25, 1.0])
+_Z = np.array([0.0, 0.25, 0.6, 0.0, 1.0 - 1e-9, 0.5])
+
+
+def _path_partials():
+    ev, d, _ = _two_slot_map(["2*t - 1", "sin(pi*t)", "t + 0.3*sin(2*pi*t)"], ("t", "r"))
+    return [(geo.Path(lambda t: ev(t, 0.0), 3).velocity(_T), d(_T, 0.0))]
+
+
+def _loop_partials():
+    ev, d, _ = _two_slot_map(["cos(2*pi*z)", "sin(2*pi*z) + 0.3*sin(4*pi*z)"], ("z", "r"))
+    return [(geo.Loop(lambda z: ev(z, 0.0), 2).velocity(_Z), d(_Z, 0.0))]
+
+
+def _bigon_partials():
+    ev, ds, dt = _two_slot_map(["s + sin(pi*s)*sin(pi*t)", "t + s*t", "sin(pi*t)*(1 + s)"],
+                               ("s", "t"))
+    sig = geo.Bigon(ev, 3)
+    return [(sig.ds(_S, _T), ds(_S, _T)), (sig.dt(_S, _T), dt(_S, _T))]
+
+
+def _loop_path_partials():
+    ev, dt, dz = _two_slot_map(["(1 + 0.5*t)*cos(2*pi*z)", "(1 + 0.5*t)*sin(2*pi*z)",
+                                "sin(pi*t) + 0.2*cos(2*pi*z)"], ("t", "z"))
+    lp = LoopPath(ev, 3)
+    return [(lp.dt(_T, _Z), dt(_T, _Z)), (lp.dz(_T, _Z), dz(_T, _Z))]
+
+
+@pytest.mark.parametrize("partials", [_path_partials, _loop_partials, _bigon_partials,
+                                      _loop_path_partials],
+                         ids=["Path", "Loop", "Bigon", "LoopPath"])
+def test_difference_quotient_matches_exact_partials(partials):
+    for fallback, exact in partials():
+        assert np.max(np.abs(fallback - exact)) <= 1e-8
 
 
 class TestStandardBigon:

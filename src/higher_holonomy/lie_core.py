@@ -238,12 +238,47 @@ def zero(desc: GroupDescriptor) -> AlgebraElement:
     return AlgebraElement(desc, np.zeros((desc.matrix_dim, desc.matrix_dim)), validate=False)
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated series.
+def _expm2(m: np.ndarray) -> np.ndarray:
+    """exp of a stack of 2x2 matrices by Cayley-Hamilton.  With tau = tr/2
+    and N = m - tau 1, N^2 = s^2 1 for s^2 = d^2 + m01 m10, d = (m00 - m11)/2,
+    so exp(m) = e^tau (cosh s 1 + (sinh s / s) N).  Both coefficients are
+    even in s; where |s^2| < 1e-2 they are summed as series in s^2 (the
+    first omitted term is below 3e-17), which keeps nilpotent N exact."""
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    tau = 0.5 * (m00 + m11)
+    d = 0.5 * (m00 - m11)
+    s2 = d * d + m01 * m10
+    small = np.abs(s2) < 1e-2
+    s = np.sqrt(np.where(small, 1.0, s2))
+    ch = np.where(small, 1.0 + s2 * (1 / 2 + s2 * (1 / 24 + s2 * (1 / 720 + s2 / 40320))),
+                  np.cosh(s))
+    sh = np.where(small, 1.0 + s2 * (1 / 6 + s2 * (1 / 120 + s2 * (1 / 5040 + s2 / 362880))),
+                  np.sinh(s) / s)
+    e = np.exp(tau)
+    ch = e * ch
+    sh = e * sh
+    out = np.empty(m.shape, dtype=complex)
+    out[..., 0, 0] = ch + sh * d
+    out[..., 0, 1] = sh * m01
+    out[..., 1, 0] = sh * m10
+    out[..., 1, 1] = ch - sh * d
+    return out
 
-    Accepts a single matrix or a stack (..., n, n).
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a single matrix or a stack (..., n, n).
+
+    Closed forms for n = 1 (`np.exp`) and n = 2 (Cayley-Hamilton, see
+    `_expm2`); scaling-and-squaring with a truncated series for n >= 3.
+    Non-finite entries raise NumericalError.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise NumericalError("non-finite entries in exponential argument")
+    if m.shape[-1] == 1:
+        return np.exp(m)
+    if m.shape[-1] == 2:
+        return _expm2(m)
     norm = np.max(np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))) if m.size else 0.0
     if not np.isfinite(norm):
         raise NumericalError("non-finite entries in exponential argument")
@@ -330,17 +365,40 @@ def polar_retract(m: np.ndarray) -> np.ndarray:
     return m @ inv_sqrt
 
 
+def _su2_retract(m: np.ndarray) -> np.ndarray:
+    """Nearest SU(2) matrix, in the Frobenius norm, to each matrix of a 2x2
+    stack: the quaternion part a = (m00 + conj m11)/2, b = (m01 - conj m10)/2
+    (the orthogonal projection onto real multiples of SU(2)), scaled to
+    |a|^2 + |b|^2 = 1 and written as [[a, b], [-conj b, conj a]] entry by
+    entry.  A zero quaternion part (e.g. diag(1, -1)) gives NaN."""
+    a = 0.5 * (m[..., 0, 0] + m[..., 1, 1].conj())
+    b = 0.5 * (m[..., 0, 1] - m[..., 1, 0].conj())
+    scale = 1.0 / np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+    a = a * scale
+    b = b * scale
+    q = np.empty(m.shape, dtype=complex)
+    q[..., 0, 0] = a
+    q[..., 0, 1] = b
+    q[..., 1, 0] = -b.conj()
+    q[..., 1, 1] = a.conj()
+    return q
+
+
 def retract(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:
     """Pull a near-group matrix (or stack) back onto the group manifold.
 
-    Polar retraction for the unitary families, determinant renormalization
-    for SU/SO, diagonal normalization for the unipotent family, nothing for
-    GL.  Used after each ODE step to prevent drift over long integrations.
+    Modulus normalization for U(1); the closed-form quaternion projection
+    for SU(2); polar retraction followed by determinant renormalization
+    for SU(n > 2) and SO(n); diagonal normalization for the unipotent
+    family; nothing for GL.  Used after each ODE step to prevent drift
+    over long integrations.
     """
     m = np.asarray(m, dtype=complex)
     if desc.family == U1:
         mod = np.abs(m)
         return m / np.where(mod > 0, mod, 1.0)
+    if desc.family == SU and desc.matrix_dim == 2:
+        return _su2_retract(m)
     if desc.family in (SU, SO):
         q = polar_retract(m)
         det = np.linalg.det(q)

@@ -72,6 +72,9 @@ DEFAULT_CONFIG = IntegratorConfig()
 # transport accept before raising TargetMatchingError.
 MATCHING_HARD_LIMIT = 1e-3
 
+# Families whose retracted transports are unitary.
+_UNITARY_FAMILIES = (lc.U1, lc.SU, lc.SO)
+
 
 def _rk4(rhs, u0: np.ndarray, n: int, h: float, desc: GroupDescriptor,
          keep_nodes: bool) -> np.ndarray:
@@ -177,7 +180,12 @@ def _surface_driver_values(cm: CrossedModule, a_form: OneFormField, b_at, sigma:
     tt_nodes = np.linspace(0.0, 1.0, nt + 1)
     vs = sigma.ds(s_values[:, None], tt_nodes[None, :])
     bmats = b_at(x, vs, vt)
-    integrand = hg.alpha_g_star_matrices(cm, np.linalg.inv(u), bmats)
+    if a_form.descriptor.family in _UNITARY_FAMILIES:
+        # the retraction leaves u unitary, so its inverse is its adjoint
+        u_inv = np.swapaxes(u.conj(), -2, -1)
+    else:
+        u_inv = np.linalg.inv(u)
+    integrand = hg.alpha_g_star_matrices(cm, u_inv, bmats)
     w = _simpson_weights(nt)
     return -np.einsum("t,mtij->mij", w, integrand)
 

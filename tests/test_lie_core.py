@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higher_holonomy import lie_core as lc
+from higher_holonomy import transport as tp
 from higher_holonomy.errors import DomainError, MembershipError, NumericalError
 
 from .oracles import taylor_expm
@@ -66,6 +67,61 @@ class TestExpMap:
         x = lc.AlgebraElement(d, [[np.inf, 0.0], [0.0, 0.0]], validate=False)
         with pytest.raises(NumericalError):
             lc.exp_map(x)
+
+
+def _expm_stack(kind, rng, norms):
+    """Random matrices of Frobenius norms `norms` from one of the test
+    families: u(1), su(2), sl(2, R), gl(2, C) or unipotent(2)."""
+    k = len(norms)
+    if kind == "u(1)":
+        m = 1j * rng.standard_normal((k, 1, 1))
+    elif kind == "su(2)":
+        m = np.stack([lc.random_algebra(lc.su(2), rng).matrix for _ in range(k)])
+    elif kind == "sl(2,R)":
+        m = rng.standard_normal((k, 2, 2))
+        m[:, 1, 1] = -m[:, 0, 0]
+    elif kind == "gl(2,C)":
+        m = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+    else:
+        m = np.zeros((k, 2, 2))
+        m[:, 0, 1] = rng.standard_normal(k)
+    m = np.asarray(m, dtype=complex)
+    return m * (np.asarray(norms) / np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1))))[:, None, None]
+
+
+class TestClosedFormExpm:
+    """The 1x1 and 2x2 closed forms of `expm` against the plain series."""
+
+    @pytest.mark.parametrize("kind", ["u(1)", "su(2)", "sl(2,R)", "gl(2,C)", "unipotent(2)"])
+    def test_matches_taylor_series(self, kind):
+        m = _expm_stack(kind, np.random.default_rng(31), np.geomspace(1e-9, 8.0, 25))
+        got = lc.expm(m)
+        # 60 terms: at |z| = 8 a 40-term series is still 3e-13 short, and
+        # its cancellation alone costs up to about 3e-14
+        ref = taylor_expm(m, order=60)
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
+        err = np.max(np.abs(got - ref), axis=(-2, -1)) / scale
+        assert np.max(err) <= 5e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_gives_exact_identity(self, n):
+        assert np.array_equal(lc.expm(np.zeros((3, n, n))), np.broadcast_to(np.eye(n), (3, n, n)))
+
+    def test_nilpotent_is_exact(self):
+        for nil in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [-1.0, -1.0]]):
+            nil = np.array(nil)
+            assert np.array_equal(lc.expm(nil), np.eye(2) + nil)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_stack_keeps_its_shape(self, n):
+        assert lc.expm(np.zeros((0, n, n))).shape == (0, n, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nonfinite_rejected(self, n):
+        m = np.zeros((4, n, n), dtype=complex)
+        m[2, 0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            lc.expm(m)
 
 
 class TestAdjointAndBracket:
@@ -189,14 +245,32 @@ class TestValidationToggle:
         assert np.allclose(g.matrix, bad)
 
 
+def _random_group_stack(desc, rng, shape):
+    """Seeded random group elements in a stack of leading shape `shape`."""
+    n = desc.matrix_dim
+    mats = [lc.random_group(desc, rng).matrix for _ in range(int(np.prod(shape)))]
+    return np.reshape(mats, shape + (n, n))
+
+
+def _polar_then_det(m, n):
+    """The polar retraction followed by the determinant renormalization:
+    the SU(n) retraction for n > 2."""
+    q = lc.polar_retract(m)
+    return q * np.exp(-np.log(np.linalg.det(q)) / n)[..., None, None]
+
+
 class TestRetraction:
-    def test_polar_restores_unitarity(self):
+    @pytest.mark.parametrize("desc", [lc.su(2), lc.su(3), lc.so(3)], ids=str)
+    def test_polar_restores_unitarity(self, desc):
         rng = np.random.default_rng(11)
-        g = lc.random_group(lc.su(2), rng)
-        drifted = g.matrix + 1e-6 * (rng.standard_normal((2, 2))
-                                     + 1j * rng.standard_normal((2, 2)))
-        fixed = lc.retract(lc.su(2), drifted)
-        assert lc.group_defect(lc.su(2), fixed) < 1e-12
+        n = desc.matrix_dim
+        g = lc.random_group(desc, rng)
+        noise = rng.standard_normal((n, n))
+        if desc.field == "complex":
+            noise = noise + 1j * rng.standard_normal((n, n))
+        drifted = g.matrix + 1e-6 * noise
+        fixed = lc.retract(desc, drifted)
+        assert lc.group_defect(desc, fixed) < 1e-12
         assert lc.frob(fixed - g.matrix) < 1e-5
 
     def test_unipotent_projection(self):
@@ -204,6 +278,54 @@ class TestRetraction:
         m = np.eye(3) + np.triu(np.ones((3, 3)), 1) + 1e-8 * np.ones((3, 3))
         fixed = lc.retract(d, m)
         assert lc.group_defect(d, fixed) == 0.0
+
+
+class TestSU2Retraction:
+    """The closed-form quaternion projection that `retract` uses on SU(2),
+    against the polar retraction it replaced there."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=str)
+    @pytest.mark.parametrize("drift", [1e-9, 1e-6, 1e-3])
+    def test_agrees_with_polar_to_second_order(self, shape, drift):
+        rng = np.random.default_rng(21)
+        g = _random_group_stack(lc.su(2), rng, shape)
+        m = g + drift * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        q = lc.retract(lc.su(2), m)
+        assert q.shape == m.shape
+        assert np.max(np.abs(q - _polar_then_det(m, 2))) <= 10.0 * drift ** 2 + 1e-15
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=str)
+    @pytest.mark.parametrize("drift", [1e-9, 1e-6, 1e-3])
+    def test_lands_on_su2(self, shape, drift):
+        rng = np.random.default_rng(22)
+        g = _random_group_stack(lc.su(2), rng, shape)
+        m = g + drift * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        q = lc.retract(lc.su(2), m)
+        qhq = np.swapaxes(q.conj(), -2, -1) @ q
+        assert np.max(np.abs(qhq - np.eye(2)), initial=0.0) <= 1e-14
+        assert np.max(np.abs(np.linalg.det(q) - 1.0), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=str)
+    def test_group_elements_are_fixed(self, shape):
+        g = _random_group_stack(lc.su(2), np.random.default_rng(23), shape)
+        assert np.max(np.abs(lc.retract(lc.su(2), g) - g)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                                   np.array([[0.0, 1.0], [1.0, 0.0]])],
+                             ids=["diag", "zero", "swap"])
+    def test_zero_quaternion_part_is_not_finite(self, m):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = lc.retract(lc.su(2), m)
+        assert not np.all(np.isfinite(q))
+
+    def test_rk4_raises_on_a_zero_quaternion_part(self):
+        # one step of a constant right-hand side lands on diag(1, -1)
+        h = 0.5
+        step = np.diag([0.0, -2.0 / h]).astype(complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                tp._rk4(lambda i, u: step, np.eye(2, dtype=complex), 1, h,
+                        lc.su(2), keep_nodes=False)
 
 
 class TestAlgebraDefect:

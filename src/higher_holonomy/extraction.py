@@ -211,7 +211,7 @@ def residual_prop3(cm: CrossedModule, a_map: GroupValuedMap,
         for i in range(n):
             v = eye[i]
             lhs = (phi2.matrices_at(x, v)
-                   + hg.alpha_conjugate_star(cm, a_el, a_prime(x, v)).matrix)
+                   + hg.alpha_conjugate_star(cm, a_el.matrix, a_prime.matrices_at(x, v)))
             rhs = (a_el.matrix @ phi1.matrices_at(x, v) @ inv_a
                    - a_map.mc_pullback(x, v))
             res_phi = max(res_phi, lc.frob(lhs - rhs))
@@ -220,26 +220,24 @@ def residual_prop3(cm: CrossedModule, a_map: GroupValuedMap,
 
 def compose_z2_morphisms(m1, m2, cm: CrossedModule):
     """Composite of two morphisms (g1, phi1) then (g2, phi2):
-    (g2 g1, (alpha_{g2})_* phi1 + phi2)."""
+    (g2 g1, (alpha_{g2})_* phi1 + phi2).  The Maurer-Cartan pullback of the
+    composite map is mc(g2) + Ad_{g2} mc(g1), so it stays exact."""
     g1_map, phi1 = m1
     g2_map, phi2 = m2
 
     def g_eval(x):
         return g2_map.matrix(x) @ g1_map.matrix(x)
 
-    g_map = GroupValuedMap(cm.G, g_eval)
-    n = phi1.ambient_dim
+    def g_mc(i, x):
+        g2 = g2_map.matrix(x)
+        return g2_map.mc_fn(i, x) + g2 @ g1_map.mc_fn(i, x) @ np.linalg.inv(g2)
 
     def component(i):
-        def comp(x, i=i):
-            e = np.zeros(n)
-            e[i] = 1.0
-            acted = hg.alpha_g_star(cm, g2_map.element(x), phi1(x, e)).matrix
-            return acted + phi2.matrices_at(x, e)
+        def comp(x):
+            acted = hg.alpha_g_star_matrices(cm, g2_map.matrix(x), phi1.components[i].eval(x))
+            return acted + phi2.components[i].eval(x)
         return comp
 
-    comps = [
-        fm.CallableMatrixField(component(i), cm.H.matrix_dim, n, vectorized=False)
-        for i in range(n)
-    ]
-    return g_map, OneFormField(cm.H, comps, n)
+    n = phi1.ambient_dim
+    comps = [fm.CallableMatrixField(component(i), cm.H.matrix_dim, n) for i in range(n)]
+    return GroupValuedMap(cm.G, g_eval, g_mc), OneFormField(cm.H, comps, n)

@@ -438,15 +438,17 @@ def alpha_wedge(cm: CrossedModule, a_prime: OneFormField, phi: OneFormField, x, 
 
 
 class GroupValuedMap:
-    """Smooth map from the base space into a matrix group, with exact
-    coordinate partials when available (finite differences otherwise)."""
+    """Smooth map g from the base space into a matrix group, carried by its
+    value and the pullback of the right Maurer-Cartan form.
 
-    def __init__(self, descriptor: GroupDescriptor, eval_fn, partial_fn=None,
-                 fd_step: float = 1e-6):
+    Both callables take stacked points (..., n): `eval_fn(x)` returns g(x)
+    as (..., d, d), and `mc_fn(i, x)` returns (d_i g)(x) g(x)^{-1}, an
+    algebra-valued stack of the same shape."""
+
+    def __init__(self, descriptor: GroupDescriptor, eval_fn, mc_fn):
         self.descriptor = descriptor
         self.eval_fn = eval_fn
-        self.partial_fn = partial_fn
-        self.fd_step = fd_step
+        self.mc_fn = mc_fn
 
     def matrix(self, x) -> np.ndarray:
         return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=complex)
@@ -454,67 +456,55 @@ class GroupValuedMap:
     def element(self, x) -> GroupElement:
         return GroupElement(self.descriptor, self.matrix(x), validate=False)
 
-    def partial_matrix(self, i: int, x) -> np.ndarray:
-        if self.partial_fn is not None:
-            return np.asarray(self.partial_fn(i, np.asarray(x, dtype=float)), dtype=complex)
-        h = self.fd_step
-        x = np.asarray(x, dtype=float)
-        e = np.zeros(x.shape[-1])
-        e[i] = h
-        return (self.matrix(x + e) - self.matrix(x - e)) / (2.0 * h)
-
     def mc_pullback(self, x, v) -> np.ndarray:
         """Pullback of the right-invariant Maurer-Cartan form:
-        (D_v g)(x) g(x)^{-1}."""
+        (D_v g)(x) g(x)^{-1} = sum_i v_i (d_i g)(x) g(x)^{-1}."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         d = None
         for i in range(x.shape[-1]):
             if np.all(v[..., i] == 0.0):
                 continue
-            term = self.partial_matrix(i, x) * v[..., i, None, None]
+            term = np.asarray(self.mc_fn(i, x), dtype=complex) * v[..., i, None, None]
             d = term if d is None else d + term
         if d is None:
             n = self.descriptor.matrix_dim
             return np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-        return d @ np.linalg.inv(self.matrix(x))
+        return d
 
 
 def constant_group_map(g: GroupElement, ambient_dim: int) -> GroupValuedMap:
+    """The constant map x -> g; its Maurer-Cartan pullback is 0."""
     def ev(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(g.matrix, x.shape[:-1] + g.matrix.shape).copy()
 
-    def par(i, x):
-        x = np.asarray(x, dtype=float)
+    def mc(i, x):
         return np.zeros(x.shape[:-1] + g.matrix.shape, dtype=complex)
 
-    return GroupValuedMap(g.descriptor, ev, par)
+    return GroupValuedMap(g.descriptor, ev, mc)
 
 
 def exp_scalar_family(descriptor: GroupDescriptor, scalar_expr, direction: AlgebraElement,
                       ambient_dim: int) -> GroupValuedMap:
-    """g(x) = exp(f(x) X0) for a scalar expression f; partials are exact
-    because the exponent family commutes with itself."""
+    """g(x) = exp(f(x) X0) for a scalar expression f.  The exponent family
+    commutes with itself, so the Maurer-Cartan pullback is exactly
+    (d_i f)(x) X0, with no exponential and no inverse."""
     f = xp.parse(scalar_expr)
     partials = [xp.derivative(f, f"x{k + 1}") for k in range(ambient_dim)]
     x0 = direction.matrix
 
     def _vals(expr, x):
         env = {f"x{k + 1}": x[..., k] for k in range(ambient_dim)}
-        return np.asarray(expr.evaluate(env))
+        # a constant partial such as d(0.6*x1)/dx1 evaluates to one number
+        return np.broadcast_to(expr.evaluate(env), x.shape[:-1])
 
     def ev(x):
-        x = np.asarray(x, dtype=float)
-        vals = _vals(f, x)
-        return lc.expm(vals[..., None, None] * x0)
+        return lc.expm(_vals(f, x)[..., None, None] * x0)
 
-    def par(i, x):
-        x = np.asarray(x, dtype=float)
-        dvals = np.broadcast_to(_vals(partials[i], x), x.shape[:-1])
-        return dvals[..., None, None] * (x0 @ ev(x))
+    def mc(i, x):
+        return _vals(partials[i], x)[..., None, None] * x0
 
-    return GroupValuedMap(descriptor, ev, par)
+    return GroupValuedMap(descriptor, ev, mc)
 
 
 @dataclass(frozen=True)

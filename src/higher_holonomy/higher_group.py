@@ -207,11 +207,11 @@ def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray) -
     return cm.action_diff(x_mat, h_mat)
 
 
-def alpha_conjugate_star(cm: CrossedModule, a: GroupElement, x: AlgebraElement) -> AlgebraElement:
+def alpha_conjugate_star(cm: CrossedModule, a_mats: np.ndarray, x_mats: np.ndarray) -> np.ndarray:
     """(r_a^{-1} o alpha_a)_* : the differential at 1 of g -> alpha(g, a) a^{-1},
-    landing in the algebra of H."""
-    d = alpha_action_diff(cm, x.matrix, a.matrix) @ np.linalg.inv(a.matrix)
-    return AlgebraElement(cm.H, lc.project_to_algebra(cm.H, d), validate=False)
+    landing in the algebra of H, on stacks of raw matrices."""
+    d = alpha_action_diff(cm, x_mats, a_mats) @ np.linalg.inv(a_mats)
+    return lc.project_to_algebra(cm.H, d)
 
 
 @dataclass(frozen=True, eq=False)

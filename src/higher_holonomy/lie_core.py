@@ -165,15 +165,17 @@ def require_algebra(desc: GroupDescriptor, m: np.ndarray, form: str, where: str 
 
 
 def project_to_algebra(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of an arbitrary matrix onto the tangent algebra."""
+    """Orthogonal projection of an arbitrary matrix (or stack) onto the
+    tangent algebra."""
     m = np.asarray(m, dtype=complex)
     if desc.family == U1:
-        return np.array([[1j * m[0, 0].imag]])
+        return 1j * m.imag
     if desc.family == SU:
-        a = 0.5 * (m - m.conj().T)
-        return a - (np.trace(a) / desc.matrix_dim) * np.eye(desc.matrix_dim)
+        a = 0.5 * (m - m.conj().swapaxes(-2, -1))
+        tr = np.trace(a, axis1=-2, axis2=-1) / desc.matrix_dim
+        return a - tr[..., None, None] * np.eye(desc.matrix_dim)
     if desc.family == SO:
-        return 0.5 * (m.real - m.real.T).astype(complex)
+        return 0.5 * (m.real - m.real.swapaxes(-2, -1)).astype(complex)
     if desc.family == UT:
         a = np.triu(m, 1)
         return a.real.astype(complex) if desc.field == "real" else a
@@ -391,7 +393,9 @@ def retract(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:
     for SU(2); polar retraction followed by determinant renormalization
     for SU(n > 2) and SO(n); diagonal normalization for the unipotent
     family; nothing for GL.  Used after each ODE step to prevent drift
-    over long integrations.
+    over long integrations.  For SU(n > 2) and SO(n) a polar factor whose
+    determinant has real part below 1/2 is far off the group, and raises
+    NumericalError instead of being renormalized onto it.
     """
     m = np.asarray(m, dtype=complex)
     if desc.family == U1:
@@ -402,8 +406,8 @@ def retract(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:
     if desc.family in (SU, SO):
         q = polar_retract(m)
         det = np.linalg.det(q)
-        if np.any(det.real < 0.5) and desc.family == SO:
-            raise NumericalError("retraction hit the det=-1 component of O(n)")
+        if np.any(det.real < 0.5):
+            raise NumericalError(f"retraction onto {desc} hit a determinant far from 1")
         scale = np.exp(-np.log(det) / desc.matrix_dim)
         q = q * scale[..., None, None]
         return q.real.astype(complex) if desc.family == SO else q

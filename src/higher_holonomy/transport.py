@@ -359,36 +359,40 @@ def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
     return lc.frob(lhs - rhs) / max(1.0, lc.frob(rhs))
 
 
-def derived_modification_target(cm: CrossedModule, a_map, g_map: GroupValuedMap,
-                                phi: OneFormField, a_prime: OneFormField):
+def derived_modification_target(cm: CrossedModule, a_map: GroupValuedMap,
+                                g_map: GroupValuedMap, phi: OneFormField,
+                                a_prime: OneFormField):
     """(g2, phi2) obtained from (g, phi) by whiskering with a: X -> H:
-    g2 = (t o a) g and phi2 = Ad_a(phi) - a* theta - (r_a^{-1} o alpha_a)_*(A')."""
+    g2 = (t o a) g and phi2 = Ad_a(phi) - a* theta - (r_a^{-1} o alpha_a)_*(A').
+
+    t is a homomorphism, so the Maurer-Cartan pullback of g2 is
+    t_*(mc(a)) + Ad_{t(a)} mc(g).  t acts on `GroupElement`s, so t(a) is
+    taken one point at a time; everything else is evaluated on stacks."""
+
+    def t_of_a(x):
+        base = x.shape[:-1]
+        pts = x.reshape(-1, x.shape[-1])
+        ta = np.stack([cm.t(a_map.element(p)).matrix for p in pts])
+        return ta.reshape(base + ta.shape[-2:])
 
     def g2_eval(x):
-        a_el = a_map.element(x)
-        return cm.t(a_el).matrix @ g_map.matrix(x)
+        return t_of_a(x) @ g_map.matrix(x)
 
-    g2 = GroupValuedMap(cm.G, g2_eval)
+    def g2_mc(i, x):
+        ta = t_of_a(x)
+        return cm.t_star(a_map.mc_fn(i, x)) + ta @ g_map.mc_fn(i, x) @ np.linalg.inv(ta)
+
+    def component(i):
+        def comp(x):
+            a = a_map.matrix(x)
+            ad = a @ phi.components[i].eval(x) @ np.linalg.inv(a)
+            conj = hg.alpha_conjugate_star(cm, a, a_prime.components[i].eval(x))
+            return ad - a_map.mc_fn(i, x) - conj
+        return comp
 
     n = phi.ambient_dim
-
-    def comp(x, i=0):
-        a_el = a_map.element(x)
-        e = np.zeros(n)
-        e[i] = 1.0
-        ad = a_el.matrix @ phi.matrices_at(x, e) @ np.linalg.inv(a_el.matrix)
-        mc = a_map.mc_pullback(x, e)
-        conj = hg.alpha_conjugate_star(cm, a_el, a_prime(x, e)).matrix
-        return ad - mc - conj
-
-    comps = [
-        fm.CallableMatrixField(
-            (lambda x, i=i: comp(x, i)), cm.H.matrix_dim, n, vectorized=False
-        )
-        for i in range(n)
-    ]
-    phi2 = OneFormField(cm.H, comps, n)
-    return g2, phi2
+    comps = [fm.CallableMatrixField(component(i), cm.H.matrix_dim, n) for i in range(n)]
+    return GroupValuedMap(cm.G, g2_eval, g2_mc), OneFormField(cm.H, comps, n)
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,83 @@ class TestTransportOfExtraction:
             assert lc.frob(k1 - k2) <= 1e-3
 
 
+def _grad(x, dfs):
+    """Stack the gradient components `dfs` (functions of x1, x2) at x."""
+    return np.stack([np.broadcast_to(df(x[..., 0], x[..., 1]), x.shape[:-1]) for df in dfs],
+                    axis=-1)
+
+
+class TestCompositeMaps:
+    """The composite maps of `compose_z2_morphisms` and
+    `derived_modification_target` against the cocycle formulas
+    mc(g2 g1) = mc(g2) + Ad_{g2} mc(g1) and
+    mc(t(a) g) = t_*(mc(a)) + Ad_{t(a)} mc(g), for exp families whose
+    pullbacks are (grad f . v) X."""
+
+    X1 = lc.AlgebraElement(SU2, 0.5j * np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -1.0]]))
+    X2 = lc.AlgebraElement(SU2, 0.4j * np.array([[0.5, 1.0], [1.0, -0.5]]))
+    Y = lc.AlgebraElement(SU2, 0.3j * np.array([[1.0, -0.4j], [0.4j, -1.0]]))
+    DF1 = (lambda x1, x2: 0.6, lambda x1, x2: 0.6 * x2)
+    DF2 = (lambda x1, x2: 0.4 * x2, lambda x1, x2: 0.4 * x1 - 0.2)
+    DFA = (lambda x1, x2: x1, lambda x1, x2: 0.3)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        g1 = fm.exp_scalar_family(SU2, "0.6*x1 + 0.3*x2^2", self.X1, 2)
+        g2 = fm.exp_scalar_family(SU2, "0.4*x1*x2 - 0.2*x2", self.X2, 2)
+        a = fm.exp_scalar_family(SU2, "0.5*x1^2 + 0.3*x2", self.Y, 2)
+        phi = fm.one_form_from_expressions(
+            SU2, [su2_matrix_table("0.2*x2", "0", "0.1"),
+                  su2_matrix_table("0.15*x1", "0.1", "0")], 2)
+        return g1, g2, a, phi
+
+    @staticmethod
+    def _vectors(rng):
+        return [np.array([1.0, 0.0]), np.array([0.0, 1.0]), rng.standard_normal((20, 2))]
+
+    @staticmethod
+    def _mc(dfs, x, v, X):
+        return np.sum(_grad(x, dfs) * v, axis=-1)[..., None, None] * X.matrix
+
+    def test_composite_pullback_is_exact(self, data):
+        g1, g2, _, phi = data
+        cm = hg.make_eg(SU2)
+        g, _ = ex.compose_z2_morphisms((g1, phi), (g2, phi), cm)
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0.0, 1.0, (20, 2))
+        m2 = g2.matrix(x)
+        for v in self._vectors(rng):
+            expected = (self._mc(self.DF2, x, v, self.X2)
+                        + m2 @ self._mc(self.DF1, x, v, self.X1) @ np.linalg.inv(m2))
+            assert np.max(np.abs(g.mc_pullback(x, v) - expected)) <= 1e-14
+
+    def test_derived_target_pullback_is_exact(self, data):
+        g1, _, a, phi = data
+        cm = hg.make_eg(SU2)
+        g, _ = tp.derived_modification_target(cm, a, g1, phi, phi)
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0.0, 1.0, (20, 2))
+        ta = a.matrix(x)  # t is the identity on the inner 2-group
+        for v in self._vectors(rng):
+            expected = (self._mc(self.DFA, x, v, self.Y)
+                        + ta @ self._mc(self.DF1, x, v, self.X1) @ np.linalg.inv(ta))
+            assert np.max(np.abs(g.mc_pullback(x, v) - expected)) <= 1e-14
+
+    def test_composite_fields_on_a_stack_match_a_per_point_loop(self, data):
+        g1, g2, a, phi = data
+        cm = hg.make_eg(SU2)
+        _, phi_c = ex.compose_z2_morphisms((g1, phi), (g2, phi), cm)
+        _, phi_d = tp.derived_modification_target(cm, a, g1, phi, phi)
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.0, 1.0, (3, 4, 2))
+        v = rng.standard_normal((3, 4, 2))
+        for field in (phi_c, phi_d):
+            stacked = field.matrices_at(x, v)
+            loop = [field.matrices_at(p, w) for p, w in zip(x.reshape(-1, 2), v.reshape(-1, 2))]
+            assert stacked.shape == (3, 4, 2, 2)
+            assert np.max(np.abs(stacked - np.reshape(loop, stacked.shape))) <= 1e-15
+
+
 class TestComposeZ2:
     def test_identity_neutral(self):
         cm = hg.make_eg(SU2)

@@ -260,6 +260,12 @@ def _polar_then_det(m, n):
 
 
 class TestRetraction:
+    @pytest.mark.parametrize("desc", [lc.su(3), lc.so(3)], ids=str)
+    def test_far_determinant_raises(self, desc):
+        # the polar factor of diag(1, 1, -1) is itself, with determinant -1
+        with pytest.raises(NumericalError):
+            lc.retract(desc, np.diag([1.0, 1.0, -1.0]))
+
     @pytest.mark.parametrize("desc", [lc.su(2), lc.su(3), lc.so(3)], ids=str)
     def test_polar_restores_unitarity(self, desc):
         rng = np.random.default_rng(11)
@@ -326,6 +332,38 @@ class TestSU2Retraction:
             with pytest.raises(NumericalError):
                 tp._rk4(lambda i, u: step, np.eye(2, dtype=complex), 1, h,
                         lc.su(2), keep_nodes=False)
+
+
+def _project_one(desc, m):
+    """Reference projection of one matrix, written with the plain
+    transpose, trace and [0, 0] entry."""
+    if desc.family == lc.U1:
+        return np.array([[1j * m[0, 0].imag]])
+    if desc.family == lc.SU:
+        a = 0.5 * (m - m.conj().T)
+        return a - (np.trace(a) / desc.matrix_dim) * np.eye(desc.matrix_dim)
+    if desc.family == lc.SO:
+        return 0.5 * (m.real - m.real.T).astype(complex)
+    if desc.family == lc.UT:
+        a = np.triu(m, 1)
+        return a.real.astype(complex) if desc.field == "real" else a
+    return m.real.astype(complex) if desc.field == "real" else m
+
+
+class TestProjectToAlgebra:
+    @pytest.mark.parametrize("desc", [lc.u1(), lc.su(2), lc.su(3), lc.so(3), lc.gl(2),
+                                      lc.gl(2, "complex"), lc.unipotent(3)],
+                             ids=["U1", "SU2", "SU3", "SO3", "GL2R", "GL2C", "UT3R"])
+    def test_stack_matches_a_per_matrix_loop(self, desc):
+        rng = np.random.default_rng(13)
+        n = desc.matrix_dim
+        stack = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+        out = lc.project_to_algebra(desc, stack)
+        singles = [lc.project_to_algebra(desc, m) for m in stack.reshape(-1, n, n)]
+        assert out.shape == stack.shape
+        assert np.array_equal(out, np.reshape(singles, stack.shape))
+        for m, p in zip(stack.reshape(-1, n, n), singles):
+            assert p.tobytes() == _project_one(desc, m).tobytes()
 
 
 class TestAlgebraDefect:

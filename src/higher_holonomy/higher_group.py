@@ -100,7 +100,7 @@ def make_eg(group_desc: GroupDescriptor) -> CrossedModule:
         lambda h: GroupElement(group_desc, h.matrix, validate=False), alpha,
         t_star=lambda y: np.asarray(y, dtype=complex),
         alpha_star=bracket,
-        alpha_g_star=lambda g, y: g @ y @ np.linalg.inv(g),
+        alpha_g_star=lc.conjugate,
         action_diff=bracket,
         kind="eg",
     )

@@ -162,7 +162,7 @@ def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
     nq = cfg.n_quad_t
     nodes, u = _arc_transports(pair, tau, nq)
     w_full = u[-1]
-    arcs = w_full @ np.linalg.inv(u)
+    arcs = w_full @ lc.retracted_inverse(pair.A.descriptor, u)
     bvals = pair.B.matrices_at(tau.point(nodes), tangent.vector(nodes), tau.velocity(nodes))
     integrand = hg.alpha_g_star_matrices(pair.cm, arcs, bvals)
     weights = _simpson_weights(nq)

@@ -9,7 +9,13 @@ Path transport solves the right-invariant initial value problem
 with the classical 4th-order one-step scheme and a retraction to the group
 after each step (prevents drift over long integrations).  Every ODE in the
 package -- path, surface and transformation transport and the loop-space
-transport -- is solved by the one step loop `_rk4`.
+transport -- is solved by the one step loop `_step_loop`.  For the
+left-product equations u' = -a(t) u (path, surface and loop-space
+transport) one RK4 step is u_{k+1} = P_k u_k with P_k the RK4 transport
+along the k-th piece of the path, so `_rk4_sweep` builds every P_k in a
+few batched passes before the loop and takes their ordered product;
+`_rk4` takes the RK4 stages one step at a time, for the transformation
+ODE, whose right-hand side is not a left product.
 
 Surface transport of a bigon Sigma under a pair (A, B) integrates the
 h-valued driver
@@ -72,32 +78,20 @@ DEFAULT_CONFIG = IntegratorConfig()
 # transport accept before raising TargetMatchingError.
 MATCHING_HARD_LIMIT = 1e-3
 
-# Families whose retracted transports are unitary.
-_UNITARY_FAMILIES = (lc.U1, lc.SU, lc.SO)
 
-
-def _rk4(rhs, u0: np.ndarray, n: int, h: float, desc: GroupDescriptor,
-         keep_nodes: bool) -> np.ndarray:
-    """Integrate u' = rhs(i, u) over n steps of size h from u0, retracting
-    onto the group of `desc` after every step.
-
-    `rhs(i, u)` is the right-hand side at half-step index i in 0..2n (step k
-    uses i = 2k, 2k+1, 2k+2).  `u0` is one matrix or a stack (..., d, d).
-    Returns the solution at the n+1 nodes, shape (..., n+1, d, d), or only
-    the final value when keep_nodes is false.
-    """
+def _step_loop(step, u0: np.ndarray, n: int, desc: GroupDescriptor,
+               keep_nodes: bool) -> np.ndarray:
+    """u_{k+1} = retract(step(k, u_k)) onto the group of `desc` for k < n,
+    from u0 (one matrix or a stack (..., d, d)).  Returns the solution at
+    the n+1 nodes, shape (..., n+1, d, d), or only the final value when
+    keep_nodes is false; a non-finite final value raises NumericalError."""
     u = u0
     out = None
     if keep_nodes:
         out = np.empty(u.shape[:-2] + (n + 1,) + u.shape[-2:], dtype=complex)
         out[..., 0, :, :] = u
     for k in range(n):
-        i = 2 * k
-        k1 = rhs(i, u)
-        k2 = rhs(i + 1, u + (0.5 * h) * k1)
-        k3 = rhs(i + 1, u + (0.5 * h) * k2)
-        k4 = rhs(i + 2, u + h * k3)
-        u = lc.retract(desc, u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        u = lc.retract(desc, step(k, u))
         if keep_nodes:
             out[..., k + 1, :, :] = u
     if not np.all(np.isfinite(u)):
@@ -105,17 +99,70 @@ def _rk4(rhs, u0: np.ndarray, n: int, h: float, desc: GroupDescriptor,
     return out if keep_nodes else u
 
 
+def _rk4(rhs, u0: np.ndarray, n: int, h: float, desc: GroupDescriptor,
+         keep_nodes: bool) -> np.ndarray:
+    """Integrate u' = rhs(i, u) over n classical RK4 steps of size h from
+    u0, retracting onto the group of `desc` after every step.
+
+    `rhs(i, u)` is the right-hand side at half-step index i in 0..2n (step k
+    uses i = 2k, 2k+1, 2k+2).  `u0` is one matrix or a stack (..., d, d).
+    Returns the solution at the n+1 nodes, shape (..., n+1, d, d), or only
+    the final value when keep_nodes is false.
+    """
+    def step(k, u):
+        i = 2 * k
+        k1 = rhs(i, u)
+        k2 = rhs(i + 1, u + (0.5 * h) * k1)
+        k3 = rhs(i + 1, u + (0.5 * h) * k2)
+        k4 = rhs(i + 2, u + h * k3)
+        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _step_loop(step, u0, n, desc, keep_nodes)
+
+
+def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 transports P_k of u' = -a(t) u along every step of every line:
+    u_{k+1} = P_k u_k is one classical RK4 step, with
+
+        P_k = 1 - (h/6)(a0 + 2 K2 + 2 K3 + K4),
+        K2 = am (1 - (h/2) a0),  K3 = am (1 - (h/2) K2),  K4 = a1 (1 - h K3),
+
+    and a0, am, a1 the values of a at half-step indices 2k, 2k+1, 2k+2.
+    `a` has shape (m, 2n+1, d, d); the result has shape (n, m, d, d), so
+    that each step reads one contiguous stack.  Built in place with one
+    scratch stack besides the result; `a` is not modified."""
+    a = a.swapaxes(0, 1)
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    p = a0.copy()
+    kk = a0.copy()
+    diag = np.einsum("...ii->...i", kk)
+    for x, c, weight in ((am, 0.5 * h, 2), (am, 0.5 * h, 2), (a1, h, 1)):
+        kk *= -c
+        diag += 1.0
+        lc.small_matmul(x, kk, out=kk)  # kk <- x (1 - c kk): K2, K3, then K4
+        for _ in range(weight):
+            p += kk
+    p *= -h / 6.0
+    np.einsum("...ii->...i", p)[...] += 1.0
+    return p
+
+
 def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
-    """Integrate u' = -a(t) u, u(0) = 1, across a stack of coefficient lines.
+    """Integrate u' = -a(t) u, u(0) = 1, across a stack of coefficient lines
+    by classical RK4 with a retraction after every step.
 
     `a` has shape (m, 2n+1, d, d) with values at step endpoints and
-    midpoints; returns u at the n+1 nodes, shape (m, n+1, d, d), or the
-    final values (m, d, d) when keep_nodes is false.
+    midpoints.  The transport along the path is the ordered product of the
+    transports of its steps, so every step's RK4 transport P_k is built
+    first, in a few batched passes over all lines (`_rk4_propagators`),
+    and the step loop only forms u_{k+1} = retract(P_k u_k).  Returns u at
+    the n+1 nodes, shape (m, n+1, d, d), or the final values (m, d, d)
+    when keep_nodes is false.
     """
-    a = np.asarray(a, dtype=complex)
-    m, big, d, _ = a.shape
-    u0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
-    return _rk4(lambda i, u: -(a[:, i] @ u), u0, (big - 1) // 2, h, desc, keep_nodes)
+    p = _rk4_propagators(np.asarray(a, dtype=complex), h)
+    n, m, d, _ = p.shape
+    u0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
+    return _step_loop(lambda k, u: p[k] @ u, u0, n, desc, keep_nodes)
 
 
 def _transformation_ode(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
@@ -180,12 +227,7 @@ def _surface_driver_values(cm: CrossedModule, a_form: OneFormField, b_at, sigma:
     tt_nodes = np.linspace(0.0, 1.0, nt + 1)
     vs = sigma.ds(s_values[:, None], tt_nodes[None, :])
     bmats = b_at(x, vs, vt)
-    if a_form.descriptor.family in _UNITARY_FAMILIES:
-        # the retraction leaves u unitary, so its inverse is its adjoint
-        u_inv = np.swapaxes(u.conj(), -2, -1)
-    else:
-        u_inv = np.linalg.inv(u)
-    integrand = hg.alpha_g_star_matrices(cm, u_inv, bmats)
+    integrand = hg.alpha_g_star_matrices(cm, lc.retracted_inverse(a_form.descriptor, u), bmats)
     w = _simpson_weights(nt)
     return -np.einsum("t,mtij->mij", w, integrand)
 

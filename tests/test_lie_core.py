@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
 from higher_holonomy.errors import DomainError, MembershipError, NumericalError
@@ -332,6 +335,61 @@ class TestSU2Retraction:
             with pytest.raises(NumericalError):
                 tp._rk4(lambda i, u: step, np.eye(2, dtype=complex), 1, h,
                         lc.su(2), keep_nodes=False)
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSmallMatmul:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("x_lead, y_lead", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),
+                                                ((), (5,)), ((3, 4), (4,)), ((3, 1), (1, 4))],
+                             ids=str)
+    def test_equals_matmul(self, d, x_lead, y_lead):
+        rng = np.random.default_rng(31)
+        x = _complex_stack(rng, x_lead + (d, d))
+        y = _complex_stack(rng, y_lead + (d, d))
+        want = x @ y
+        got = lc.small_matmul(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_in_place_on_the_right_factor(self, d):
+        rng = np.random.default_rng(32)
+        x = _complex_stack(rng, (4, d, d))
+        y = _complex_stack(rng, (3, 4, d, d))
+        want = x @ y
+        out = lc.small_matmul(x, y, out=y)
+        assert out is y
+        assert np.max(np.abs(y - want)) <= 1e-14
+
+
+class TestConjugate:
+    @pytest.mark.parametrize("desc", [lc.gl(2, "complex"), lc.su(2), lc.su(3)], ids=str)
+    @pytest.mark.parametrize("g_lead, y_lead", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),
+                                                ((), (5,)), ((3, 4), (4,))], ids=str)
+    def test_equals_g_y_inverse_g(self, desc, g_lead, y_lead):
+        rng = np.random.default_rng(33)
+        n = desc.matrix_dim
+        if desc.family == lc.GL:
+            g = _complex_stack(rng, g_lead + (n, n))
+        else:
+            g = _random_group_stack(desc, rng, g_lead)
+        y = _complex_stack(rng, y_lead + (n, n))
+        want = g @ y @ np.linalg.inv(g)
+        got = hg.alpha_g_star_matrices(hg.make_eg(desc), g, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_singular_raises_without_a_warning(self, n):
+        g = np.stack([np.eye(n), np.ones((n, n))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                lc.conjugate(g, np.eye(n))
 
 
 def _project_one(desc, m):

@@ -6,7 +6,7 @@ from higher_holonomy import geometry as geo
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
-from higher_holonomy.errors import TargetMatchingError
+from higher_holonomy.errors import NumericalError, TargetMatchingError
 
 from .conftest import SU2, U1, parabola_paths, su2_matrix_table
 from .oracles import line_integral, ordered_product_transport, surface_k_product_oracle
@@ -466,3 +466,62 @@ class TestConcurrency:
                 paths * 3))
         for i, mat in enumerate(parallel):
             assert np.array_equal(mat, serial[i % 4])
+
+
+_SWEEP_GROUPS = [lc.u1(), lc.su(2), lc.su(3), lc.so(3), lc.gl(2, "complex"), lc.unipotent(3)]
+_SWEEP_IDS = ["U1", "SU2", "SU3", "SO3", "GL2C", "UT3"]
+
+
+def _coefficient_lines(desc, m, n, seed=0):
+    """Seeded algebra-valued coefficients a on m lines of 2n+1 half-steps."""
+    rng = np.random.default_rng(seed)
+    d = desc.matrix_dim
+    raw = rng.standard_normal((m, 2 * n + 1, d, d)) + 1j * rng.standard_normal((m, 2 * n + 1, d, d))
+    return lc.project_to_algebra(desc, raw)
+
+
+class TestPropagatorSweep:
+    """`_rk4_sweep` builds every step's RK4 transport first; the stage-wise
+    `_rk4` on the same right-hand side is its reference."""
+
+    @pytest.mark.parametrize("keep_nodes", [True, False])
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
+    def test_matches_stagewise_rk4(self, desc, m, keep_nodes):
+        n = 16
+        h = 1.0 / n
+        a = _coefficient_lines(desc, m, n)
+        a_before = a.copy()
+        got = tp._rk4_sweep(a, h, desc, keep_nodes)
+        assert np.array_equal(a, a_before)
+        d = desc.matrix_dim
+        u0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
+        want = tp._rk4(lambda i, u: -(a[:, i] @ u), u0, n, h, desc, keep_nodes)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
+    def test_retracted_inverse_inverts_the_nodes(self, desc):
+        u = tp._rk4_sweep(_coefficient_lines(desc, 3, 8), 1.0 / 8, desc)
+        eye = np.eye(desc.matrix_dim)
+        assert np.max(np.abs(lc.retracted_inverse(desc, u) @ u - eye)) <= 1e-13
+
+    def test_one_retraction_per_step(self, monkeypatch):
+        calls = []
+        real = lc.retract
+
+        def counting(desc, m):
+            calls.append(m.shape)
+            return real(desc, m)
+
+        monkeypatch.setattr(lc, "retract", counting)
+        n = 12
+        tp._rk4_sweep(_coefficient_lines(lc.su(2), 5, n), 1.0 / n, lc.su(2))
+        assert calls == [(5, 2, 2)] * n
+
+    @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
+    def test_nan_coefficient_raises(self, desc):
+        a = _coefficient_lines(desc, 2, 8)
+        a[1, 5, 0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            tp._rk4_sweep(a, 1.0 / 8, desc)

@@ -98,8 +98,6 @@ from .lie_core import (
     bracket,
     exp_map,
     gl,
-    maurer_cartan_right,
-    right_translate_diff,
     so,
     su,
     u1,

@@ -2,25 +2,32 @@
 and the 2-group composition laws.
 
 A `CrossedModule` carries its induced maps (t_*, alpha_*, (alpha_g)_* and
-the action derivative) as fields on stacks of raw matrices; the
-module-level functions of the same names delegate to them.  Builders:
+s_*) and its G sampler as fields on stacks of raw matrices; the
+module-level functions of the same names delegate to them.  Every shipped
+module acts through a homomorphism s: G -> H, alpha_g = Ad_{s(g)}, and
+carries its differential s_* as `s_star`; the action derivative and
+transformation transport are built from it.  Builders:
 
 * ``make_b_abelian`` -- G trivial (the one-element subgroup of GL(1)), H
-  abelian, t collapsing to 1 and the action trivial; closed forms.
-* ``make_eg`` -- H = G, t the identity, alpha conjugation; closed forms.
-  Between any two 1-morphisms there is a unique 2-morphism filler
+  abelian, t collapsing to 1 and the action trivial (s = 1); closed forms.
+* ``make_eg`` -- H = G, t the identity, alpha conjugation (s = id); closed
+  forms.  Between any two 1-morphisms there is a unique 2-morphism filler
   h = g' g^{-1}.
 * ``make_aut_inner`` -- the automorphism 2-group of H restricted to its
   inner image (the full automorphism group as matrices is out of scope).
   On this image it is ``make_eg`` under the ``aut_inner`` label.
 * ``custom_crossed_module`` -- black-box t and alpha, with central
-  difference quotients for the induced maps and the axioms verified on
-  construction.
+  difference quotients for t_*, alpha_* and (alpha_g)_* and the axioms
+  verified on construction.  Its action need not come from a homomorphism
+  s, so it has no `s_star`: the action derivative, transformation
+  transport and the derived modification target raise CompositionError
+  on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -44,8 +51,11 @@ class CrossedModule:
     * t_star(y): the differential of t at 1;
     * alpha_star(x, y): the mixed differential of alpha at (1, 1);
     * alpha_g_star(g, y): the differential of alpha_g: H -> H at 1;
-    * action_diff(x, h): the derivative of g -> alpha(g, h) at g = 1 in
-      direction x, a tangent matrix at h (not at the identity).
+    * s_star(x): the differential of the homomorphism s: G -> H with
+      alpha_g = Ad_{s(g)}, or None when the action is not of that form.
+
+    `sample_g(rng, scale=0.7)` draws the G-elements that `verify_axioms`
+    samples.
     """
 
     G: GroupDescriptor
@@ -55,13 +65,9 @@ class CrossedModule:
     t_star: Callable
     alpha_star: Callable
     alpha_g_star: Callable
-    action_diff: Callable
+    s_star: Callable | None
+    sample_g: Callable
     kind: str = "custom"
-
-    def sample_g(self, rng, scale: float = 0.7) -> GroupElement:
-        if self.kind == "b_abelian":
-            return lc.identity(self.G)
-        return lc.random_group(self.G, rng, scale)
 
     def sample_h(self, rng, scale: float = 0.7) -> GroupElement:
         return lc.random_group(self.H, rng, scale)
@@ -70,16 +76,15 @@ class CrossedModule:
 def make_b_abelian(abelian_desc: GroupDescriptor) -> CrossedModule:
     """Crossed module with trivial G over an abelian H."""
     g_desc = lc.gl(1, "real")
-
-    def zero_h(x, y):
-        return np.zeros_like(np.asarray(y, dtype=complex))
+    dh = abelian_desc.matrix_dim
 
     return CrossedModule(
         g_desc, abelian_desc, lambda h: lc.identity(g_desc), lambda g, h: h,
         t_star=lambda y: np.zeros(np.shape(y)[:-2] + (1, 1), dtype=complex),
-        alpha_star=zero_h,
+        alpha_star=lambda x, y: np.zeros_like(np.asarray(y, dtype=complex)),
         alpha_g_star=lambda g, y: np.asarray(y, dtype=complex),
-        action_diff=zero_h,
+        s_star=lambda x: np.zeros(np.shape(x)[:-2] + (dh, dh), dtype=complex),
+        sample_g=lambda rng, scale=0.7: lc.identity(g_desc),
         kind="b_abelian",
     )
 
@@ -92,16 +97,14 @@ def make_eg(group_desc: GroupDescriptor) -> CrossedModule:
             group_desc, g.matrix @ h.matrix @ np.linalg.inv(g.matrix), validate=False
         )
 
-    def bracket(x, y):
-        return x @ y - y @ x
-
     return CrossedModule(
         group_desc, group_desc,
         lambda h: GroupElement(group_desc, h.matrix, validate=False), alpha,
         t_star=lambda y: np.asarray(y, dtype=complex),
-        alpha_star=bracket,
+        alpha_star=lambda x, y: x @ y - y @ x,
         alpha_g_star=lc.conjugate,
-        action_diff=bracket,
+        s_star=lambda x: np.asarray(x, dtype=complex),
+        sample_g=partial(lc.random_group, group_desc),
         kind="eg",
     )
 
@@ -130,7 +133,8 @@ def custom_crossed_module(G: GroupDescriptor, H: GroupDescriptor, t,
                           alpha) -> CrossedModule:
     """Crossed module from black-box evaluators t(h) and alpha(g, h) on
     `GroupElement`s.  Its induced maps are central difference quotients
-    with steps `_FD_STEP` and `_FD_STEP_MIXED`, taken one matrix at a time.
+    with steps `_FD_STEP` and `_FD_STEP_MIXED`, taken one matrix at a time;
+    it has no `s_star` (see the module docstring).
 
     The axioms are checked on construction by `verify_axioms` with its
     defaults; a module that fails them raises CompositionError carrying
@@ -162,13 +166,9 @@ def custom_crossed_module(G: GroupDescriptor, H: GroupDescriptor, t,
         return lc.project_to_algebra(
             H, central(lambda s: alpha(g_el, exp_h(s * y)), _FD_STEP))
 
-    def action_diff(x, h):
-        h_el = GroupElement(H, h, validate=False)
-        return central(lambda s: alpha(exp_g(s * x), h_el), _FD_STEP)
-
     cm = CrossedModule(G, H, t, alpha, _one_at_a_time(t_star),
                        _one_at_a_time(alpha_star), _one_at_a_time(alpha_g_star),
-                       _one_at_a_time(action_diff))
+                       s_star=None, sample_g=partial(lc.random_group, G))
     report = verify_axioms(cm)
     if not report.passed:
         raise CompositionError(
@@ -202,9 +202,21 @@ def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndar
     return cm.alpha_g_star(g_mats, y_mats)
 
 
+def s_star_matrix(cm: CrossedModule, x_mats: np.ndarray) -> np.ndarray:
+    """s_* on a stack of raw G-algebra matrices, for alpha_g = Ad_{s(g)};
+    raises CompositionError on a module without `s_star`."""
+    if cm.s_star is None:
+        raise CompositionError(
+            "this crossed module's action is not given as Ad_{s(g)} for a "
+            "homomorphism s: G -> H, so it has no s_*")
+    return cm.s_star(x_mats)
+
+
 def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-    """Derivative of g -> alpha(g, h) at g = 1 in direction X (at h)."""
-    return cm.action_diff(x_mat, h_mat)
+    """Derivative of g -> alpha(g, h) at g = 1 in direction X (at h):
+    s_*(X) h - h s_*(X)."""
+    s = s_star_matrix(cm, x_mat)
+    return s @ h_mat - h_mat @ s
 
 
 def alpha_conjugate_star(cm: CrossedModule, a_mats: np.ndarray, x_mats: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MembershipError, NumericalError
+from .errors import MembershipError, NumericalError
 
 U1 = "U1"
 SU = "SU"
@@ -336,26 +336,6 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(
         x.descriptor, x.matrix @ y.matrix - y.matrix @ x.matrix, validate=False
     )
-
-
-def right_translate_diff(g: GroupElement, x: AlgebraElement) -> np.ndarray:
-    """Matrix of dr_g|_1(x): the tangent x pushed to the fiber over g."""
-    return x.matrix @ g.matrix
-
-
-def maurer_cartan_right(curve, t: float, fd_step: float = 1e-5) -> AlgebraElement:
-    """Right-logarithmic derivative (dg/dt) g(t)^{-1} of a group-valued
-    curve on [0, 1], estimated by a central difference and projected to
-    the algebra.
-    """
-    if t - fd_step < 0.0 or t + fd_step > 1.0:
-        raise DomainError(f"t={t} within fd_step of the curve boundary")
-    gp = curve(t + fd_step)
-    gm = curve(t - fd_step)
-    g0 = curve(t)
-    der = (gp.matrix - gm.matrix) / (2.0 * fd_step)
-    val = der @ np.linalg.inv(g0.matrix)
-    return AlgebraElement(g0.descriptor, project_to_algebra(g0.descriptor, val), validate=False)
 
 
 def small_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -45,8 +45,8 @@ from .transport import (
     IntegratorConfig,
     TwoFunctor,
     _rk4_sweep,
+    _semidirect_transport,
     _simpson_weights,
-    _transformation_ode,
     path_transport,
 )
 
@@ -232,7 +232,7 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     for i, t in enumerate(tt):
         phi_vals[i] = transgressed_phi(pair, lp.variation_at(float(t)), cfg).matrix
 
-    h_mat = _transformation_ode(pair.cm, phi_vals, a_vals, n)
+    h_mat = _semidirect_transport(pair.cm, phi_vals, a_vals, n)
 
     defect = lc.frob(route_functor - h_mat)
     return ConsistencyReport(route_functor, h_mat, defect)

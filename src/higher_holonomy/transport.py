@@ -8,14 +8,20 @@ Path transport solves the right-invariant initial value problem
 
 with the classical 4th-order one-step scheme and a retraction to the group
 after each step (prevents drift over long integrations).  Every ODE in the
-package -- path, surface and transformation transport and the loop-space
-transport -- is solved by the one step loop `_step_loop`.  For the
-left-product equations u' = -a(t) u (path, surface and loop-space
-transport) one RK4 step is u_{k+1} = P_k u_k with P_k the RK4 transport
-along the k-th piece of the path, so `_rk4_sweep` builds every P_k in a
-few batched passes before the loop and takes their ordered product;
-`_rk4` takes the RK4 stages one step at a time, for the transformation
-ODE, whose right-hand side is not a left product.
+package is of this left-product form and is solved by `_rk4_sweep`: one
+RK4 step is u_{k+1} = P_k u_k with P_k the RK4 transport along the k-th
+piece of the path, so the sweep builds every P_k in a few batched passes
+and then takes their ordered product.
+
+Transformation transport dh = -phi(gamma') h - (alpha_h)_*(A'(gamma')) is
+the H-part of path transport of (phi, A') in the semidirect product
+H x| G.  Every shipped crossed module acts through a homomorphism
+s: G -> H, alpha_g = Ad_{s(g)}, so (h, g) -> (h s(g), s(g)) embeds H x| G
+in H x H and
+
+    h = U_{phi + s_* A'} U_{s_* A'}^{-1},
+
+where U_X is the path transport of X: two lines of one sweep in H.
 
 Surface transport of a bigon Sigma under a pair (A, B) integrates the
 h-valued driver
@@ -79,47 +85,6 @@ DEFAULT_CONFIG = IntegratorConfig()
 MATCHING_HARD_LIMIT = 1e-3
 
 
-def _step_loop(step, u0: np.ndarray, n: int, desc: GroupDescriptor,
-               keep_nodes: bool) -> np.ndarray:
-    """u_{k+1} = retract(step(k, u_k)) onto the group of `desc` for k < n,
-    from u0 (one matrix or a stack (..., d, d)).  Returns the solution at
-    the n+1 nodes, shape (..., n+1, d, d), or only the final value when
-    keep_nodes is false; a non-finite final value raises NumericalError."""
-    u = u0
-    out = None
-    if keep_nodes:
-        out = np.empty(u.shape[:-2] + (n + 1,) + u.shape[-2:], dtype=complex)
-        out[..., 0, :, :] = u
-    for k in range(n):
-        u = lc.retract(desc, step(k, u))
-        if keep_nodes:
-            out[..., k + 1, :, :] = u
-    if not np.all(np.isfinite(u)):
-        raise NumericalError("transport ODE produced non-finite values")
-    return out if keep_nodes else u
-
-
-def _rk4(rhs, u0: np.ndarray, n: int, h: float, desc: GroupDescriptor,
-         keep_nodes: bool) -> np.ndarray:
-    """Integrate u' = rhs(i, u) over n classical RK4 steps of size h from
-    u0, retracting onto the group of `desc` after every step.
-
-    `rhs(i, u)` is the right-hand side at half-step index i in 0..2n (step k
-    uses i = 2k, 2k+1, 2k+2).  `u0` is one matrix or a stack (..., d, d).
-    Returns the solution at the n+1 nodes, shape (..., n+1, d, d), or only
-    the final value when keep_nodes is false.
-    """
-    def step(k, u):
-        i = 2 * k
-        k1 = rhs(i, u)
-        k2 = rhs(i + 1, u + (0.5 * h) * k1)
-        k3 = rhs(i + 1, u + (0.5 * h) * k2)
-        k4 = rhs(i + 2, u + h * k3)
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return _step_loop(step, u0, n, desc, keep_nodes)
-
-
 def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
     """The RK4 transports P_k of u' = -a(t) u along every step of every line:
     u_{k+1} = P_k u_k is one classical RK4 step, with
@@ -149,7 +114,8 @@ def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
 
 def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
     """Integrate u' = -a(t) u, u(0) = 1, across a stack of coefficient lines
-    by classical RK4 with a retraction after every step.
+    by classical RK4 with a retraction onto the group of `desc` after every
+    step.
 
     `a` has shape (m, 2n+1, d, d) with values at step endpoints and
     midpoints.  The transport along the path is the ordered product of the
@@ -157,24 +123,33 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
     first, in a few batched passes over all lines (`_rk4_propagators`),
     and the step loop only forms u_{k+1} = retract(P_k u_k).  Returns u at
     the n+1 nodes, shape (m, n+1, d, d), or the final values (m, d, d)
-    when keep_nodes is false.
+    when keep_nodes is false; a non-finite final value raises
+    NumericalError.
     """
     p = _rk4_propagators(np.asarray(a, dtype=complex), h)
     n, m, d, _ = p.shape
-    u0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
-    return _step_loop(lambda k, u: p[k] @ u, u0, n, desc, keep_nodes)
+    u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
+    if keep_nodes:
+        out = np.empty((m, n + 1, d, d), dtype=complex)
+        out[:, 0] = u
+    for k in range(n):
+        u = lc.retract(desc, p[k] @ u)
+        if keep_nodes:
+            out[:, k + 1] = u
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("transport ODE produced non-finite values")
+    return out if keep_nodes else u
 
 
-def _transformation_ode(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
-                        n: int) -> np.ndarray:
-    """Solve dh = -phi h - (alpha_h)_*(A), h(0) = 1, over n steps from the
-    values of phi and A on the half-step grid (2n+1 values each); returns
-    h(1)."""
-    def rhs(i, hm):
-        return -(phis[i] @ hm) - hg.alpha_action_diff(cm, a_vals[i], hm)
-
-    h0 = np.eye(cm.H.matrix_dim, dtype=complex)
-    return _rk4(rhs, h0, n, 1.0 / n, cm.H, keep_nodes=False)
+def _semidirect_transport(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
+                          n: int) -> np.ndarray:
+    """h(1) for dh = -phi h - (alpha_h)_*(A'), h(0) = 1, from the values of
+    phi and A' on the half-step grid (2n+1 values each), as
+    U_{phi + s_* A'} U_{s_* A'}^{-1} (see the module docstring).  Raises
+    CompositionError on a crossed module without `s_star`."""
+    sa = hg.s_star_matrix(cm, a_vals)
+    u = _rk4_sweep(np.stack([phis + sa, sa]), 1.0 / n, cm.H, keep_nodes=False)
+    return u[0] @ lc.retracted_inverse(cm.H, u[1])
 
 
 def transport_nodes(a_form: OneFormField, gamma: Path, n_steps: int) -> np.ndarray:
@@ -350,16 +325,24 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
 
     When the source 1-form A is supplied the target-matching residual of
     F'(gamma) g(x) = t(h^{-1}) g(y) F(gamma) is computed and checked.
+    Raises MembershipError when phi(gamma') leaves the algebra of H,
+    A'(gamma') the algebra of G, or g(x), g(y) the group G (the per-step
+    retraction would hide the first two), and CompositionError on a
+    crossed module without `s_star`.
     """
     n = cfg.n_steps_path
     tt = np.linspace(0.0, 1.0, 2 * n + 1)
     x = gamma.point(tt)
     v = gamma.velocity(tt)
-    h_mat = _transformation_ode(cm, phi.matrices_at(x, v), a_prime.matrices_at(x, v), n)
+    phis = phi.matrices_at(x, v)
+    a_vals = a_prime.matrices_at(x, v)
+    lc.require_algebra(cm.H, phis, "phi", " along the path")
+    lc.require_algebra(cm.G, a_vals, "A'", " along the path")
+    g_start = GroupElement(g_map.descriptor, g_map.matrix(gamma.start()))
+    g_end = GroupElement(g_map.descriptor, g_map.matrix(gamma.end()))
+    h_mat = _semidirect_transport(cm, phis, a_vals, n)
 
     h_el = GroupElement(cm.H, h_mat, validate=False)
-    g_start = g_map.element(gamma.start())
-    g_end = g_map.element(gamma.end())
     residual = None
     if a_source is not None:
         f_src = path_transport(a_source, gamma, cfg)

@@ -4,7 +4,10 @@ Everything here is deliberately decoupled from the package's integrators:
 quadrature is Gauss-Legendre (numpy.polynomial), matrix exponentials are a
 plain Taylor sum, and the surface oracle is a first-principles ordered
 Riemann product.  Oracles share only the defining formulas with the code
-under test, never its discretizations.
+under test, never its discretizations.  The one exception is
+`stagewise_rk4`: it takes the classical RK4 stages one step at a time on
+an arbitrary right-hand side, as the reference for the package's batched
+propagator sweep and for transformation transport through it.
 """
 
 import numpy as np
@@ -43,6 +46,35 @@ def taylor_expm(m, order=24):
         term = term @ m / k
         out = out + term
     return out
+
+
+def stagewise_rk4(rhs, u0, n, h, retract, keep_nodes=False):
+    """Integrate u' = rhs(i, u) over n classical RK4 steps of size h from
+    u0 (one matrix or a stack), with `retract` applied after every step.
+    `rhs(i, u)` is the right-hand side at half-step index i in 0..2n (step
+    k uses i = 2k, 2k+1, 2k+2).  Returns the final value, or the n+1 nodes
+    stacked on the axis before the matrix axes when keep_nodes is true."""
+    u = np.asarray(u0, dtype=complex)
+    nodes = [u]
+    for k in range(n):
+        i = 2 * k
+        k1 = rhs(i, u)
+        k2 = rhs(i + 1, u + (0.5 * h) * k1)
+        k3 = rhs(i + 1, u + (0.5 * h) * k2)
+        k4 = rhs(i + 2, u + h * k3)
+        u = retract(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        nodes.append(u)
+    return np.stack(nodes, axis=-3) if keep_nodes else u
+
+
+def transformation_rk4(phis, a_vals, act, n, retract):
+    """h(1) for dh = -phi h - act(A', h), h(0) = 1, by stage-wise RK4 on
+    the 2n+1 half-step values of phi and A', with `retract` after every
+    step; `act(x, h)` is the derivative of g -> alpha(g, h) at g = 1 in
+    direction x."""
+    d = phis.shape[-1]
+    return stagewise_rk4(lambda i, h: -(phis[i] @ h) - act(a_vals[i], h),
+                         np.eye(d), n, 1.0 / n, retract)
 
 
 def ordered_product_transport(a_of_t, n):

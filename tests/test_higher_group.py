@@ -165,11 +165,36 @@ class TestInducedMaps:
         ys = np.stack([lc.random_algebra(SU2, rng).matrix for _ in range(6)]).reshape(2, 3, 2, 2)
         g = lc.random_group(SU2, rng).matrix
         for name, args in [("t_star", (ys,)), ("alpha_g_star", (g, ys)),
-                           ("alpha_star", (ys[0], ys[1])), ("action_diff", (ys, g))]:
+                           ("alpha_star", (ys[0], ys[1]))]:
             got = getattr(cm, name)(*args)
             want = getattr(eg_su2, name)(*args)
             assert got.shape == want.shape
             assert np.allclose(got, want, atol=1e-6), name
+
+    def test_action_derivative_matches_difference_quotient(self, eg_su2, bu1):
+        # alpha_action_diff is s_*(x) h - h s_*(x); against the central
+        # difference of g -> alpha(g, h) at g = 1
+        rng = np.random.default_rng(10)
+        for cm in (eg_su2, bu1):
+            x = lc.random_algebra(cm.G, rng)
+            h = cm.sample_h(rng)
+            s = 1e-5
+            gp = lc.exp_map(lc.AlgebraElement(cm.G, s * x.matrix, validate=False))
+            gm = lc.exp_map(lc.AlgebraElement(cm.G, -s * x.matrix, validate=False))
+            want = (cm.alpha(gp, h).matrix - cm.alpha(gm, h).matrix) / (2 * s)
+            got = hg.alpha_action_diff(cm, x.matrix, h.matrix)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, atol=1e-9)
+
+    def test_custom_module_has_no_action_derivative(self):
+        def alpha_eval(g, h):
+            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
+                                   validate=False)
+
+        cm = hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
+        y = lc.random_algebra(SU2, np.random.default_rng(11)).matrix
+        with pytest.raises(CompositionError):
+            hg.alpha_action_diff(cm, y, np.eye(2))
 
     def test_alpha_g_star_identity_and_conjugation(self, eg_su2, bu1):
         rng = np.random.default_rng(8)

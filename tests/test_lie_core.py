@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
-from higher_holonomy.errors import DomainError, MembershipError, NumericalError
+from higher_holonomy.errors import MembershipError, NumericalError
 
 from .oracles import taylor_expm
 
@@ -182,61 +182,6 @@ class TestAdjointAndBracket:
         assert lc.frob(lhs - rhs) / max(lc.frob(rhs), 1.0) <= 1e-9
 
 
-class TestRightTranslation:
-    def test_identity(self):
-        rng = np.random.default_rng(5)
-        x = lc.random_algebra(lc.su(2), rng)
-        assert np.allclose(lc.right_translate_diff(lc.identity(lc.su(2)), x), x.matrix)
-
-    def test_scalar_case(self):
-        g = lc.GroupElement(lc.gl(1), [[2.0]])
-        x = lc.AlgebraElement(lc.gl(1), [[1j]], validate=False)
-        assert lc.right_translate_diff(g, x)[0, 0] == 2j
-
-    def test_is_matrix_product(self):
-        rng = np.random.default_rng(6)
-        g = lc.random_group(lc.su(2), rng)
-        x = lc.random_algebra(lc.su(2), rng)
-        assert np.array_equal(lc.right_translate_diff(g, x), x.matrix @ g.matrix)
-
-
-class TestMaurerCartan:
-    def test_constant_curve(self):
-        d = lc.su(2)
-        g0 = lc.random_group(d, np.random.default_rng(0))
-        val = lc.maurer_cartan_right(lambda t: g0, 0.5, 1e-4)
-        assert lc.frob(val.matrix) < 1e-12
-
-    def test_u1_rotation(self):
-        omega = 2.3
-        d = lc.u1()
-
-        def curve(t):
-            return lc.GroupElement(d, [[np.exp(1j * omega * t)]])
-
-        val = lc.maurer_cartan_right(curve, 0.4, 1e-4)
-        assert abs(val.matrix[0, 0] - 1j * omega) < 1e-7
-
-    def test_one_parameter_subgroup_and_order(self):
-        d = lc.su(2)
-        x = lc.random_algebra(d, np.random.default_rng(9), 0.8)
-
-        def curve(t):
-            return lc.GroupElement(d, taylor_expm(t * x.matrix), validate=False)
-
-        errs = []
-        for h in (1e-2, 5e-3):
-            val = lc.maurer_cartan_right(curve, 0.5, h)
-            errs.append(lc.frob(val.matrix - x.matrix))
-        assert errs[0] / errs[1] >= 3.5  # second order in the step
-        assert errs[1] <= 1e-4
-
-    def test_boundary_raises(self):
-        d = lc.u1()
-        with pytest.raises(DomainError):
-            lc.maurer_cartan_right(lambda t: lc.identity(d), 0.0, 1e-3)
-
-
 class TestValidationToggle:
     def test_non_group_matrix_raises_by_default(self):
         with pytest.raises(MembershipError):
@@ -328,13 +273,13 @@ class TestSU2Retraction:
         assert not np.all(np.isfinite(q))
 
     def test_rk4_raises_on_a_zero_quaternion_part(self):
-        # one step of a constant right-hand side lands on diag(1, -1)
+        # with am = a1 = 0 one step's transport is 1 - (h/6) a0 = diag(1, -1)
         h = 0.5
-        step = np.diag([0.0, -2.0 / h]).astype(complex)
+        a = np.zeros((1, 3, 2, 2), dtype=complex)
+        a[0, 0] = np.diag([0.0, 12.0 / h])
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
-                tp._rk4(lambda i, u: step, np.eye(2, dtype=complex), 1, h,
-                        lc.su(2), keep_nodes=False)
+                tp._rk4_sweep(a, h, lc.su(2), keep_nodes=False)
 
 
 def _complex_stack(rng, shape):

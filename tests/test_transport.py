@@ -6,10 +6,21 @@ from higher_holonomy import geometry as geo
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
-from higher_holonomy.errors import NumericalError, TargetMatchingError
+from higher_holonomy.errors import (
+    CompositionError,
+    MembershipError,
+    NumericalError,
+    TargetMatchingError,
+)
 
 from .conftest import SU2, U1, parabola_paths, su2_matrix_table
-from .oracles import line_integral, ordered_product_transport, surface_k_product_oracle
+from .oracles import (
+    line_integral,
+    ordered_product_transport,
+    stagewise_rk4,
+    surface_k_product_oracle,
+    transformation_rk4,
+)
 
 
 class TestIntegratorConfig:
@@ -352,7 +363,81 @@ def morphism_data():
     return _transformation_data()
 
 
+def _transformation_forms(kind):
+    """(crossed module, phi, A', action derivative) for the stage-wise
+    transformation oracle; the action derivative is the closed form of
+    g -> alpha(g, h) at g = 1, [x, h] for conjugation and 0 when trivial."""
+    if kind == "b_u1":
+        cm = hg.make_b_abelian(U1)
+        phi = fm.one_form_from_expressions(U1, [[["i*(1 + x2)"]], [["i*x1^2"]]], 2)
+        a_prime = fm.one_form_from_expressions(cm.G, [[["0.3*x1"]], [["0.5"]]], 2)
+        return cm, phi, a_prime, lambda x, h: np.zeros_like(h)
+    cm = hg.make_eg(SU2) if kind == "eg" else hg.make_aut_inner(SU2)
+    phi = fm.one_form_from_expressions(
+        SU2, [su2_matrix_table("0.5*x2", "0.3", "0.2*x1"),
+              su2_matrix_table("0.4", "0.6*x1", "0")], 2)
+    a_prime = fm.one_form_from_expressions(
+        SU2, [su2_matrix_table("0.7", "0.2*x2", "0.5"),
+              su2_matrix_table("0.3*x1", "0", "0.8")], 2)
+    return cm, phi, a_prime, lambda x, h: x @ h - h @ x
+
+
 class TestTransformationTransport:
+    @pytest.mark.parametrize("kind", ["eg", "aut_inner", "b_u1"])
+    def test_matches_stagewise_oracle(self, kind):
+        # two 4th-order schemes for one ODE: their gap shrinks by about 16
+        # per step doubling (on b_u1 the action is trivial, both are the
+        # same scheme and the gap is rounding), and so does the self-gap
+        cm, phi, a_prime, act = _transformation_forms(kind)
+        g_map = fm.constant_group_map(lc.identity(cm.G), 2)
+        gamma = geo.path_from_expressions(["t", "0.5*t + t^2"])
+        hs, gaps = [], []
+        for n in (32, 64, 128):
+            h = tp.transformation_transport(cm, g_map, phi, a_prime, gamma,
+                                            tp.IntegratorConfig(n_steps_path=n)).h.matrix
+            tt = np.linspace(0.0, 1.0, 2 * n + 1)
+            x, v = gamma.point(tt), gamma.velocity(tt)
+            want = transformation_rk4(phi.matrices_at(x, v), a_prime.matrices_at(x, v),
+                                      act, n, lambda u: lc.retract(cm.H, u))
+            hs.append(h)
+            gaps.append(lc.frob(h - want))
+        assert gaps[0] <= 1e-3
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine <= max(coarse / 12.0, 1e-14)
+        assert lc.frob(hs[0] - hs[1]) >= 12.0 * lc.frob(hs[1] - hs[2])
+
+    def test_custom_module_raises(self, mid_cfg):
+        # a black-box action has no s_*, so no semidirect-product embedding
+        def alpha_eval(g, h):
+            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
+                                   validate=False)
+
+        cm = hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
+        g_map = fm.constant_group_map(lc.identity(SU2), 2)
+        zero = fm.zero_one_form(SU2, 2)
+        gamma = geo.path_from_expressions(["t", "0.2*t"])
+        with pytest.raises(CompositionError):
+            tp.transformation_transport(cm, g_map, zero, zero, gamma, mid_cfg)
+
+    def test_phi_outside_the_algebra_raises(self, mid_cfg):
+        # phi = 1 dx1 is not su(2)-valued; the retraction would return h = 1
+        cm = hg.make_eg(SU2)
+        g_map = fm.constant_group_map(lc.identity(SU2), 2)
+        phi = fm.one_form_from_expressions(SU2, [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]], 2)
+        gamma = geo.path_from_expressions(["t", "0.2*t"])
+        with pytest.raises(MembershipError):
+            tp.transformation_transport(cm, g_map, phi, fm.zero_one_form(SU2, 2), gamma,
+                                        mid_cfg)
+
+    def test_g_map_outside_the_group_raises(self, mid_cfg):
+        cm = hg.make_eg(SU2)
+        g_map = fm.GroupValuedMap(SU2, lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2)),
+                                  lambda i, x: np.zeros(x.shape[:-1] + (2, 2)))
+        zero = fm.zero_one_form(SU2, 2)
+        gamma = geo.path_from_expressions(["t", "0.2*t"])
+        with pytest.raises(MembershipError):
+            tp.transformation_transport(cm, g_map, zero, zero, gamma, mid_cfg)
+
     def test_trivial_data_gives_identity(self, mid_cfg):
         cm = hg.make_eg(SU2)
         g_map = fm.constant_group_map(lc.identity(SU2), 2)
@@ -482,7 +567,7 @@ def _coefficient_lines(desc, m, n, seed=0):
 
 class TestPropagatorSweep:
     """`_rk4_sweep` builds every step's RK4 transport first; the stage-wise
-    `_rk4` on the same right-hand side is its reference."""
+    RK4 oracle on the same right-hand side is its reference."""
 
     @pytest.mark.parametrize("keep_nodes", [True, False])
     @pytest.mark.parametrize("m", [1, 5])
@@ -496,7 +581,8 @@ class TestPropagatorSweep:
         assert np.array_equal(a, a_before)
         d = desc.matrix_dim
         u0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
-        want = tp._rk4(lambda i, u: -(a[:, i] @ u), u0, n, h, desc, keep_nodes)
+        want = stagewise_rk4(lambda i, u: -(a[:, i] @ u), u0, n, h,
+                             lambda u: lc.retract(desc, u), keep_nodes)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
 

@@ -14,6 +14,12 @@ trivial-action module) and recorded here:
 * with this convention the loop-space transport ODE driven by (A_F, phi_F)
   reproduces the inverse H-part of surface transport over the swept
   cylinder bigon.
+
+The loop-space ODE needs phi_F at every time of the loop path.  All those
+loops are evaluated on one (time, angle) grid, and their partial arcs come
+from one stacked RK4 sweep around the loop, one line per loop: the arc
+from z to 1 is W(z) = u(1) u(z)^{-1}, with u the transport from angle 0.
+A single loop, as `transgressed_phi` takes it, is the one-line case.
 """
 
 from __future__ import annotations
@@ -90,21 +96,6 @@ class LoopPath:
             return self.dz_fn(t, z)
         return _difference(lambda u: self.eval_fn(t, u), z, periodic=True)
 
-    def at_time(self, t: float) -> Loop:
-        t = float(t)
-        return Loop(
-            lambda z: self.point(np.full(np.shape(z), t) if np.shape(z) else t, z),
-            self.ambient_dim,
-            lambda z: self.dz(np.full(np.shape(z), t) if np.shape(z) else t, z),
-        )
-
-    def variation_at(self, t: float) -> LoopTangent:
-        t = float(t)
-        return LoopTangent(
-            self.at_time(t),
-            lambda z: self.dt(np.full(np.shape(z), t) if np.shape(z) else t, z),
-        )
-
     def base_path(self) -> Path:
         return Path(
             lambda t: self.point(t, np.zeros(np.shape(t))),
@@ -138,15 +129,26 @@ def transgressed_A(pair: ConnectionPair, tangent: LoopTangent) -> AlgebraElement
     return pair.A(tau.base_point(), tangent.vector(0.0))
 
 
-def _arc_transports(pair: ConnectionPair, tau: Loop, nq: int):
-    """Transports along the loop from angle 0 to each Simpson node, by one
-    accumulating ODE sweep, plus the full-turn transport."""
-    zz = np.linspace(0.0, 1.0, 2 * nq + 1)
-    x = tau.point(zz)
-    v = tau.velocity(zz)
+def _phi_values(pair: ConnectionPair, lp: LoopPath, times: np.ndarray,
+                nq: int) -> np.ndarray:
+    """phi_F at the loops lp(t, .) in the variations d_t lp(t, .), for every
+    t of `times`: shape (m, dh, dh) for m times.  The loop path is evaluated
+    on the whole (t, z) grid at once, and the arc transports of all m loops
+    come from one stacked sweep of m lines around the loop.  Raises
+    MembershipError when A leaves its algebra along the loops, which the
+    per-step retraction would otherwise hide."""
+    desc = pair.A.descriptor
+    t, z = np.meshgrid(np.asarray(times, dtype=float), np.linspace(0.0, 1.0, 2 * nq + 1),
+                       indexing="ij")
+    x = lp.point(t, z)
+    v = lp.dz(t, z)
     amats = pair.A.matrices_at(x, v)
-    u = _rk4_sweep(amats[None], 1.0 / nq, pair.A.descriptor)[0]
-    return zz[::2], u
+    lc.require_algebra(desc, amats, "A", " along the loops")
+    u = _rk4_sweep(amats, 1.0 / nq, desc)
+    arcs = u[:, -1:] @ lc.retracted_inverse(desc, u)
+    bvals = pair.B.matrices_at(x[:, ::2], lp.dt(t[:, ::2], z[:, ::2]), v[:, ::2])
+    integrand = hg.alpha_g_star_matrices(pair.cm, arcs, bvals)
+    return np.einsum("t,mtij->mij", _simpson_weights(nq), integrand)
 
 
 def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
@@ -155,18 +157,15 @@ def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
 
         phi_F(tau, dtau) = oint (alpha_{W(z)})_* B(dtau(z), tau'(z)) dz
 
-    with W(z) the transport along the remaining arc from z to 1; partial
-    arcs come from one accumulating sweep around the loop.
+    with W(z) the transport along the remaining arc from z to 1.  This is
+    the one-loop case of the stacked computation that
+    `transgression_consistency` runs at every time of a loop path: the
+    partial arcs come from one accumulating sweep around the loop.
     """
     tau = tangent.base
-    nq = cfg.n_quad_t
-    nodes, u = _arc_transports(pair, tau, nq)
-    w_full = u[-1]
-    arcs = w_full @ lc.retracted_inverse(pair.A.descriptor, u)
-    bvals = pair.B.matrices_at(tau.point(nodes), tangent.vector(nodes), tau.velocity(nodes))
-    integrand = hg.alpha_g_star_matrices(pair.cm, arcs, bvals)
-    weights = _simpson_weights(nq)
-    val = np.einsum("t,tij->ij", weights, integrand)
+    lp = LoopPath(lambda t, z: tau.point(z), tau.ambient_dim,
+                  lambda t, z: tangent.vector(z), lambda t, z: tau.velocity(z))
+    val = _phi_values(pair, lp, np.zeros(1), cfg.n_quad_t)[0]
     return AlgebraElement(pair.cm.H, val, validate=False)
 
 
@@ -227,11 +226,7 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     xb = base.point(tt)
     vb = base.velocity(tt)
     a_vals = pair.A.matrices_at(xb, vb)
-    dh = pair.cm.H.matrix_dim
-    phi_vals = np.empty((tt.size, dh, dh), dtype=complex)
-    for i, t in enumerate(tt):
-        phi_vals[i] = transgressed_phi(pair, lp.variation_at(float(t)), cfg).matrix
-
+    phi_vals = _phi_values(pair, lp, tt, cfg.n_quad_t)
     h_mat = _semidirect_transport(pair.cm, phi_vals, a_vals, n)
 
     defect = lc.frob(route_functor - h_mat)

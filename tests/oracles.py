@@ -8,9 +8,15 @@ under test, never its discretizations.  The one exception is
 `stagewise_rk4`: it takes the classical RK4 stages one step at a time on
 an arbitrary right-hand side, as the reference for the package's batched
 propagator sweep and for transformation transport through it.
+`per_loop_phi` is not independent at all: it runs the package's one-loop
+transgression once per time, as the reference for its stacked sweep over
+all the loops of a loop path.
 """
 
 import numpy as np
+
+from higher_holonomy import geometry as geo
+from higher_holonomy import transgression as tg
 
 
 def leggauss_nodes(n, a=0.0, b=1.0):
@@ -137,3 +143,17 @@ def surface_k_product_oracle(cm_kind, a_eval, b_eval, sigma, ns, nt):
     if cm_kind == "eg":
         return u_src @ f_inv @ np.linalg.inv(u_src)
     return f_inv
+
+
+def per_loop_phi(pair, lp, times, cfg):
+    """phi_F at each loop lp(t, .) in the variation d_t lp(t, .), one
+    `transgressed_phi` per time t, each on a loop and variation built from
+    `lp.point`, `lp.dz` and `lp.dt` at that t."""
+    def at(fn, t):
+        return lambda z: fn(np.full(np.shape(z), t), z)
+
+    out = []
+    for t in np.asarray(times, dtype=float):
+        loop = geo.Loop(at(lp.point, t), lp.ambient_dim, at(lp.dz, t))
+        out.append(tg.transgressed_phi(pair, tg.LoopTangent(loop, at(lp.dt, t)), cfg).matrix)
+    return np.stack(out)

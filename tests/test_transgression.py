@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from higher_holonomy import errors as er
 from higher_holonomy import forms as fm
 from higher_holonomy import geometry as geo
 from higher_holonomy import higher_group as hg
@@ -9,7 +10,7 @@ from higher_holonomy import transgression as tg
 from higher_holonomy import transport as tp
 
 from .conftest import SU2, U1, su2_matrix_table
-from .oracles import leggauss_nodes, line_integral
+from .oracles import leggauss_nodes, line_integral, per_loop_phi
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +202,62 @@ class TestConsistency:
         cfg = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=64, n_quad_t=64)
         rep = tg.transgression_consistency(eg_pair_3d, cylinder_loop_path, cfg)
         assert rep.defect <= 1e-4
+
+
+class TestStackedPhi:
+    """phi_F at every time of a loop path from one stacked sweep."""
+
+    cfg = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=32, n_quad_t=32)
+
+    def times(self):
+        return np.linspace(0.0, 1.0, 2 * self.cfg.n_steps_surface_s + 1)
+
+    def test_matches_per_loop_route_bitwise_on_b_u1(self, abelian_pair_3d,
+                                                    cylinder_loop_path):
+        got = tg._phi_values(abelian_pair_3d, cylinder_loop_path, self.times(),
+                             self.cfg.n_quad_t)
+        want = per_loop_phi(abelian_pair_3d, cylinder_loop_path, self.times(), self.cfg)
+        assert np.array_equal(got, want)
+
+    def test_matches_per_loop_route_on_eg(self, eg_pair_3d, cylinder_loop_path):
+        # 65 lines, so the stacked step loop multiplies by small_matmul and
+        # the one-line sweeps by @
+        got = tg._phi_values(eg_pair_3d, cylinder_loop_path, self.times(), self.cfg.n_quad_t)
+        want = per_loop_phi(eg_pair_3d, cylinder_loop_path, self.times(), self.cfg)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_sweep_count_does_not_grow_with_the_loop_count(self, abelian_pair_3d,
+                                                           cylinder_loop_path,
+                                                           monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+
+        sweep = tp._rk4_sweep
+        monkeypatch.setattr(tp, "_rk4_sweep", counting)
+        monkeypatch.setattr(tg, "_rk4_sweep", counting)
+        counts = []
+        for ns in (32, 64):
+            cfg = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=ns, n_quad_t=32)
+            calls.clear()
+            tg.transgression_consistency(abelian_pair_3d, cylinder_loop_path, cfg)
+            counts.append(len(calls))
+        # surface transport's inner, outer and two boundary sweeps, the
+        # stacked loop sweep and the loop-space ODE
+        assert counts[0] == counts[1] <= 6
+
+    def test_a_leaving_its_algebra_along_the_loops_raises(self, cylinder_loop_path):
+        # an identity bump on the loop path, above the box the pair samples
+        bump = "0.5*exp(-(x1^2 + (x2 + 0.6)^2 + (x3 - 0.5)^2)/0.03^2)"
+        first = su2_matrix_table("0.4*x2", "0.2*x3", "0")
+        first = [[f"{first[0][0]} + {bump}", first[0][1]],
+                 [first[1][0], f"{first[1][1]} + {bump}"]]
+        a = fm.one_form_from_expressions(
+            SU2, [first, su2_matrix_table("0.3*x3", "0", "0.1*x1"),
+                  su2_matrix_table("0.2*x1", "0", "0")], 3)
+        pair = fm.eg_pair(a, box=[(-1, 1), (-1, 1), (0, 0.3)])
+        cfg = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=64, n_quad_t=64)
+        with pytest.raises(er.MembershipError, match="along the loops"):
+            tg.transgression_consistency(pair, cylinder_loop_path, cfg)

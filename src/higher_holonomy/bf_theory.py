@@ -107,13 +107,16 @@ def beta_field(cm: CrossedModule, a: OneFormField, b: TwoFormField, x,
 
 
 def _wedge_pair_integrand(pairing: PairingSpec, omega: dict, eta: dict) -> np.ndarray:
-    """<omega ^ eta>(e1, e2, e3, e4) from 2-plane components, including all
-    six shuffle terms."""
+    """<omega ^ eta>(e1, e2, e3, e4) from 2-plane components, the sum of the
+    six shuffle terms.  The last three shuffles are the first three with
+    their planes swapped and the same signs, and the pairing is symmetric,
+    so <omega ^ omega> is twice the sum of the first three."""
+    square = omega is eta
     total = None
-    for (p, q, sign) in _SHUFFLES:
+    for (p, q, sign) in (_SHUFFLES[:3] if square else _SHUFFLES):
         term = sign * pairing.pair(omega[p], eta[q])
         total = term if total is None else total + term
-    return total
+    return 2.0 * total if square else total
 
 
 def bf_action(cm: CrossedModule, a: OneFormField, b: TwoFormField,

@@ -340,12 +340,12 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def small_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ y over stacks of small square matrices whose leading shapes
-    broadcast, entry by entry, in the manner of `forms._add_commutator`.  On
-    a stack of 32,896 2x2 complex matrices (one core of a Xeon host) this
-    costs about 60 ns per matrix, against about 350 ns for `x @ y`.  Each
-    column of the product is formed before it is written, so `out` may be
-    `y` itself (an in-place left multiplication) when `y` has the full
-    broadcast shape."""
+    broadcast, entry by entry, in the manner of the entry loop of
+    `forms._add_commutator`.  On a stack of 32,896 2x2 complex matrices
+    (one core of a Xeon host) this costs about 60 ns per matrix, against
+    about 350 ns for `x @ y`.  Each column of the product is formed before
+    it is written, so `out` may be `y` itself (an in-place left
+    multiplication) when `y` has the full broadcast shape."""
     d = x.shape[-1]
     if out is None:
         out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
@@ -449,9 +449,15 @@ def retract(desc: GroupDescriptor, m: np.ndarray) -> np.ndarray:
 def retracted_inverse(desc: GroupDescriptor, u: np.ndarray) -> np.ndarray:
     """Inverse of a stack of matrices that `retract` has put on the group of
     `desc`: the conjugate transpose for U(1), SU(n) and SO(n), whose
-    retractions are unitary, and `np.linalg.inv` for GL and UT."""
+    retractions are unitary, and `np.linalg.inv` for GL and UT, except that
+    1x1 stacks are inverted as 1 / u (a zero raises LinAlgError, as
+    `np.linalg.inv` does)."""
     if desc.family in (U1, SU, SO):
         return np.swapaxes(u.conj(), -2, -1)
+    if u.shape[-1] == 1:
+        if not np.all(u):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1.0 / u
     return np.linalg.inv(u)
 
 

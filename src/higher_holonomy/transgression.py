@@ -51,7 +51,7 @@ from .transport import (
     IntegratorConfig,
     TwoFunctor,
     _rk4_sweep,
-    _semidirect_transport,
+    _semidirect_transports,
     _simpson_weights,
     path_transport,
 )
@@ -227,7 +227,7 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     vb = base.velocity(tt)
     a_vals = pair.A.matrices_at(xb, vb)
     phi_vals = _phi_values(pair, lp, tt, cfg.n_quad_t)
-    h_mat = _semidirect_transport(pair.cm, phi_vals, a_vals, n)
+    h_mat = _semidirect_transports(pair.cm, phi_vals[None], a_vals, n)[0]
 
     defect = lc.frob(route_functor - h_mat)
     return ConsistencyReport(route_functor, h_mat, defect)

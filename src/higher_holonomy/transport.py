@@ -150,15 +150,16 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
     return out if keep_nodes else u
 
 
-def _semidirect_transport(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
-                          n: int) -> np.ndarray:
-    """h(1) for dh = -phi h - (alpha_h)_*(A'), h(0) = 1, from the values of
-    phi and A' on the half-step grid (2n+1 values each), as
-    U_{phi + s_* A'} U_{s_* A'}^{-1} (see the module docstring).  Raises
-    CompositionError on a crossed module without `s_star`."""
+def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
+                           n: int) -> np.ndarray:
+    """h(1) for dh = -phi h - (alpha_h)_*(A'), h(0) = 1, for every line of
+    phi values `phis` (m, 2n+1, d, d) against one line of A' values on the
+    same half-step grid, as U_{phi + s_* A'} U_{s_* A'}^{-1} (see the
+    module docstring): m + 1 lines of one sweep in H.  Returns (m, d, d).
+    Raises CompositionError on a crossed module without `s_star`."""
     sa = hg.s_star_matrix(cm, a_vals)
-    u = _rk4_sweep(np.stack([phis + sa, sa]), 1.0 / n, cm.H, keep_nodes=False)
-    return u[0] @ lc.retracted_inverse(cm.H, u[1])
+    u = _rk4_sweep(np.concatenate([phis + sa, sa[None]]), 1.0 / n, cm.H, keep_nodes=False)
+    return u[:-1] @ lc.retracted_inverse(cm.H, u[-1])
 
 
 def transport_nodes(a_form: OneFormField, gamma: Path, n_steps: int) -> np.ndarray:
@@ -325,6 +326,26 @@ class TransformationTransportResult:
     matching_residual: float | None
 
 
+def _transformation_lines(cm: CrossedModule, maps, a_prime: OneFormField, gamma: Path,
+                          n: int):
+    """h(gamma) for every (g, phi) of `maps`, from one sample of gamma on the
+    half-step grid of an n-step sweep and one semidirect sweep.  Returns
+    A'(gamma') there, the h matrices (m, d, d) and (g(x), g(y)) per map.
+    Raises MembershipError when a phi(gamma') leaves the algebra of H,
+    A'(gamma') the algebra of G (the per-step retraction would hide
+    both), or a g(x), g(y) the group G."""
+    tt = np.linspace(0.0, 1.0, 2 * n + 1)
+    x = gamma.point(tt)
+    v = gamma.velocity(tt)
+    phis = np.stack([phi.matrices_at(x, v) for _, phi in maps])
+    lc.require_algebra(cm.H, phis, "phi", " along the path")
+    a_vals = a_prime.matrices_at(x, v)
+    lc.require_algebra(cm.G, a_vals, "A'", " along the path")
+    ends = [tuple(GroupElement(g_map.descriptor, g_map.matrix(p))
+                  for p in (gamma.start(), gamma.end())) for g_map, _ in maps]
+    return a_vals, _semidirect_transports(cm, phis, a_vals, n), ends
+
+
 def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
                              phi: OneFormField, a_prime: OneFormField,
                              gamma: Path, cfg: IntegratorConfig = DEFAULT_CONFIG,
@@ -340,18 +361,9 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
     crossed module without `s_star`.
     """
     n = cfg.n_steps_path
-    tt = np.linspace(0.0, 1.0, 2 * n + 1)
-    x = gamma.point(tt)
-    v = gamma.velocity(tt)
-    phis = phi.matrices_at(x, v)
-    a_vals = a_prime.matrices_at(x, v)
-    lc.require_algebra(cm.H, phis, "phi", " along the path")
-    lc.require_algebra(cm.G, a_vals, "A'", " along the path")
-    g_start = GroupElement(g_map.descriptor, g_map.matrix(gamma.start()))
-    g_end = GroupElement(g_map.descriptor, g_map.matrix(gamma.end()))
-    h_mat = _semidirect_transport(cm, phis, a_vals, n)
-
-    h_el = GroupElement(cm.H, h_mat, validate=False)
+    a_vals, h, [(g_start, g_end)] = _transformation_lines(cm, [(g_map, phi)], a_prime,
+                                                           gamma, n)
+    h_el = GroupElement(cm.H, h[0], validate=False)
     residual = None
     if a_source is not None:
         f_src = path_transport(a_source, gamma, cfg)
@@ -382,14 +394,18 @@ def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
     if phi2 is None or g2_map is None:
         g2_map, phi2 = derived_modification_target(cm, a_map, g_map, phi, a_prime)
 
-    h1 = transformation_transport(cm, g_map, phi, a_prime, gamma, cfg).h
-    h2 = transformation_transport(cm, g2_map, phi2, a_prime, gamma, cfg).h
-    f_prime = path_transport(a_prime, gamma, cfg)
+    # A' is sampled once: h(gamma) and h'(gamma) come from one semidirect
+    # sweep, and F'(gamma) is swept from the same values
+    n = cfg.n_steps_path
+    a_vals, (h1, h2), _ = _transformation_lines(cm, [(g_map, phi), (g2_map, phi2)],
+                                                a_prime, gamma, n)
+    f_prime = GroupElement(cm.G, _rk4_sweep(a_vals[None], 1.0 / n, cm.G, keep_nodes=False)[0],
+                           validate=False)
 
     a_x = a_map.element(gamma.start())
     a_y = a_map.element(gamma.end())
-    lhs = cm.alpha(f_prime, a_x).matrix @ np.linalg.inv(h1.matrix)
-    rhs = np.linalg.inv(h2.matrix) @ a_y.matrix
+    lhs = cm.alpha(f_prime, a_x).matrix @ np.linalg.inv(h1)
+    rhs = np.linalg.inv(h2) @ a_y.matrix
     return lc.frob(lhs - rhs) / max(1.0, lc.frob(rhs))
 
 

@@ -10,13 +10,18 @@ an arbitrary right-hand side, as the reference for the package's batched
 propagator sweep and for transformation transport through it.
 `per_loop_phi` is not independent at all: it runs the package's one-loop
 transgression once per time, as the reference for its stacked sweep over
-all the loops of a loop path.
+all the loops of a loop path.  Nor is `three_transport_whisker`: it
+composes the modification-axiom defect from two transformation
+transports and one path transport, as the reference for the one sweep of
+`transport.modification_whisker`.
 """
 
 import numpy as np
 
 from higher_holonomy import geometry as geo
+from higher_holonomy import lie_core as lc
 from higher_holonomy import transgression as tg
+from higher_holonomy import transport as tp
 
 
 def leggauss_nodes(n, a=0.0, b=1.0):
@@ -157,3 +162,16 @@ def per_loop_phi(pair, lp, times, cfg):
         loop = geo.Loop(at(lp.point, t), lp.ambient_dim, at(lp.dz, t))
         out.append(tg.transgressed_phi(pair, tg.LoopTangent(loop, at(lp.dt, t)), cfg).matrix)
     return np.stack(out)
+
+
+def three_transport_whisker(cm, a_map, a_prime, g_map, phi, gamma, cfg, g2_map, phi2):
+    """The defect of the modification axiom
+    alpha(F'(gamma), a(x)) h(gamma)^{-1} = h'(gamma)^{-1} a(y), with h and
+    h' from one `transformation_transport` each and F'(gamma) from
+    `path_transport`: A' is sampled and swept three times."""
+    h1 = tp.transformation_transport(cm, g_map, phi, a_prime, gamma, cfg).h
+    h2 = tp.transformation_transport(cm, g2_map, phi2, a_prime, gamma, cfg).h
+    f_prime = tp.path_transport(a_prime, gamma, cfg)
+    lhs = cm.alpha(f_prime, a_map.element(gamma.start())).matrix @ np.linalg.inv(h1.matrix)
+    rhs = np.linalg.inv(h2.matrix) @ a_map.element(gamma.end()).matrix
+    return lc.frob(lhs - rhs) / max(1.0, lc.frob(rhs))

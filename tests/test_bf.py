@@ -285,3 +285,40 @@ class TestBetaAssembly:
         fm.fake_curvature_residual(cm, a, b)
         for key, arr in cached.items():
             assert np.array_equal(arr, before[key])
+
+    def test_cached_field_values_stay_unchanged_for_a_symbolic_linear_a(self):
+        # the partials of a linear A are constant fields, which evaluate to
+        # read-only broadcast views of one matrix each
+        rng = np.random.default_rng(3)
+        tables = []
+        for m in range(4):
+            c0, c1, c2 = (float(c) for c in rng.uniform(-0.5, 0.5, 3))
+            tables.append(su2_matrix_table(f"{c0!r}*x{m + 1}", f"{c1!r}",
+                                           f"{c2!r}*x{(m + 1) % 4 + 1}"))
+        a = fm.one_form_from_expressions(SU2, tables, 4)
+        b = fm.add_two_forms(fm.symbolic_curvature(a), bf._perturbation_two_form(rng, SU2, 4),
+                             0.1)
+        x0 = np.zeros(4)
+        partials = [a.components[j].partial(i) for i in range(4) for j in range(4)]
+        assert all(p.eval(np.zeros((3, 4))).strides[0] == 0 for p in partials)
+        before = [p.eval(x0).copy() for p in partials]
+        cm = hg.make_eg(SU2)
+        assert bf.bf_action(cm, a, b, grid=bf.GridSpec(4)) > 0.0
+        fm.fake_curvature_residual(cm, a, b)
+        for p, val in zip(partials, before):
+            assert np.array_equal(p.eval(x0), val)
+
+
+class TestWedgeIntegrand:
+    @pytest.mark.parametrize("kind", ["neg_trace", "trace"])
+    def test_square_pairs_three_shuffles(self, kind):
+        rng = np.random.default_rng(4)
+        pairing = bf.PairingSpec(kind)
+        omega = {pl: np.stack([lc.random_algebra(SU2, rng).matrix for _ in range(50)])
+                 for pl in PLANES}
+        # an equal copy is not the same object, so it takes all six terms
+        six = bf._wedge_pair_integrand(pairing, omega, dict(omega))
+        three = bf._wedge_pair_integrand(pairing, omega, omega)
+        assert np.max(np.abs(three - six)) <= 1e-15 * np.max(np.abs(six))
+        ref = sum(sign * pairing.pair(omega[p], omega[q]) for p, q, sign in bf._SHUFFLES)
+        assert np.max(np.abs(six - ref)) <= 1e-15 * np.max(np.abs(ref))

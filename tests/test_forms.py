@@ -182,6 +182,90 @@ class TestCoordinateCurvatures:
         assert np.linalg.norm(k - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestCommutator:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_adds_the_matrix_commutator(self, d):
+        rng = np.random.default_rng(d)
+        start = _random_stack(rng, (5, d, d))
+        x, y = _random_stack(rng, (2, 5, d, d))
+        out = start.copy()
+        fm._add_commutator(out, x, y)
+        ref = start + (x @ y - y @ x)
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_matrix_against_a_stack(self, d):
+        rng = np.random.default_rng(10 + d)
+        one = _random_stack(rng, (d, d))
+        stack = _random_stack(rng, (4, 3, d, d))
+        for x, y in ((one, stack), (stack, one)):
+            out = np.zeros((4, 3, d, d), dtype=complex)
+            fm._add_commutator(out, x, y)
+            ref = x @ y - y @ x
+            # 1x1 matrices commute, so the bound is on the products' size
+            bound = 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
+            assert np.linalg.norm(out - ref) <= bound
+
+    def test_self_commutator_is_exactly_zero_for_2x2(self):
+        x = _random_stack(np.random.default_rng(7), (200, 2, 2))
+        out = np.zeros_like(x)
+        fm._add_commutator(out, x, x)
+        assert not np.any(out)
+
+
+class TestConstantField:
+    # every entry parses to a number ("-2" would parse to a negation)
+    ENTRIES = [["0.5", "1.5"], ["i", "0.25"]]
+
+    def test_values_are_one_broadcast_matrix(self):
+        fld = fm.ExpressionMatrixField(self.ENTRIES, 2, 3)
+        xs = np.random.default_rng(8).uniform(0.0, 1.0, (4, 5, 3))
+        vals = fld.eval(xs)
+        assert vals.shape == (4, 5, 2, 2)
+        assert vals.strides[:2] == (0, 0)
+        assert np.array_equal(vals, np.broadcast_to([[0.5, 1.5], [1j, 0.25]], (4, 5, 2, 2)))
+        # one matrix, built with the field, backs every evaluation
+        assert fld.eval(xs[0, 0]).shape == (2, 2)
+        assert np.shares_memory(vals, fld.eval(xs[0, 0]))
+
+    def test_values_are_read_only(self):
+        fld = fm.ExpressionMatrixField(self.ENTRIES, 2, 3)
+        vals = fld.eval(np.zeros((6, 3)))
+        with pytest.raises(ValueError):
+            vals[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vals += 1.0
+
+    def test_partials_of_a_linear_field_are_constant(self):
+        fld = fm.ExpressionMatrixField([["0.5*x1 + 2*x2", "x3"], ["0", "-x1"]], 2, 3)
+        vals = fld.partial(0).eval(np.zeros((7, 3)))
+        assert vals.strides[0] == 0
+        assert np.array_equal(vals[0], [[0.5, 0.0], [0.0, -1.0]])
+
+    def test_non_constant_field_is_a_fresh_array(self):
+        fld = fm.ExpressionMatrixField([["x1", "0"], ["0", "1"]], 2, 1)
+        vals = fld.eval(np.array([[0.5], [2.0]]))
+        assert vals.flags.writeable
+        assert np.array_equal(vals[:, 0, 0], [0.5, 2.0])
+
+
+class TestPlaneCurvature:
+    def test_single_matrices_give_the_full_stacked_shape(self):
+        # every value and both partials are one (d, d) matrix for any stack
+        rng = np.random.default_rng(9)
+        mats = [lc.random_algebra(SU2, rng).matrix for _ in range(2)]
+        a = fm.one_form_from_callables(SU2, [lambda x, m=m: m for m in mats], 2)
+        xs = rng.uniform(0.0, 1.0, (3, 4, 2))
+        k = fm._plane_curvature(a, xs, 0, 1, mats[0], mats[1])
+        assert k.shape == (3, 4, 2, 2)
+        ref = mats[0] @ mats[1] - mats[1] @ mats[0]
+        assert np.linalg.norm(k - ref) <= 1e-14 * np.linalg.norm(ref) * 12 ** 0.5
+
+
 class TestEgPair:
     def test_callable_pair_evaluates_each_component_17_times_in_4d(self):
         # per component: 7 for the fake-curvature gate's coordinate

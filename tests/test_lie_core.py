@@ -337,6 +337,28 @@ class TestConjugate:
                 lc.conjugate(g, np.eye(n))
 
 
+class TestRetractedInverse:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1, 1), (129, 65, 1, 1)], ids=str)
+    def test_1x1_gl_matches_linalg_inv(self, shape):
+        u = _complex_stack(np.random.default_rng(34), shape)
+        got = lc.retracted_inverse(lc.gl(1, "complex"), u)
+        want = np.linalg.inv(u)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    def test_1x1_identity_is_exact(self):
+        # b_u1 transports on GL(1) stay exactly 1
+        u = np.ones((5, 3, 1, 1), dtype=complex)
+        assert np.array_equal(lc.retracted_inverse(lc.gl(1), u), u)
+
+    def test_1x1_singular_raises_without_a_warning(self):
+        u = np.array([[[2.0]], [[0.0]]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                lc.retracted_inverse(lc.gl(1, "complex"), u)
+
+
 def _project_one(desc, m):
     """Reference projection of one matrix, written with the plain
     transpose, trace and [0, 0] entry."""

@@ -19,6 +19,7 @@ from .oracles import (
     ordered_product_transport,
     stagewise_rk4,
     surface_k_product_oracle,
+    three_transport_whisker,
     transformation_rk4,
 )
 
@@ -522,6 +523,76 @@ class TestModificationWhisker:
         defect = tp.modification_whisker(cm, a_map, a_prime, g_map, phi, gamma,
                                          mid_cfg, g2_map=g_map, phi2=phi)
         assert defect > 0.01
+
+    @pytest.mark.parametrize("derived", [True, False])
+    def test_one_sweep_equals_three_transports(self, morphism_data, mid_cfg, derived):
+        # the lines of one sweep are independent, so sampling A' once and
+        # sweeping h, h' and F'(gamma) together changes no bit
+        cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
+        x0 = lc.AlgebraElement(SU2, 0.4j * np.array([[1.0, 0.5], [0.5, -1.0]]))
+        a_map = fm.exp_scalar_family(SU2, "0.5*x2 + 0.2*x1", x0, 2)
+        gamma = geo.path_from_expressions(["0.25 + 0.5*t", "0.35 + 0.3*t*(1-t)"])
+        if derived:
+            g2, phi2 = tp.derived_modification_target(cm, a_map, g_map, phi, a_prime)
+        else:
+            g2, phi2 = g_map, phi
+        got = tp.modification_whisker(cm, a_map, a_prime, g_map, phi, gamma, mid_cfg,
+                                      g2_map=g2, phi2=phi2)
+        want = three_transport_whisker(cm, a_map, a_prime, g_map, phi, gamma, mid_cfg,
+                                       g2, phi2)
+        assert got == want
+
+    def test_b_abelian_equals_three_transports(self):
+        cmb = hg.make_b_abelian(U1)
+        phi = fm.one_form_from_expressions(U1, [[["i*x2"]], [["i*0.5"]]], 2)
+        a_prime = fm.one_form_from_expressions(cmb.G, [[["0.3*x1"]], [["0.5"]]], 2)
+        g_map = fm.constant_group_map(lc.identity(cmb.G), 2)
+        a_map = fm.exp_scalar_family(U1, "0.7*x1 + 0.2*x2", lc.AlgebraElement(U1, [[1j]]), 2)
+        gamma = geo.path_from_expressions(["0.1 + 0.6*t", "0.3*t"])
+        cfg = tp.IntegratorConfig(n_steps_path=64)
+        g2, phi2 = tp.derived_modification_target(cmb, a_map, g_map, phi, a_prime)
+        got = tp.modification_whisker(cmb, a_map, a_prime, g_map, phi, gamma, cfg,
+                                      g2_map=g2, phi2=phi2)
+        assert got == three_transport_whisker(cmb, a_map, a_prime, g_map, phi, gamma, cfg,
+                                              g2, phi2)
+
+    def test_a_prime_is_sampled_and_swept_once(self, morphism_data, mid_cfg, monkeypatch):
+        cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
+        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
+        sweeps = []
+        sweep = tp._rk4_sweep
+        monkeypatch.setattr(tp, "_rk4_sweep",
+                            lambda a, *args, **kw: sweeps.append(len(a)) or sweep(a, *args, **kw))
+        samples = []
+        counted = fm.OneFormField(a_prime.descriptor, a_prime.components, 2)
+        matrices_at = counted.matrices_at
+        counted.matrices_at = lambda x, v: samples.append(1) or matrices_at(x, v)
+        tp.modification_whisker(cm, a_map, counted, g_map, phi, gamma, mid_cfg,
+                                g2_map=g_map, phi2=phi)
+        # one 3-line sweep for h, h' and U_{s_* A'}, one line for F'(gamma)
+        assert sorted(sweeps) == [1, 3]
+        assert len(samples) == 1
+
+    def test_second_phi_outside_the_algebra_raises(self, morphism_data, mid_cfg):
+        cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
+        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        bad = fm.one_form_from_expressions(SU2, [[["1", "0"], ["0", "1"]],
+                                                 [["0", "0"], ["0", "0"]]], 2)
+        gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
+        with pytest.raises(MembershipError):
+            tp.modification_whisker(cm, a_map, a_prime, g_map, phi, gamma, mid_cfg,
+                                    g2_map=g_map, phi2=bad)
+
+    def test_second_map_outside_the_group_raises(self, morphism_data, mid_cfg):
+        cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
+        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        bad = fm.GroupValuedMap(SU2, lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2)),
+                                lambda i, x: np.zeros(x.shape[:-1] + (2, 2)))
+        gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
+        with pytest.raises(MembershipError):
+            tp.modification_whisker(cm, a_map, a_prime, g_map, phi, gamma, mid_cfg,
+                                    g2_map=bad, phi2=phi)
 
 
 class TestSelfConvergenceOfK:

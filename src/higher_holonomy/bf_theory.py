@@ -132,12 +132,11 @@ def bf_action(cm: CrossedModule, a: OneFormField, b: TwoFormField,
 
 def beta_sup_norm(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                   grid: GridSpec = GridSpec()) -> float:
+    """Largest Frobenius norm of beta over the grid's cell centers and the
+    coordinate planes; inf when a value is not finite."""
     xs = grid.cell_centers()
     beta = _beta_components(cm, a, b, xs)
-    sup = 0.0
-    for mat in beta.values():
-        sup = max(sup, float(np.max(np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1))))))
-    return sup
+    return max((lc.max_frob(mat) for mat in beta.values()), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ Grammar (documented bit-exactly in docs/expression_grammar.md):
 Powers are restricted to integer exponents.  The literal `i` is the
 imaginary unit (for complex algebras); `pi` is the circle constant.
 Evaluation environments may bind variables to scalars or numpy arrays.
+The parser folds every constant subexpression into one number, so a
+constant division by zero is an ExpressionError when it is parsed.
 """
 
 from __future__ import annotations
@@ -230,6 +232,18 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def fold(self, node: Expr) -> Expr:
+        """`node` as a `Num` when its operands are all numbers, computed by
+        its own `evaluate`; otherwise `node` itself."""
+        if not all(isinstance(v, Num) for v in vars(node).values() if isinstance(v, Expr)):
+            return node
+        try:
+            return Num(node.evaluate({}))
+        except ZeroDivisionError as exc:
+            raise ExpressionError(f"division by zero in {self.text!r}") from exc
+        except OverflowError as exc:
+            raise ExpressionError(f"overflow in {self.text!r}") from exc
+
     def parse(self):
         e = self.expr()
         if self.peek()[0] != "end":
@@ -240,20 +254,20 @@ class _Parser:
         e = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take()[1]
-            e = Bin(op, e, self.term())
+            e = self.fold(Bin(op, e, self.term()))
         return e
 
     def term(self):
         e = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.take()[1]
-            e = Bin(op, e, self.unary())
+            e = self.fold(Bin(op, e, self.unary()))
         return e
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return Neg(self.unary())
+            return self.fold(Neg(self.unary()))
         if self.peek() == ("op", "+"):
             self.take()
             return self.unary()
@@ -270,7 +284,7 @@ class _Parser:
             tok = self.take("num")
             if tok[1] != int(tok[1]):
                 raise ExpressionError("only integer powers are supported")
-            return Pow(base, sign * int(tok[1]))
+            return self.fold(Pow(base, sign * int(tok[1])))
         return base
 
     def atom(self):
@@ -288,7 +302,7 @@ class _Parser:
                 self.take("op", "(")
                 arg = self.expr()
                 self.take("op", ")")
-                return Call(value, arg)
+                return self.fold(Call(value, arg))
             if _VAR_RE.match(value):
                 return Var(value)
             raise ExpressionError(f"unknown identifier {value!r}")

@@ -156,66 +156,53 @@ def residual_prop2(cm: CrossedModule, g_map: GroupValuedMap, phi: OneFormField,
                    a_prime: OneFormField, b_prime: TwoFormField,
                    points) -> MorphismResiduals:
     """Max sampled defect of the two equations tying a morphism (g, phi)
-    to its source and target pairs:
+    to its source and target pairs, on the coordinate vectors and planes
+    at every point of `points` at once:
 
         A' + t_* phi = Ad_g(A) - g* theta
         B' + alpha_*(A' ^ phi) + d phi + [phi ^ phi] = (alpha_g)_* B
+
+    A non-finite defect is reported as inf.
     """
     n = a.ambient_dim
-    eye = np.eye(n)
-    res1 = 0.0
-    res2 = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        g_el = g_map.element(x)
-        for i in range(n):
-            v = eye[i]
-            lhs = a_prime.matrices_at(x, v) + hg.t_star(cm, phi(x, v)).matrix
-            rhs = (g_el.matrix @ a.matrices_at(x, v) @ np.linalg.inv(g_el.matrix)
-                   - g_map.mc_pullback(x, v))
-            res1 = max(res1, lc.frob(lhs - rhs))
-        for i in range(n):
-            for j in range(i + 1, n):
-                v1, v2 = eye[i], eye[j]
-                phi1 = phi.matrices_at(x, v1)
-                phi2 = phi.matrices_at(x, v2)
-                lhs = (b_prime.matrices_at(x, v1, v2)
-                       + fm.alpha_wedge(cm, a_prime, phi, x, v1, v2).matrix
-                       + fm.exterior_derivative_one_form(phi, x, v1, v2)
-                       + phi1 @ phi2 - phi2 @ phi1)
-                rhs = hg.alpha_g_star(cm, g_el, b(x, v1, v2)).matrix
-                res2 = max(res2, lc.frob(lhs - rhs))
-    return MorphismResiduals(res1, res2)
+    xs = np.asarray(points, dtype=float).reshape(-1, n)
+    g = g_map.matrix(xs)
+    inv_g = np.linalg.inv(g)
+    ap = [c.eval(xs) for c in a_prime.components]
+    ph = [c.eval(xs) for c in phi.components]
+    connection = [ap[i] + cm.t_star(ph[i])
+                  - (g @ a.components[i].eval(xs) @ inv_g - g_map.mc_fn(i, xs))
+                  for i in range(n)]
+    curving = [b_prime.component_matrix(i, j, xs)
+               + (cm.alpha_star(ap[i], ph[j]) - cm.alpha_star(ap[j], ph[i])) + k
+               - cm.alpha_g_star(g, b.component_matrix(i, j, xs))
+               for (i, j), k in fm.coordinate_curvatures(phi, xs)]
+    return MorphismResiduals(lc.max_frob(np.stack(connection)),
+                             lc.max_frob(np.stack(curving)) if curving else 0.0)
 
 
 def residual_prop3(cm: CrossedModule, a_map: GroupValuedMap,
                    g1_map: GroupValuedMap, phi1: OneFormField,
                    g2_map: GroupValuedMap, phi2: OneFormField,
                    a_prime: OneFormField, points) -> MorphismResiduals:
-    """Max sampled defect of the 2-morphism equations for a: X -> H:
+    """Max sampled defect of the 2-morphism equations for a: X -> H, on
+    the coordinate vectors at every point of `points` at once:
 
         g2 = (t o a) g1
         phi2 + (r_a^{-1} o alpha_a)_*(A') = Ad_a(phi1) - a* theta
+
+    A non-finite defect is reported as inf.
     """
     n = a_prime.ambient_dim
-    eye = np.eye(n)
-    res_g = 0.0
-    res_phi = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        a_el = a_map.element(x)
-        lhs = g2_map.matrix(x)
-        rhs = cm.t(a_el).matrix @ g1_map.matrix(x)
-        res_g = max(res_g, lc.frob(lhs - rhs))
-        inv_a = np.linalg.inv(a_el.matrix)
-        for i in range(n):
-            v = eye[i]
-            lhs = (phi2.matrices_at(x, v)
-                   + hg.alpha_conjugate_star(cm, a_el.matrix, a_prime.matrices_at(x, v)))
-            rhs = (a_el.matrix @ phi1.matrices_at(x, v) @ inv_a
-                   - a_map.mc_pullback(x, v))
-            res_phi = max(res_phi, lc.frob(lhs - rhs))
-    return MorphismResiduals(res_g, res_phi)
+    xs = np.asarray(points, dtype=float).reshape(-1, n)
+    a = a_map.matrix(xs)
+    inv_a = np.linalg.inv(a)
+    res_g = lc.max_frob(g2_map.matrix(xs) - cm.t(a) @ g1_map.matrix(xs))
+    res_phi = [phi2.components[i].eval(xs)
+               + hg.alpha_conjugate_star(cm, a, a_prime.components[i].eval(xs))
+               - (a @ phi1.components[i].eval(xs) @ inv_a - a_map.mc_fn(i, xs))
+               for i in range(n)]
+    return MorphismResiduals(res_g, lc.max_frob(np.stack(res_phi)))
 
 
 def compose_z2_morphisms(m1, m2, cm: CrossedModule):

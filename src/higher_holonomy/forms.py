@@ -600,7 +600,7 @@ def _fc_scan(cm: CrossedModule, a: OneFormField, xs, b_planes: dict,
     best = (0.0, xs[0], (0, 1) if n > 1 else ())
     for (i, j), k in coordinate_curvatures(a, xs):
         tb = hg.t_star_matrix(cm, b_planes[(i, j)])
-        res = np.sqrt(np.sum(np.abs(k - tb) ** 2, axis=(-2, -1)))
+        res = lc._frobs(k - tb)
         bad = ~np.isfinite(res)
         if bad.any():
             return FakeCurvatureReport(math.inf, xs[int(np.argmax(bad))], (i, j),

@@ -1,12 +1,12 @@
 """Smooth crossed modules (G, H, t, alpha), their induced algebra maps,
 and the 2-group composition laws.
 
-A `CrossedModule` carries its induced maps (t_*, alpha_*, (alpha_g)_* and
-s_*) and its G sampler as fields on stacks of raw matrices; the
-module-level functions of the same names delegate to them.  Every shipped
-module acts through a homomorphism s: G -> H, alpha_g = Ad_{s(g)}, and
-carries its differential s_* as `s_star`; the action derivative and
-transformation transport are built from it.  Builders:
+A `CrossedModule` carries t, alpha, their induced maps (t_*, alpha_*,
+(alpha_g)_* and s_*) and its G sampler as fields; all but the sampler act
+on stacks of raw matrices.  Every shipped module acts through a
+homomorphism s: G -> H, alpha_g = Ad_{s(g)}, and carries its differential
+s_* as `s_star`; the action derivative and transformation transport are
+built from it.  Builders:
 
 * ``make_b_abelian`` -- G trivial (the one-element subgroup of GL(1)), H
   abelian, t collapsing to 1 and the action trivial (s = 1); closed forms.
@@ -16,12 +16,12 @@ transformation transport are built from it.  Builders:
 * ``make_aut_inner`` -- the automorphism 2-group of H restricted to its
   inner image (the full automorphism group as matrices is out of scope).
   On this image it is ``make_eg`` under the ``aut_inner`` label.
-* ``custom_crossed_module`` -- black-box t and alpha, with central
-  difference quotients for t_*, alpha_* and (alpha_g)_* and the axioms
-  verified on construction.  Its action need not come from a homomorphism
-  s, so it has no `s_star`: the action derivative, transformation
-  transport and the derived modification target raise CompositionError
-  on it.
+* ``custom_crossed_module`` -- black-box t and alpha on `GroupElement`s,
+  lifted to stacks, with central difference quotients for t_*, alpha_* and
+  (alpha_g)_* and the axioms verified on construction.  Its action need
+  not come from a homomorphism s, so it has no `s_star`: the action
+  derivative, transformation transport and the derived modification
+  target raise CompositionError on it.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ _FD_STEP_MIXED = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class CrossedModule:
-    """The tuple (G, H, t, alpha) of a smooth crossed module, t and alpha
-    acting on `GroupElement`s, with its induced maps on stacks (..., d, d)
-    of raw matrices:
+    """The tuple (G, H, t, alpha) of a smooth crossed module with its
+    induced maps, all on stacks (..., d, d) of raw matrices whose leading
+    shapes broadcast:
 
+    * t(h): the homomorphism t: H -> G;
+    * alpha(g, h): the action of g on h;
     * t_star(y): the differential of t at 1;
     * alpha_star(x, y): the mixed differential of alpha at (1, 1);
     * alpha_g_star(g, y): the differential of alpha_g: H -> H at 1;
@@ -79,7 +81,9 @@ def make_b_abelian(abelian_desc: GroupDescriptor) -> CrossedModule:
     dh = abelian_desc.matrix_dim
 
     return CrossedModule(
-        g_desc, abelian_desc, lambda h: lc.identity(g_desc), lambda g, h: h,
+        g_desc, abelian_desc,
+        t=lambda h: np.ones(np.shape(h)[:-2] + (1, 1), dtype=complex),
+        alpha=lambda g, h: h,
         t_star=lambda y: np.zeros(np.shape(y)[:-2] + (1, 1), dtype=complex),
         alpha_star=lambda x, y: np.zeros_like(np.asarray(y, dtype=complex)),
         alpha_g_star=lambda g, y: np.asarray(y, dtype=complex),
@@ -91,21 +95,11 @@ def make_b_abelian(abelian_desc: GroupDescriptor) -> CrossedModule:
 
 def make_eg(group_desc: GroupDescriptor) -> CrossedModule:
     """H = G with t the identity and alpha conjugation."""
-
-    def alpha(g, h):
-        return GroupElement(
-            group_desc, g.matrix @ h.matrix @ np.linalg.inv(g.matrix), validate=False
-        )
-
+    identity = partial(np.asarray, dtype=complex)
     return CrossedModule(
-        group_desc, group_desc,
-        lambda h: GroupElement(group_desc, h.matrix, validate=False), alpha,
-        t_star=lambda y: np.asarray(y, dtype=complex),
-        alpha_star=lambda x, y: x @ y - y @ x,
-        alpha_g_star=lc.conjugate,
-        s_star=lambda x: np.asarray(x, dtype=complex),
-        sample_g=partial(lc.random_group, group_desc),
-        kind="eg",
+        group_desc, group_desc, t=identity, alpha=lc.conjugate, t_star=identity,
+        alpha_star=lambda x, y: x @ y - y @ x, alpha_g_star=lc.conjugate, s_star=identity,
+        sample_g=partial(lc.random_group, group_desc), kind="eg",
     )
 
 
@@ -132,42 +126,39 @@ def _one_at_a_time(fn):
 def custom_crossed_module(G: GroupDescriptor, H: GroupDescriptor, t,
                           alpha) -> CrossedModule:
     """Crossed module from black-box evaluators t(h) and alpha(g, h) on
-    `GroupElement`s.  Its induced maps are central difference quotients
-    with steps `_FD_STEP` and `_FD_STEP_MIXED`, taken one matrix at a time;
-    it has no `s_star` (see the module docstring).
+    `GroupElement`s, lifted to stacks one matrix at a time.  Its induced
+    maps are central difference quotients of the lifts, with steps
+    `_FD_STEP` and `_FD_STEP_MIXED`; it has no `s_star` (see the module
+    docstring).
 
     The axioms are checked on construction by `verify_axioms` with its
     defaults; a module that fails them raises CompositionError carrying
     the `AxiomReport` as `report`.
     """
-    def exp_g(m):
-        return lc.exp_map(AlgebraElement(G, m, validate=False))
-
-    def exp_h(m):
-        return lc.exp_map(AlgebraElement(H, m, validate=False))
+    t_lift = _one_at_a_time(lambda h: t(GroupElement(H, h, validate=False)).matrix)
+    alpha_lift = _one_at_a_time(lambda g, h: alpha(GroupElement(G, g, validate=False),
+                                                   GroupElement(H, h, validate=False)).matrix)
 
     def central(f, step):
-        return (f(step).matrix - f(-step).matrix) / (2.0 * step)
+        return (f(step) - f(-step)) / (2.0 * step)
 
     def t_star(y):
-        return lc.project_to_algebra(G, central(lambda s: t(exp_h(s * y)), _FD_STEP))
+        return lc.project_to_algebra(G, central(lambda s: t_lift(lc.expm(s * y)), _FD_STEP))
 
     def alpha_star(x, y):
         h = _FD_STEP_MIXED
 
         def a(sx, uy):
-            return alpha(exp_g(sx * x), exp_h(uy * y)).matrix
+            return alpha_lift(lc.expm(sx * x), lc.expm(uy * y))
 
         stencil = (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4.0 * h * h)
         return lc.project_to_algebra(H, stencil)
 
     def alpha_g_star(g, y):
-        g_el = GroupElement(G, g, validate=False)
         return lc.project_to_algebra(
-            H, central(lambda s: alpha(g_el, exp_h(s * y)), _FD_STEP))
+            H, central(lambda s: alpha_lift(g, lc.expm(s * y)), _FD_STEP))
 
-    cm = CrossedModule(G, H, t, alpha, _one_at_a_time(t_star),
-                       _one_at_a_time(alpha_star), _one_at_a_time(alpha_g_star),
+    cm = CrossedModule(G, H, t_lift, alpha_lift, t_star, alpha_star, alpha_g_star,
                        s_star=None, sample_g=partial(lc.random_group, G))
     report = verify_axioms(cm)
     if not report.passed:
@@ -243,13 +234,13 @@ class TwoMorphismValue:
             raise CompositionError(f"target-matching residual {r:.3e}")
 
     def matching_residual(self) -> float:
-        lhs = self.cm.t(self.h_part).matrix @ self.source.matrix
+        lhs = self.cm.t(self.h_part.matrix) @ self.source.matrix
         return lc.frob(lhs - self.target.matrix) / max(1.0, lc.frob(self.target.matrix))
 
 
 def two_morphism(cm: CrossedModule, source: GroupElement, h_part: GroupElement) -> TwoMorphismValue:
     """Build a 2-morphism with its target computed from the witness."""
-    target = lc.gmul(cm.t(h_part), source)
+    target = GroupElement(cm.G, cm.t(h_part.matrix) @ source.matrix, validate=False)
     return TwoMorphismValue(cm, source, h_part, target)
 
 
@@ -273,11 +264,11 @@ def hcompose(a: TwoMorphismValue, b: TwoMorphismValue) -> TwoMorphismValue:
     """Horizontal composite of a (applied first) with b: source g_b g_a,
     h-part h_b alpha(g_b, h_a)."""
     cm = a.cm
-    h = lc.gmul(b.h_part, cm.alpha(b.source, a.h_part))
+    h = b.h_part.matrix @ cm.alpha(b.source.matrix, a.h_part.matrix)
     return TwoMorphismValue(
         cm,
         lc.gmul(b.source, a.source),
-        h,
+        GroupElement(cm.H, h, validate=False),
         lc.gmul(b.target, a.target),
         match_tolerance=max(a.match_tolerance, b.match_tolerance, 1e-6),
     )
@@ -325,31 +316,26 @@ def verify_axioms(cm: CrossedModule, n_samples: int = 100, tol: float = 1e-9,
     """Check all crossed-module axioms on pseudo-random samples.
 
     The evaluators are black boxes, so verification is sampling-based; the
-    seed is recorded in the report for reproducibility.
+    seed is recorded in the report for reproducibility.  Each sample draws
+    g, g2, h1, h2 and x in that order; every axiom is then evaluated once
+    on the stacks of all samples.  A non-finite residual is reported as
+    inf, so it fails the check.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    res = dict.fromkeys(_AXIOMS, 0.0)
-    for _ in range(n_samples):
-        g = cm.sample_g(rng)
-        g2 = cm.sample_g(rng)
-        h1 = cm.sample_h(rng)
-        h2 = cm.sample_h(rng)
-        x = cm.sample_h(rng)
-        sides = {
-            "t_homomorphism": (cm.t(lc.gmul(h1, h2)).matrix,
-                               cm.t(h1).matrix @ cm.t(h2).matrix),
-            "action_identity": (cm.alpha(lc.identity(cm.G), h1).matrix, h1.matrix),
-            "action_homomorphism": (cm.alpha(g, lc.gmul(h1, h2)).matrix,
-                                    cm.alpha(g, h1).matrix @ cm.alpha(g, h2).matrix),
-            "action_composition": (cm.alpha(lc.gmul(g, g2), h1).matrix,
-                                   cm.alpha(g, cm.alpha(g2, h1)).matrix),
-            "equivariance": (cm.t(cm.alpha(g, h1)).matrix,
-                             g.matrix @ cm.t(h1).matrix @ np.linalg.inv(g.matrix)),
-            "peiffer": (cm.alpha(cm.t(h1), x).matrix,
-                        h1.matrix @ x.matrix @ np.linalg.inv(h1.matrix)),
-        }
-        for name, (lhs, rhs) in sides.items():
-            res[name] = max(res[name], lc.frob(lhs - rhs))
+    draws = [(cm.sample_g(rng), cm.sample_g(rng), cm.sample_h(rng), cm.sample_h(rng),
+              cm.sample_h(rng)) for _ in range(n_samples)]
+    g, g2, h1, h2, x = (np.stack([d[k].matrix for d in draws]) for k in range(5))
+    t_h1 = cm.t(h1)
+    a_h1 = cm.alpha(g, h1)
+    sides = {
+        "t_homomorphism": (cm.t(h1 @ h2), t_h1 @ cm.t(h2)),
+        "action_identity": (cm.alpha(lc.identity(cm.G).matrix, h1), h1),
+        "action_homomorphism": (cm.alpha(g, h1 @ h2), a_h1 @ cm.alpha(g, h2)),
+        "action_composition": (cm.alpha(g @ g2, h1), cm.alpha(g, cm.alpha(g2, h1))),
+        "equivariance": (cm.t(a_h1), g @ t_h1 @ np.linalg.inv(g)),
+        "peiffer": (cm.alpha(t_h1, x), h1 @ x @ np.linalg.inv(h1)),
+    }
+    res = {name: lc.max_frob(lhs - rhs) for name, (lhs, rhs) in sides.items()}
     return AxiomReport(**res, n_samples=n_samples, seed=seed, tol=tol)

@@ -127,6 +127,13 @@ def _frobs(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
+def max_frob(m: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack (..., n, n), 0 for an empty one;
+    inf when any entry is not finite, so that no check passes on NaN."""
+    r = float(np.max(_frobs(m), initial=0.0))
+    return r if math.isfinite(r) else math.inf
+
+
 def algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
     """Distance-like residual of the algebra membership predicate; 0 on the
     algebra.  For a stack (..., n, n) it is the largest over the stack."""
@@ -281,7 +288,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         return np.exp(m)
     if m.shape[-1] == 2:
         return _expm2(m)
-    norm = np.max(np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))) if m.size else 0.0
+    norm = np.max(_frobs(m)) if m.size else 0.0
     if not np.isfinite(norm):
         raise NumericalError("non-finite entries in exponential argument")
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)

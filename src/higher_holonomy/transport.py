@@ -247,16 +247,16 @@ def _surface(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
 
     g_source = path_transport(a_form, sigma.source_path(), cfg)
     g_target = path_transport(a_form, sigma.target_path(), cfg)
-    f_el = GroupElement(cm.H, np.linalg.inv(f_end), validate=False)
-    k = cm.alpha(g_source, f_el)
+    k = cm.alpha(g_source.matrix, np.linalg.inv(f_end))
 
-    lhs = cm.t(k).matrix @ g_source.matrix
+    lhs = cm.t(k) @ g_source.matrix
     residual = lc.frob(lhs - g_target.matrix) / max(1.0, lc.frob(g_target.matrix))
     if residual > hard_limit:
         raise TargetMatchingError(
             f"matching residual {residual:.3e} exceeds hard limit {hard_limit:.1e}"
         )
-    return SurfaceTransportResult(k, g_source, g_target, residual)
+    return SurfaceTransportResult(GroupElement(cm.H, k, validate=False), g_source, g_target,
+                                  residual)
 
 
 def surface_transport(pair: ConnectionPair, sigma: Bigon,
@@ -363,19 +363,19 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
     n = cfg.n_steps_path
     a_vals, h, [(g_start, g_end)] = _transformation_lines(cm, [(g_map, phi)], a_prime,
                                                            gamma, n)
-    h_el = GroupElement(cm.H, h[0], validate=False)
     residual = None
     if a_source is not None:
         f_src = path_transport(a_source, gamma, cfg)
         f_tgt = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, keep_nodes=False)[0]
         lhs = f_tgt @ g_start.matrix
-        rhs_m = cm.t(lc.ginv(h_el)).matrix @ g_end.matrix @ f_src.matrix
+        rhs_m = cm.t(np.linalg.inv(h[0])) @ g_end.matrix @ f_src.matrix
         residual = lc.frob(lhs - rhs_m) / max(1.0, lc.frob(rhs_m))
         if residual > MATCHING_HARD_LIMIT:
             raise TargetMatchingError(
                 f"transformation matching residual {residual:.3e}"
             )
-    return TransformationTransportResult(h_el, g_start, g_end, residual)
+    return TransformationTransportResult(GroupElement(cm.H, h[0], validate=False), g_start,
+                                         g_end, residual)
 
 
 def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
@@ -399,13 +399,10 @@ def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
     n = cfg.n_steps_path
     a_vals, (h1, h2), _ = _transformation_lines(cm, [(g_map, phi), (g2_map, phi2)],
                                                 a_prime, gamma, n)
-    f_prime = GroupElement(cm.G, _rk4_sweep(a_vals[None], 1.0 / n, cm.G, keep_nodes=False)[0],
-                           validate=False)
+    f_prime = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, keep_nodes=False)[0]
 
-    a_x = a_map.element(gamma.start())
-    a_y = a_map.element(gamma.end())
-    lhs = cm.alpha(f_prime, a_x).matrix @ np.linalg.inv(h1)
-    rhs = np.linalg.inv(h2) @ a_y.matrix
+    lhs = cm.alpha(f_prime, a_map.matrix(gamma.start())) @ np.linalg.inv(h1)
+    rhs = np.linalg.inv(h2) @ a_map.matrix(gamma.end())
     return lc.frob(lhs - rhs) / max(1.0, lc.frob(rhs))
 
 
@@ -416,20 +413,13 @@ def derived_modification_target(cm: CrossedModule, a_map: GroupValuedMap,
     g2 = (t o a) g and phi2 = Ad_a(phi) - a* theta - (r_a^{-1} o alpha_a)_*(A').
 
     t is a homomorphism, so the Maurer-Cartan pullback of g2 is
-    t_*(mc(a)) + Ad_{t(a)} mc(g).  t acts on `GroupElement`s, so t(a) is
-    taken one point at a time; everything else is evaluated on stacks."""
-
-    def t_of_a(x):
-        base = x.shape[:-1]
-        pts = x.reshape(-1, x.shape[-1])
-        ta = np.stack([cm.t(a_map.element(p)).matrix for p in pts])
-        return ta.reshape(base + ta.shape[-2:])
+    t_*(mc(a)) + Ad_{t(a)} mc(g).  Everything is evaluated on stacks."""
 
     def g2_eval(x):
-        return t_of_a(x) @ g_map.matrix(x)
+        return cm.t(a_map.matrix(x)) @ g_map.matrix(x)
 
     def g2_mc(i, x):
-        ta = t_of_a(x)
+        ta = cm.t(a_map.matrix(x))
         return cm.t_star(a_map.mc_fn(i, x)) + ta @ g_map.mc_fn(i, x) @ np.linalg.inv(ta)
 
     def component(i):

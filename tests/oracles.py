@@ -172,6 +172,6 @@ def three_transport_whisker(cm, a_map, a_prime, g_map, phi, gamma, cfg, g2_map, 
     h1 = tp.transformation_transport(cm, g_map, phi, a_prime, gamma, cfg).h
     h2 = tp.transformation_transport(cm, g2_map, phi2, a_prime, gamma, cfg).h
     f_prime = tp.path_transport(a_prime, gamma, cfg)
-    lhs = cm.alpha(f_prime, a_map.element(gamma.start())).matrix @ np.linalg.inv(h1.matrix)
-    rhs = np.linalg.inv(h2.matrix) @ a_map.element(gamma.end()).matrix
+    lhs = cm.alpha(f_prime.matrix, a_map.matrix(gamma.start())) @ np.linalg.inv(h1.matrix)
+    rhs = np.linalg.inv(h2.matrix) @ a_map.matrix(gamma.end())
     return lc.frob(lhs - rhs) / max(1.0, lc.frob(rhs))

@@ -173,7 +173,7 @@ def test_criterion_04_two_functoriality():
                 r1 = tp.surface_transport(pair, s1, cfg)
                 r2 = tp.surface_transport(pair, s2, cfg)
                 rc = tp.surface_transport(pair, geo.bigon_hcompose(s1, s2), cfg)
-                acted = pair.cm.alpha(r2.g_source, r1.k).matrix
+                acted = pair.cm.alpha(r2.g_source.matrix, r1.k.matrix)
                 law_defect = max(law_defect, lc.frob(
                     rc.k.matrix - r2.k.matrix @ acted))
             for r in (r1, r2, rc):

@@ -265,6 +265,20 @@ class TestMainEntry:
         assert out.out == ""
         assert out.err.startswith("error: /A: A along the path leaves the algebra of SU(2)")
 
+    def test_constant_division_by_zero_is_located(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
+        cfg["A"][0][0][0] = "i*(1/0)"
+        with pytest.raises(ConfigError) as err:
+            cli.run("holonomy", cfg)
+        assert err.value.pointer == "/A"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["holonomy", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err.startswith("error: /A: division by zero in 'i*(1/0)'")
+
     def test_pair_that_is_not_fake_flat_is_located_at_b(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "surface_eg_su2.json").read_text())
         del cfg["B"]

@@ -43,6 +43,28 @@ class TestParsing:
         with pytest.raises(ExpressionError):
             ev("x1 + x2", x1=1.0)
 
+    @pytest.mark.parametrize("text, value", [
+        ("-2", -2.0), ("i*(0.2)", 0.2j), ("(0.3 + 0.2*i)", 0.3 + 0.2j),
+        ("2^-2", 0.25), ("-(1 - 3)/4", 0.5), ("cos(0)", 1.0),
+    ])
+    def test_constant_subexpressions_fold_to_numbers(self, text, value):
+        e = xp.parse(text)
+        assert isinstance(e, xp.Num) and e.value == value
+
+    def test_folding_keeps_variables(self):
+        e = xp.parse("x1*(2*3) - 0.5*i*x2")
+        assert str(e) == "((x1 * 6.0) - ((0.0+0.5*i) * x2))"
+        assert e.evaluate({"x1": 1.0, "x2": 2.0}) == 6.0 - 1j
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "division by zero"), ("i*(1/0)", "division by zero"),
+        ("x1 + 2/(1 - 1)", "division by zero"), ("0^-1", "division by zero"),
+        ("10^400", "overflow"),
+    ])
+    def test_constant_arithmetic_errors_are_parse_errors(self, text, message):
+        with pytest.raises(ExpressionError, match=message):
+            xp.parse(text)
+
     def test_free_vars(self):
         assert xp.parse("sin(x1)*t + z").free_vars() == {"x1", "t", "z"}
 

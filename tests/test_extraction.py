@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,42 @@ class TestResidualProps:
         res = ex.residual_prop2(cm, g_map, zero1, zero1, zero2, zero1, zero2,
                                 [np.array([0.4, 0.6])])
         assert res.max_residual == 0.0
+
+    def test_nan_forms_never_pass(self):
+        # a NaN residual must not be dropped by the maximum
+        cm = hg.make_eg(SU2)
+        zero1 = fm.zero_one_form(SU2, 2)
+        zero2 = fm.two_form_from_expressions(SU2, {}, 2)
+        nan1 = fm.one_form_from_callables(
+            SU2, [lambda x: np.full(x.shape[:-1] + (2, 2), np.nan)] * 2, 2)
+        one = fm.constant_group_map(lc.identity(SU2), 2)
+        points = [np.array([0.4, 0.6]), np.array([0.2, 0.3])]
+        r2 = ex.residual_prop2(cm, one, nan1, zero1, zero2, zero1, zero2, points)
+        assert r2.connection_eq == r2.curving_eq == r2.max_residual == math.inf
+        r3 = ex.residual_prop3(cm, one, one, zero1, one, nan1, zero1, points)
+        assert r3.connection_eq == 0.0
+        assert r3.curving_eq == r3.max_residual == math.inf
+
+    def test_prop2_takes_every_point_at_once(self, transformation_data):
+        # g is evaluated once, on the stack of all points, and the residuals
+        # are the largest of the single-point ones
+        cm, a, b, g_map, phi, a_prime, b_prime = transformation_data
+        bad_phi = fm.add_one_forms(
+            phi, fm.one_form_from_expressions(
+                SU2, [su2_matrix_table("x1", "0", "0"), su2_matrix_table("0", "x2", "0")], 2),
+            factor=0.1)
+        points = np.array([[0.3, 0.4], [0.6, 0.55], [0.45, 0.7]])
+        seen = []
+        counted = fm.GroupValuedMap(
+            SU2, lambda x: seen.append(x.shape) or g_map.matrix(x), g_map.mc_fn)
+        whole = ex.residual_prop2(cm, counted, bad_phi, a, b, a_prime, b_prime, points)
+        assert seen == [(3, 2)]
+        single = [ex.residual_prop2(cm, g_map, bad_phi, a, b, a_prime, b_prime, [p])
+                  for p in points]
+        assert whole.connection_eq >= 0.05 and whole.curving_eq >= 0.01
+        assert whole.connection_eq == pytest.approx(max(r.connection_eq for r in single),
+                                                    rel=1e-12)
+        assert whole.curving_eq == pytest.approx(max(r.curving_eq for r in single), rel=1e-12)
 
     def test_prop2_constructed_morphism(self, transformation_data):
         cm, a, b, g_map, phi, a_prime, b_prime = transformation_data

@@ -218,7 +218,7 @@ class TestCommutator:
 
 
 class TestConstantField:
-    # every entry parses to a number ("-2" would parse to a negation)
+    # every entry parses to a number
     ENTRIES = [["0.5", "1.5"], ["i", "0.25"]]
 
     def test_values_are_one_broadcast_matrix(self):
@@ -239,6 +239,13 @@ class TestConstantField:
             vals[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             vals += 1.0
+
+    def test_constant_expressions_are_one_broadcast_matrix(self):
+        # a negated number, a product and a sum of numbers fold at parse time
+        fld = fm.ExpressionMatrixField([["-2", "i*(0.2)"], ["(0.3 + 0.2*i)", "0"]], 2, 2)
+        vals = fld.eval(np.zeros((5, 2)))
+        assert vals.strides[0] == 0 and not vals.flags.writeable
+        assert np.array_equal(vals[0], [[-2.0, 0.2j], [0.3 + 0.2j, 0.0]])
 
     def test_partials_of_a_linear_field_are_constant(self):
         fld = fm.ExpressionMatrixField([["0.5*x1 + 2*x2", "x3"], ["0", "-x1"]], 2, 3)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,18 +32,18 @@ def aut_su2():
 class TestBuilders:
     def test_b_abelian_t_collapses(self, bu1):
         h = lc.random_group(U1, np.random.default_rng(0))
-        assert np.allclose(bu1.t(h).matrix, [[1.0]])
+        assert np.array_equal(bu1.t(h.matrix), [[1.0]])
 
     def test_eg_t_is_identity_on_matrices(self, eg_su2):
         h = lc.random_group(SU2, np.random.default_rng(1))
-        assert np.array_equal(eg_su2.t(h).matrix, h.matrix)
+        assert np.array_equal(eg_su2.t(h.matrix), h.matrix)
 
     def test_aut_inner_equivariance_by_construction(self, aut_su2):
         rng = np.random.default_rng(2)
-        g = aut_su2.sample_g(rng)
-        h = aut_su2.sample_h(rng)
-        lhs = aut_su2.t(aut_su2.alpha(g, h)).matrix
-        rhs = g.matrix @ aut_su2.t(h).matrix @ np.linalg.inv(g.matrix)
+        g = aut_su2.sample_g(rng).matrix
+        h = aut_su2.sample_h(rng).matrix
+        lhs = aut_su2.t(aut_su2.alpha(g, h))
+        rhs = g @ aut_su2.t(h) @ np.linalg.inv(g)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -51,8 +54,7 @@ class TestVerifyAxioms:
         lambda: hg.make_aut_inner(SU2),
     ])
     def test_builtins_pass(self, builder):
-        report = builder().verify() if hasattr(builder(), "verify") else \
-            hg.verify_axioms(builder(), n_samples=100, tol=1e-10, seed=3)
+        report = hg.verify_axioms(builder(), n_samples=100, tol=1e-10, seed=3)
         assert report.passed, report.as_dict()
 
     def test_b_abelian_action_axioms_exact(self, bu1):
@@ -76,6 +78,44 @@ class TestVerifyAxioms:
         report = err.value.report
         assert not report.passed and report.tol == 1e-9
         assert report.peiffer > 0.1
+
+    def test_nan_action_fails_with_an_infinite_residual(self):
+        # an action that is NaN on about a tenth of its arguments; a NaN
+        # residual must not be dropped by the maximum
+        def alpha_eval(g, h):
+            if abs(h.matrix[0, 0].real) > 0.9:
+                return lc.GroupElement(SU2, np.full((2, 2), np.nan), validate=False)
+            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
+                                   validate=False)
+
+        with pytest.raises(CompositionError) as err:
+            hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
+        report = err.value.report
+        assert report.max_residual == math.inf and not report.passed
+        assert report.action_homomorphism == math.inf
+        assert report.as_dict()["max_residual"] == math.inf
+
+    def test_axioms_are_evaluated_on_stacks(self):
+        # t and alpha are called once per axiom term, on all samples at once
+        calls = []
+
+        def t_eval(h):
+            return h
+
+        def alpha_eval(g, h):
+            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
+                                   validate=False)
+
+        cm = hg.custom_crossed_module(SU2, SU2, t_eval, alpha_eval)
+        t_lift = cm.t
+
+        def counted_t(h):
+            calls.append(np.shape(h))
+            return t_lift(h)
+
+        report = hg.verify_axioms(replace(cm, t=counted_t), n_samples=7, seed=5)
+        assert report.passed
+        assert calls and all(shape == (7, 2, 2) for shape in calls)
 
     def test_report_is_seed_deterministic(self, eg_su2):
         r1 = hg.verify_axioms(eg_su2, n_samples=20, seed=11)
@@ -103,7 +143,8 @@ class TestInducedMaps:
         gp = lc.exp_map(lc.AlgebraElement(aut_su2.G, s * ty.matrix, validate=False))
         gm = lc.exp_map(lc.AlgebraElement(aut_su2.G, -s * ty.matrix, validate=False))
         zel = lc.exp_map(lc.AlgebraElement(SU2, 1e-3 * z.matrix, validate=False))
-        der = (aut_su2.alpha(gp, zel).matrix - aut_su2.alpha(gm, zel).matrix) / (2 * s)
+        der = (aut_su2.alpha(gp.matrix, zel.matrix)
+               - aut_su2.alpha(gm.matrix, zel.matrix)) / (2 * s)
         # derivative of conj action at exp(uZ), pulled to the algebra at u
         oracle = 1e-3 * lc.bracket(y, z).matrix
         assert np.allclose(der, oracle, atol=1e-9)
@@ -181,7 +222,7 @@ class TestInducedMaps:
             s = 1e-5
             gp = lc.exp_map(lc.AlgebraElement(cm.G, s * x.matrix, validate=False))
             gm = lc.exp_map(lc.AlgebraElement(cm.G, -s * x.matrix, validate=False))
-            want = (cm.alpha(gp, h).matrix - cm.alpha(gm, h).matrix) / (2 * s)
+            want = (cm.alpha(gp.matrix, h.matrix) - cm.alpha(gm.matrix, h.matrix)) / (2 * s)
             got = hg.alpha_action_diff(cm, x.matrix, h.matrix)
             assert got.shape == want.shape
             assert np.allclose(got, want, atol=1e-9)

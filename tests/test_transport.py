@@ -183,7 +183,7 @@ class TestSurfaceTransport:
         sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
         res = tp.surface_transport(eg_su2_pair, sig, tight_cfg)
         filler = res.g_target.matrix @ np.linalg.inv(res.g_source.matrix)
-        assert lc.frob(eg_su2_pair.cm.t(res.k).matrix - filler) <= 1e-6
+        assert lc.frob(eg_su2_pair.cm.t(res.k.matrix) - filler) <= 1e-6
         assert res.matching_residual <= 1e-6
 
     def test_hard_limit_raises_on_coarse_grid(self, eg_su2_pair):

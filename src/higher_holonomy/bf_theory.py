@@ -220,7 +220,8 @@ class CriticalityReport:
 
     @property
     def max_abs_derivative(self) -> float:
-        return max(abs(d) for d in self.derivatives)
+        # np.max keeps a NaN wherever it stands; Python max drops a later one
+        return float(np.max(np.abs(self.derivatives)))
 
     def as_dict(self) -> dict:
         return {

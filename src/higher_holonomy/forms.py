@@ -11,6 +11,11 @@ entries are all numbers (such as every partial of a linear field)
 evaluates to a read-only broadcast view of one matrix, so no consumer may
 write into a field's values.
 
+Every evaluator on vectors is one frame contraction (`_frame_sum`) with one
+rule: a component or plane whose frame coefficient is identically zero is
+not evaluated, so a pole or NaN there is not seen.  The gates of
+`ConnectionPair` still evaluate every component on their samples.
+
 Wedge-bracket normalization used throughout the package:
 
     [A ^ A](v1, v2) := [A(v1), A(v2)]          (no factor 1/2)
@@ -22,6 +27,7 @@ a derivative 2-functor equals dA + [A ^ A] (see the transport tests).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +62,7 @@ class ExpressionMatrixField:
                 if extra:
                     raise DomainError(f"free variables {sorted(extra)} outside ambient x1..x{ambient_dim}")
 
+        self._partials = {}
         # a field whose entries are all numbers has one value, built here
         self._constant = None
         if all(isinstance(e, xp.Num) for row in self.entries for e in row):
@@ -81,15 +88,11 @@ class ExpressionMatrixField:
 
     def partial(self, axis: int) -> "ExpressionMatrixField":
         # exact; cached per axis
-        cache = getattr(self, "_partials", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_partials", cache)
-        if axis not in cache:
+        if axis not in self._partials:
             var = f"x{axis + 1}"
             rows = [[xp.derivative(e, var) for e in row] for row in self.entries]
-            cache[axis] = ExpressionMatrixField(rows, self.dim, self.ambient_dim)
-        return cache[axis]
+            self._partials[axis] = ExpressionMatrixField(rows, self.dim, self.ambient_dim)
+        return self._partials[axis]
 
 
 class CallableMatrixField:
@@ -129,6 +132,24 @@ class CallableMatrixField:
 
         return CallableMatrixField(dfn, self.dim, self.ambient_dim, vectorized=True,
                                    fd_step=h)
+
+
+def _frame_sum(terms, shape, d: int) -> np.ndarray:
+    """Sum of value() * coef[..., None, None] over (coef, value) pairs, in
+    order, skipping a pair whose coefficient stack is identically zero
+    without calling its value (a NaN is not zero; `np.count_nonzero` tests
+    a small stack in a quarter of the time of `.any()`).  When every pair
+    is skipped: complex zeros of `shape` broadcast with the coefficients."""
+    out, skipped = None, []
+    for coef, value in terms:
+        if np.count_nonzero(coef):
+            term = value() * coef[..., None, None]
+            out = term if out is None else out + term
+        else:
+            skipped.append(coef.shape)
+    if out is None:
+        return np.zeros(np.broadcast_shapes(shape, *skipped) + (d, d), dtype=complex)
+    return out
 
 
 def _zero_field(dim: int, ambient_dim: int) -> ExpressionMatrixField:
@@ -184,14 +205,14 @@ class OneFormField:
         return self.components[i].eval(x)
 
     def matrices_at(self, x, v) -> np.ndarray:
-        """Sum_i A_i(x) v_i over stacked points x (..., n) and vectors v."""
+        """Sum_i A_i(x) v_i over stacked points x (..., n) and vectors v.
+        A component whose coefficient v_i is zero at every point is not
+        evaluated, so a pole or NaN there is not seen."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        out = None
-        for i in range(self.ambient_dim):
-            term = self.components[i].eval(x) * v[..., i, None, None]
-            out = term if out is None else out + term
-        return out
+        return _frame_sum(((v[..., i], lambda c=c: c.eval(x))
+                           for i, c in enumerate(self.components)),
+                          x.shape[:-1], self.descriptor.matrix_dim)
 
     def __call__(self, x, v) -> AlgebraElement:
         return AlgebraElement(self.descriptor, self.matrices_at(x, v), validate=False)
@@ -223,15 +244,15 @@ class TwoFormField:
         return fld.eval(x) if i < j else -fld.eval(x)
 
     def matrices_at(self, x, v1, v2) -> np.ndarray:
+        """Sum over stored i < j of B_ij(x) (v1_i v2_j - v1_j v2_i); a plane
+        whose coefficient is zero at every point is not evaluated."""
         x = np.asarray(x, dtype=float)
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
-        d = self.descriptor.matrix_dim
-        out = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-        for (i, j), fld in self.components.items():
-            coef = v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i]
-            out = out + fld.eval(x) * coef[..., None, None]
-        return out
+        return _frame_sum(((v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i],
+                            lambda fld=fld: fld.eval(x))
+                           for (i, j), fld in self.components.items()),
+                          x.shape[:-1], self.descriptor.matrix_dim)
 
     def __call__(self, x, v1, v2) -> AlgebraElement:
         return AlgebraElement(self.descriptor, self.matrices_at(x, v1, v2), validate=False)
@@ -305,15 +326,11 @@ def exterior_derivative_one_form(a: OneFormField, x, v1, v2) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    d = a.descriptor.matrix_dim
-    da = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-    for j in range(a.ambient_dim):
-        for i in range(a.ambient_dim):
-            coef = v1[..., i] * v2[..., j] - v2[..., i] * v1[..., j]
-            if np.all(coef == 0.0):
-                continue
-            da = da + a.components[j].partial(i).eval(x) * coef[..., None, None]
-    return da
+    n = a.ambient_dim
+    return _frame_sum(((v1[..., i] * v2[..., j] - v2[..., i] * v1[..., j],
+                        lambda i=i, j=j: a.components[j].partial(i).eval(x))
+                       for j in range(n) for i in range(n)),
+                      x.shape[:-1], a.descriptor.matrix_dim)
 
 
 def _add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -388,24 +405,16 @@ def curvature_matrices_at(a: OneFormField, x, v1, v2) -> np.ndarray:
     """K(v1, v2) = dA(v1, v2) + [A(v1), A(v2)] on stacked points, as the
     frame contraction sum over i < j of (v1_i v2_j - v1_j v2_i) K_ij.
     Planes whose coefficient is identically zero are skipped, and only the
-    components of A the other planes need are evaluated."""
+    components of A the other planes need are evaluated, each once."""
     x = np.asarray(x, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    d = a.descriptor.matrix_dim
-    out = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-    comps = {}
-    for i in range(a.ambient_dim):
-        for j in range(i + 1, a.ambient_dim):
-            coef = v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i]
-            if np.all(coef == 0.0):
-                continue
-            for m in (i, j):
-                if m not in comps:
-                    comps[m] = a.components[m].eval(x)
-            k = _plane_curvature(a, x, i, j, comps[i], comps[j])
-            out = out + k * coef[..., None, None]
-    return out
+    comp = functools.cache(lambda m: a.components[m].eval(x))
+    n = a.ambient_dim
+    return _frame_sum(((v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i],
+                        lambda i=i, j=j: _plane_curvature(a, x, i, j, comp(i), comp(j)))
+                       for i in range(n) for j in range(i + 1, n)),
+                      x.shape[:-1], a.descriptor.matrix_dim)
 
 
 def curvature_two_form(a: OneFormField, x, v1, v2) -> AlgebraElement:
@@ -434,21 +443,16 @@ def exterior_derivative_two_form(b: TwoFormField, x, v1, v2, v3) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     vs = [np.asarray(v, dtype=float) for v in (v1, v2, v3)]
     d = b.descriptor.matrix_dim
-    out = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-    for c in range(3):
-        va, vb, vc = vs[c], vs[(c + 1) % 3], vs[(c + 2) % 3]
-        for (i, j), fld in b.components.items():
-            coef = vb[..., i] * vc[..., j] - vb[..., j] * vc[..., i]
-            if np.all(coef == 0.0):
-                continue
-            acc = np.zeros_like(out)
-            for k in range(b.ambient_dim):
-                vk = va[..., k]
-                if np.all(vk == 0.0):
-                    continue
-                acc = acc + fld.partial(k).eval(x) * vk[..., None, None]
-            out = out + acc * coef[..., None, None]
-    return out
+
+    def directional(fld, va):
+        return _frame_sum(((va[..., k], lambda k=k: fld.partial(k).eval(x))
+                           for k in range(b.ambient_dim)), x.shape[:-1], d)
+
+    return _frame_sum(((vb[..., i] * vc[..., j] - vb[..., j] * vc[..., i],
+                        lambda fld=fld, va=va: directional(fld, va))
+                       for va, vb, vc in (vs[c:] + vs[:c] for c in range(3))
+                       for (i, j), fld in b.components.items()),
+                      x.shape[:-1], d)
 
 
 def _algebra_value(descriptor: GroupDescriptor, m: np.ndarray):
@@ -500,16 +504,9 @@ class GroupValuedMap:
         (D_v g)(x) g(x)^{-1} = sum_i v_i (d_i g)(x) g(x)^{-1}."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        d = None
-        for i in range(x.shape[-1]):
-            if np.all(v[..., i] == 0.0):
-                continue
-            term = np.asarray(self.mc_fn(i, x), dtype=complex) * v[..., i, None, None]
-            d = term if d is None else d + term
-        if d is None:
-            n = self.descriptor.matrix_dim
-            return np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-        return d
+        return _frame_sum(((v[..., i], lambda i=i: np.asarray(self.mc_fn(i, x), dtype=complex))
+                           for i in range(x.shape[-1])),
+                          x.shape[:-1], self.descriptor.matrix_dim)
 
 
 def constant_group_map(g: GroupElement, ambient_dim: int) -> GroupValuedMap:

@@ -13,11 +13,15 @@ transgression once per time, as the reference for its stacked sweep over
 all the loops of a loop path.  Nor is `three_transport_whisker`: it
 composes the modification-axiom defect from two transformation
 transports and one path transport, as the reference for the one sweep of
-`transport.modification_whisker`.
+`transport.modification_whisker`.  The dense frame contractions
+(`dense_one_form`, `dense_pair_contraction`, `DenseOneForm`) evaluate every
+component and sum by one einsum, as the reference for the contraction in
+`forms`, which skips a component whose coefficient is identically zero.
 """
 
 import numpy as np
 
+from higher_holonomy import forms as fm
 from higher_holonomy import geometry as geo
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transgression as tg
@@ -175,3 +179,27 @@ def three_transport_whisker(cm, a_map, a_prime, g_map, phi, gamma, cfg, g2_map, 
     lhs = cm.alpha(f_prime.matrix, a_map.matrix(gamma.start())) @ np.linalg.inv(h1.matrix)
     rhs = np.linalg.inv(h2.matrix) @ a_map.matrix(gamma.end())
     return lc.frob(lhs - rhs) / max(1.0, lc.frob(rhs))
+
+
+def dense_one_form(a, x, v):
+    """sum_i A_i(x) v_i with every component of A evaluated."""
+    comps = np.stack([c.eval(np.asarray(x, dtype=float)) for c in a.components])
+    return np.einsum("i...rc,...i->...rc", comps, np.asarray(v, dtype=float))
+
+
+def dense_pair_contraction(planes, n, v1, v2):
+    """sum over all i, j of T_ij v1_i v2_j, where T is the antisymmetric
+    table with T_ij = planes[(i, j)] for i < j and 0 on missing planes."""
+    shape = np.shape(next(iter(planes.values())))
+    t = np.zeros((n, n) + shape, dtype=complex)
+    for (i, j), m in planes.items():
+        t[i, j], t[j, i] = m, -m
+    return np.einsum("ij...rc,...i,...j->...rc", t, np.asarray(v1, dtype=float),
+                     np.asarray(v2, dtype=float))
+
+
+class DenseOneForm(fm.OneFormField):
+    """A one-form whose `matrices_at` is `dense_one_form`."""
+
+    def matrices_at(self, x, v):
+        return dense_one_form(self, x, v)

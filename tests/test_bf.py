@@ -221,6 +221,17 @@ class TestCriticality:
         r2 = bf.criticality_check(cm, a, b, grid=bf.GridSpec(4), n_directions=2, seed=7)
         assert r1.derivatives == r2.derivatives
 
+    @pytest.mark.parametrize("derivatives", [(0.1, float("nan")), (float("nan"), 0.1)])
+    def test_nan_derivative_propagates_in_either_order(self, derivatives):
+        rep = bf.CriticalityReport(derivatives, beta_sup=0.0, action=0.0, epsilon=1e-3, seed=0)
+        assert np.isnan(rep.max_abs_derivative)
+
+    def test_max_abs_derivative_is_the_largest_magnitude(self):
+        derivatives = (0.1, -0.30000000000000004, 2e-17, -0.0)
+        rep = bf.CriticalityReport(derivatives, beta_sup=0.0, action=0.0, epsilon=1e-3, seed=0)
+        assert type(rep.max_abs_derivative) is float
+        assert rep.max_abs_derivative == max(abs(d) for d in derivatives)
+
 
 PLANES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from higher_holonomy import forms as fm
 from higher_holonomy import higher_group as hg
@@ -7,6 +9,7 @@ from higher_holonomy import lie_core as lc
 from higher_holonomy.errors import DomainError, FakeCurvatureError, MembershipError
 
 from .conftest import SU2, U1, su2_matrix_table
+from .oracles import dense_one_form, dense_pair_contraction
 
 
 class TestOneForm:
@@ -180,6 +183,111 @@ class TestCoordinateCurvatures:
         ref = fm.exterior_derivative_one_form(a, xs, v1, v2) + a1 @ a2 - a2 @ a1
         k = fm.curvature_matrices_at(a, xs, v1, v2)
         assert np.linalg.norm(k - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _frame(rng, shape, zero_columns):
+    """A random frame stack (..., n) whose listed columns are exactly 0."""
+    v = rng.uniform(-1.0, 1.0, shape)
+    v[..., list(zero_columns)] = 0.0
+    return v
+
+
+def _counted_field(calls, key, value):
+    """A vectorized U(1) component that counts its calls under `key` and
+    returns `value` at every point."""
+    def fn(x):
+        calls[key] = calls.get(key, 0) + 1
+        return np.full(x.shape[:-1] + (1, 1), value, dtype=complex)
+    return fn
+
+
+class TestFrameContraction:
+    # every evaluator on vectors is one frame contraction: a component or
+    # plane whose coefficient is identically zero is not evaluated
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4), stack=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           zeros1=st.sets(st.integers(0, 3)), zeros2=st.sets(st.integers(0, 3)),
+           one_point=st.booleans())
+    @example(n=3, stack=2, seed=0, zeros1={0, 1, 2}, zeros2={0, 1, 2}, one_point=False)
+    @example(n=2, stack=3, seed=1, zeros1={0, 1}, zeros2=set(), one_point=True)
+    def test_matches_a_dense_einsum(self, n, stack, seed, zeros1, zeros2, one_point):
+        rng = np.random.default_rng(seed)
+        a = _expression_form(SU2, n, seed % 7)
+        planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        stored = planes[:: 1 + seed % 2]
+        b = fm.TwoFormField(SU2, {p: _expression_form(SU2, n, seed % 5 + k).components[0]
+                                  for k, p in enumerate(stored)}, n)
+        x = rng.uniform(0.0, 1.0, (n,) if one_point else (stack, n))
+        v1 = _frame(rng, (stack, n), zeros1 & set(range(n)))
+        v2 = _frame(rng, (stack, n), zeros2 & set(range(n)))
+        b_planes = {p: b.component_matrix(*p, x) for p in stored}
+        cases = [
+            (a.matrices_at(x, v1), dense_one_form(a, x, v1)),
+            (b.matrices_at(x, v1, v2), dense_pair_contraction(b_planes, n, v1, v2)),
+            (fm.curvature_matrices_at(a, x, v1, v2),
+             dense_pair_contraction(dict(fm.coordinate_curvatures(a, x)), n, v1, v2)),
+        ]
+        for got, want in cases:
+            assert got.shape == want.shape == (stack, 2, 2)
+            assert got.dtype == complex
+            assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+            if not v1.any():
+                assert not got.any()
+
+    def test_a_zero_velocity_component_is_never_called(self):
+        # component 2 has a pole (NaN) everywhere; a frame that is 0 there
+        # on the whole stack never sees it, one nonzero point does
+        calls = {}
+        a = fm.one_form_from_callables(
+            U1, [_counted_field(calls, 0, 1j), _counted_field(calls, 1, 2j),
+                 _counted_field(calls, 2, np.nan)], 3)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, (5, 3))
+        v = _frame(np.random.default_rng(1), (5, 3), [2])
+        assert np.array_equal(a.matrices_at(x, v)[:, 0, 0], 1j * v[:, 0] + 2j * v[:, 1])
+        assert calls == {0: 1, 1: 1}
+        v[3, 2] = 1e-300
+        assert np.isnan(a.matrices_at(x, v)).any()
+        assert calls[2] == 1
+
+    def test_a_nan_coefficient_is_evaluated(self):
+        calls = {}
+        a = fm.one_form_from_callables(U1, [_counted_field(calls, 0, 1j),
+                                            _counted_field(calls, 1, 1j)], 2)
+        x = np.zeros((3, 2))
+        v = np.zeros((3, 2))
+        v[1, 1] = np.nan
+        out = a.matrices_at(x, v)
+        assert calls == {1: 1}
+        assert np.isnan(out[1]).all() and not out[[0, 2]].any()
+
+    def test_only_planes_with_a_nonzero_coefficient_are_evaluated(self):
+        calls = {}
+        b = fm.two_form_from_callables(
+            U1, {(0, 1): _counted_field(calls, (0, 1), 1j),
+                 (0, 2): _counted_field(calls, (0, 2), np.nan),
+                 (1, 2): _counted_field(calls, (1, 2), np.nan)}, 3)
+        x = np.zeros((4, 3))
+        e1, e2 = np.eye(3)[:2]
+        assert np.array_equal(b.matrices_at(x, e1, e2), np.full((4, 1, 1), 1j))
+        assert calls == {(0, 1): 1}
+        # the curvature of A on (e1, e2) needs A_1, A_2 and their partials only
+        calls.clear()
+        a = fm.one_form_from_callables(
+            U1, [_counted_field(calls, k, 1j if k < 2 else np.nan) for k in range(3)], 3)
+        assert not fm.curvature_matrices_at(a, x, e1, e2).any()
+        assert 2 not in calls
+
+    def test_mc_pullback_skips_zero_directions(self):
+        seen = []
+
+        def mc(i, x):
+            seen.append(i)
+            return np.full(x.shape[:-1] + (2, 2), np.nan if i == 1 else 1.0)
+
+        g = fm.GroupValuedMap(SU2, lambda x: np.eye(2), mc)
+        assert np.array_equal(g.mc_pullback(np.zeros((2, 2)), [0.5, 0.0]), np.full((2, 2, 2), 0.5))
+        assert seen == [0]
+        assert np.array_equal(g.mc_pullback(np.zeros(2), np.zeros((3, 2))), np.zeros((3, 2, 2)))
 
 
 def _random_stack(rng, shape):

@@ -15,6 +15,7 @@ from higher_holonomy.errors import (
 
 from .conftest import SU2, U1, parabola_paths, su2_matrix_table
 from .oracles import (
+    DenseOneForm,
     line_integral,
     ordered_product_transport,
     stagewise_rk4,
@@ -462,6 +463,32 @@ class TestTransformationTransport:
 
         oracle = np.exp(-line_integral(integrand, 200))
         assert abs(res.h.matrix[0, 0] - oracle) <= 1e-9
+
+    def test_coordinate_line_never_evaluates_the_unused_component(self, mid_cfg):
+        # along x2 = const the velocity is exactly 0 in x2, so the per-point
+        # A'_2 is never called; a dense contraction of the same callables
+        # calls it at every point and gives h to rounding
+        cm, phi, a_sym, _ = _transformation_forms("eg")
+        g_map = fm.constant_group_map(lc.identity(cm.G), 2)
+        gamma = geo.path_from_expressions(["0.2 + 0.6*t", "0.4"])
+        calls = {}
+
+        def per_point(cls):
+            def comp(k):
+                def fn(x):
+                    calls[cls, k] = calls.get((cls, k), 0) + 1
+                    return a_sym.components[k].eval(x)
+                return fm.CallableMatrixField(fn, 2, 2, vectorized=False)
+            return cls(SU2, [comp(0), comp(1)], 2)
+
+        h = tp.transformation_transport(cm, g_map, phi, per_point(fm.OneFormField), gamma,
+                                        mid_cfg).h.matrix
+        dense = tp.transformation_transport(cm, g_map, phi, per_point(DenseOneForm), gamma,
+                                            mid_cfg).h.matrix
+        points = 2 * mid_cfg.n_steps_path + 1
+        assert calls == {(fm.OneFormField, 0): points, (DenseOneForm, 0): points,
+                         (DenseOneForm, 1): points}
+        assert lc.frob(h - dense) <= 1e-14
 
     def test_constructed_morphism_target_matches(self, morphism_data, mid_cfg):
         cm, a, b, g_map, phi, a_prime, b_prime = morphism_data

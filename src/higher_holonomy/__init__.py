@@ -80,7 +80,6 @@ from .higher_group import (
     TwoMorphismValue,
     alpha_g_star,
     alpha_star,
-    custom_crossed_module,
     hcompose,
     make_aut_inner,
     make_b_abelian,

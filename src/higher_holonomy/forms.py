@@ -134,12 +134,13 @@ class CallableMatrixField:
                                    fd_step=h)
 
 
-def _frame_sum(terms, shape, d: int) -> np.ndarray:
+def _frame_sum(terms, shapes, d: int) -> np.ndarray:
     """Sum of value() * coef[..., None, None] over (coef, value) pairs, in
     order, skipping a pair whose coefficient stack is identically zero
     without calling its value (a NaN is not zero; `np.count_nonzero` tests
     a small stack in a quarter of the time of `.any()`).  When every pair
-    is skipped: complex zeros of `shape` broadcast with the coefficients."""
+    is skipped: complex zeros of the leading `shapes` (of the points and
+    the frames) broadcast with the coefficients."""
     out, skipped = None, []
     for coef, value in terms:
         if np.count_nonzero(coef):
@@ -148,7 +149,7 @@ def _frame_sum(terms, shape, d: int) -> np.ndarray:
         else:
             skipped.append(coef.shape)
     if out is None:
-        return np.zeros(np.broadcast_shapes(shape, *skipped) + (d, d), dtype=complex)
+        return np.zeros(np.broadcast_shapes(*shapes, *skipped) + (d, d), dtype=complex)
     return out
 
 
@@ -212,7 +213,7 @@ class OneFormField:
         v = np.asarray(v, dtype=float)
         return _frame_sum(((v[..., i], lambda c=c: c.eval(x))
                            for i, c in enumerate(self.components)),
-                          x.shape[:-1], self.descriptor.matrix_dim)
+                          (x.shape[:-1], v.shape[:-1]), self.descriptor.matrix_dim)
 
     def __call__(self, x, v) -> AlgebraElement:
         return AlgebraElement(self.descriptor, self.matrices_at(x, v), validate=False)
@@ -252,7 +253,7 @@ class TwoFormField:
         return _frame_sum(((v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i],
                             lambda fld=fld: fld.eval(x))
                            for (i, j), fld in self.components.items()),
-                          x.shape[:-1], self.descriptor.matrix_dim)
+                          (x.shape[:-1], v1.shape[:-1], v2.shape[:-1]), self.descriptor.matrix_dim)
 
     def __call__(self, x, v1, v2) -> AlgebraElement:
         return AlgebraElement(self.descriptor, self.matrices_at(x, v1, v2), validate=False)
@@ -330,7 +331,7 @@ def exterior_derivative_one_form(a: OneFormField, x, v1, v2) -> np.ndarray:
     return _frame_sum(((v1[..., i] * v2[..., j] - v2[..., i] * v1[..., j],
                         lambda i=i, j=j: a.components[j].partial(i).eval(x))
                        for j in range(n) for i in range(n)),
-                      x.shape[:-1], a.descriptor.matrix_dim)
+                      (x.shape[:-1], v1.shape[:-1], v2.shape[:-1]), a.descriptor.matrix_dim)
 
 
 def _add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -414,7 +415,7 @@ def curvature_matrices_at(a: OneFormField, x, v1, v2) -> np.ndarray:
     return _frame_sum(((v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i],
                         lambda i=i, j=j: _plane_curvature(a, x, i, j, comp(i), comp(j)))
                        for i in range(n) for j in range(i + 1, n)),
-                      x.shape[:-1], a.descriptor.matrix_dim)
+                      (x.shape[:-1], v1.shape[:-1], v2.shape[:-1]), a.descriptor.matrix_dim)
 
 
 def curvature_two_form(a: OneFormField, x, v1, v2) -> AlgebraElement:
@@ -446,13 +447,13 @@ def exterior_derivative_two_form(b: TwoFormField, x, v1, v2, v3) -> np.ndarray:
 
     def directional(fld, va):
         return _frame_sum(((va[..., k], lambda k=k: fld.partial(k).eval(x))
-                           for k in range(b.ambient_dim)), x.shape[:-1], d)
+                           for k in range(b.ambient_dim)), (x.shape[:-1], va.shape[:-1]), d)
 
     return _frame_sum(((vb[..., i] * vc[..., j] - vb[..., j] * vc[..., i],
                         lambda fld=fld, va=va: directional(fld, va))
                        for va, vb, vc in (vs[c:] + vs[:c] for c in range(3))
                        for (i, j), fld in b.components.items()),
-                      x.shape[:-1], d)
+                      [x.shape[:-1]] + [v.shape[:-1] for v in vs], d)
 
 
 def _algebra_value(descriptor: GroupDescriptor, m: np.ndarray):
@@ -506,7 +507,7 @@ class GroupValuedMap:
         v = np.asarray(v, dtype=float)
         return _frame_sum(((v[..., i], lambda i=i: np.asarray(self.mc_fn(i, x), dtype=complex))
                            for i in range(x.shape[-1])),
-                          x.shape[:-1], self.descriptor.matrix_dim)
+                          (x.shape[:-1], v.shape[:-1]), self.descriptor.matrix_dim)
 
 
 def constant_group_map(g: GroupElement, ambient_dim: int) -> GroupValuedMap:

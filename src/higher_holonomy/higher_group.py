@@ -1,27 +1,24 @@
 """Smooth crossed modules (G, H, t, alpha), their induced algebra maps,
 and the 2-group composition laws.
 
-A `CrossedModule` carries t, alpha, their induced maps (t_*, alpha_*,
-(alpha_g)_* and s_*) and its G sampler as fields; all but the sampler act
-on stacks of raw matrices.  Every shipped module acts through a
-homomorphism s: G -> H, alpha_g = Ad_{s(g)}, and carries its differential
-s_* as `s_star`; the action derivative and transformation transport are
-built from it.  Builders:
+Every crossed module here acts through a homomorphism s: G -> H,
+alpha_g = Ad_{s(g)}.  A `CrossedModule` is therefore (G, H, t, s) with the
+differentials t_* and s_* and its G sampler; alpha, (alpha_g)_*, alpha_*,
+the action derivative and transformation transport are all derived from s
+and s_*.  Every map acts on stacks of raw matrices.  Builders:
 
 * ``make_b_abelian`` -- G trivial (the one-element subgroup of GL(1)), H
-  abelian, t collapsing to 1 and the action trivial (s = 1); closed forms.
-* ``make_eg`` -- H = G, t the identity, alpha conjugation (s = id); closed
-  forms.  Between any two 1-morphisms there is a unique 2-morphism filler
+  = U(1) or another 1x1 group, t collapsing to 1 and s = 1.
+* ``make_eg`` -- H = G, t the identity and s = id, so alpha is conjugation.
+  Between any two 1-morphisms there is a unique 2-morphism filler
   h = g' g^{-1}.
 * ``make_aut_inner`` -- the automorphism 2-group of H restricted to its
   inner image (the full automorphism group as matrices is out of scope).
   On this image it is ``make_eg`` under the ``aut_inner`` label.
-* ``custom_crossed_module`` -- black-box t and alpha on `GroupElement`s,
-  lifted to stacks, with central difference quotients for t_*, alpha_* and
-  (alpha_g)_* and the axioms verified on construction.  Its action need
-  not come from a homomorphism s, so it has no `s_star`: the action
-  derivative, transformation transport and the derived modification
-  target raise CompositionError on it.
+
+Any other (t, s) pair on stacks makes a module through the constructor;
+`verify_axioms` checks it by sampling (the Peiffer axiom asks that s(t(h))
+act as Ad_h).
 """
 
 from __future__ import annotations
@@ -36,69 +33,78 @@ from . import lie_core as lc
 from .errors import CompositionError
 from .lie_core import AlgebraElement, GroupDescriptor, GroupElement
 
-# Central-difference steps for the induced maps of a custom crossed module:
-# first differences, and the mixed second difference of alpha_*.
-_FD_STEP = 1e-5
-_FD_STEP_MIXED = 1e-4
-
 
 @dataclass(frozen=True, eq=False)
 class CrossedModule:
-    """The tuple (G, H, t, alpha) of a smooth crossed module with its
-    induced maps, all on stacks (..., d, d) of raw matrices whose leading
-    shapes broadcast:
+    """The crossed module (G, H, t, alpha) with alpha_g = Ad_{s(g)}, given
+    by maps on stacks (..., d, d) of raw matrices whose leading shapes
+    broadcast:
 
     * t(h): the homomorphism t: H -> G;
-    * alpha(g, h): the action of g on h;
-    * t_star(y): the differential of t at 1;
-    * alpha_star(x, y): the mixed differential of alpha at (1, 1);
-    * alpha_g_star(g, y): the differential of alpha_g: H -> H at 1;
-    * s_star(x): the differential of the homomorphism s: G -> H with
-      alpha_g = Ad_{s(g)}, or None when the action is not of that form.
+    * s(g): the homomorphism s: G -> H;
+    * t_star(y), s_star(x): their differentials at 1.
 
     `sample_g(rng, scale=0.7)` draws the G-elements that `verify_axioms`
-    samples.
+    samples.  The action and its induced maps are methods derived from s
+    and s_*.
     """
 
     G: GroupDescriptor
     H: GroupDescriptor
     t: Callable
-    alpha: Callable
+    s: Callable
     t_star: Callable
-    alpha_star: Callable
-    alpha_g_star: Callable
-    s_star: Callable | None
+    s_star: Callable
     sample_g: Callable
     kind: str = "custom"
+
+    def alpha(self, g, h):
+        """The action alpha(g, h) = s(g) h s(g)^-1."""
+        return lc.conjugate(self.s(g), h)
+
+    # alpha_g is linear conjugation, so its differential at 1 is itself.
+    alpha_g_star = alpha
+
+    def alpha_star(self, x, y):
+        """The mixed differential of alpha at (1, 1): [s_* x, y]."""
+        sx = self.s_star(x)
+        return sx @ y - y @ sx
 
     def sample_h(self, rng, scale: float = 0.7) -> GroupElement:
         return lc.random_group(self.H, rng, scale)
 
 
+_ONE = np.ones((1, 1), dtype=complex)
+
+
 def make_b_abelian(abelian_desc: GroupDescriptor) -> CrossedModule:
-    """Crossed module with trivial G over an abelian H."""
+    """Crossed module with trivial G over an abelian H of 1x1 matrices;
+    raises CompositionError for larger H."""
+    if abelian_desc.matrix_dim != 1:
+        raise CompositionError(
+            f"b_abelian needs an H of 1x1 matrices, not {abelian_desc.matrix_dim}x"
+            f"{abelian_desc.matrix_dim}")
     g_desc = lc.gl(1, "real")
-    dh = abelian_desc.matrix_dim
+
+    def one(m):
+        return np.broadcast_to(_ONE, np.shape(m)[:-2] + (1, 1))
 
     return CrossedModule(
         g_desc, abelian_desc,
-        t=lambda h: np.ones(np.shape(h)[:-2] + (1, 1), dtype=complex),
-        alpha=lambda g, h: h,
+        t=one,
+        s=one,
         t_star=lambda y: np.zeros(np.shape(y)[:-2] + (1, 1), dtype=complex),
-        alpha_star=lambda x, y: np.zeros_like(np.asarray(y, dtype=complex)),
-        alpha_g_star=lambda g, y: np.asarray(y, dtype=complex),
-        s_star=lambda x: np.zeros(np.shape(x)[:-2] + (dh, dh), dtype=complex),
+        s_star=lambda x: np.zeros(np.shape(x)[:-2] + (1, 1), dtype=complex),
         sample_g=lambda rng, scale=0.7: lc.identity(g_desc),
         kind="b_abelian",
     )
 
 
 def make_eg(group_desc: GroupDescriptor) -> CrossedModule:
-    """H = G with t the identity and alpha conjugation."""
+    """H = G with t and s the identity, so alpha is conjugation."""
     identity = partial(np.asarray, dtype=complex)
     return CrossedModule(
-        group_desc, group_desc, t=identity, alpha=lc.conjugate, t_star=identity,
-        alpha_star=lambda x, y: x @ y - y @ x, alpha_g_star=lc.conjugate, s_star=identity,
+        group_desc, group_desc, t=identity, s=identity, t_star=identity, s_star=identity,
         sample_g=partial(lc.random_group, group_desc), kind="eg",
     )
 
@@ -108,64 +114,6 @@ def make_aut_inner(h_desc: GroupDescriptor) -> CrossedModule:
     representatives (H-matrices modulo center).  On this image t and alpha
     coincide with the inner 2-group's, so only the kind label differs."""
     return replace(make_eg(h_desc), kind="aut_inner")
-
-
-def _one_at_a_time(fn):
-    """Lift `fn` on single matrices to stacks whose leading shapes
-    broadcast."""
-    def lifted(*stacks):
-        stacks = [np.asarray(s, dtype=complex) for s in stacks]
-        lead = np.broadcast_shapes(*(s.shape[:-2] for s in stacks))
-        flat = [np.broadcast_to(s, lead + s.shape[-2:]).reshape((-1,) + s.shape[-2:])
-                for s in stacks]
-        out = np.stack([fn(*ms) for ms in zip(*flat)])
-        return out.reshape(lead + out.shape[-2:])
-    return lifted
-
-
-def custom_crossed_module(G: GroupDescriptor, H: GroupDescriptor, t,
-                          alpha) -> CrossedModule:
-    """Crossed module from black-box evaluators t(h) and alpha(g, h) on
-    `GroupElement`s, lifted to stacks one matrix at a time.  Its induced
-    maps are central difference quotients of the lifts, with steps
-    `_FD_STEP` and `_FD_STEP_MIXED`; it has no `s_star` (see the module
-    docstring).
-
-    The axioms are checked on construction by `verify_axioms` with its
-    defaults; a module that fails them raises CompositionError carrying
-    the `AxiomReport` as `report`.
-    """
-    t_lift = _one_at_a_time(lambda h: t(GroupElement(H, h, validate=False)).matrix)
-    alpha_lift = _one_at_a_time(lambda g, h: alpha(GroupElement(G, g, validate=False),
-                                                   GroupElement(H, h, validate=False)).matrix)
-
-    def central(f, step):
-        return (f(step) - f(-step)) / (2.0 * step)
-
-    def t_star(y):
-        return lc.project_to_algebra(G, central(lambda s: t_lift(lc.expm(s * y)), _FD_STEP))
-
-    def alpha_star(x, y):
-        h = _FD_STEP_MIXED
-
-        def a(sx, uy):
-            return alpha_lift(lc.expm(sx * x), lc.expm(uy * y))
-
-        stencil = (a(h, h) - a(h, -h) - a(-h, h) + a(-h, -h)) / (4.0 * h * h)
-        return lc.project_to_algebra(H, stencil)
-
-    def alpha_g_star(g, y):
-        return lc.project_to_algebra(
-            H, central(lambda s: alpha_lift(g, lc.expm(s * y)), _FD_STEP))
-
-    cm = CrossedModule(G, H, t_lift, alpha_lift, t_star, alpha_star, alpha_g_star,
-                       s_star=None, sample_g=partial(lc.random_group, G))
-    report = verify_axioms(cm)
-    if not report.passed:
-        raise CompositionError(
-            f"crossed-module axioms fail: max residual {report.max_residual:.3e} "
-            f"exceeds {report.tol:.1e}", report=report)
-    return cm
 
 
 def t_star(cm: CrossedModule, y: AlgebraElement) -> AlgebraElement:
@@ -193,20 +141,10 @@ def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndar
     return cm.alpha_g_star(g_mats, y_mats)
 
 
-def s_star_matrix(cm: CrossedModule, x_mats: np.ndarray) -> np.ndarray:
-    """s_* on a stack of raw G-algebra matrices, for alpha_g = Ad_{s(g)};
-    raises CompositionError on a module without `s_star`."""
-    if cm.s_star is None:
-        raise CompositionError(
-            "this crossed module's action is not given as Ad_{s(g)} for a "
-            "homomorphism s: G -> H, so it has no s_*")
-    return cm.s_star(x_mats)
-
-
 def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
     """Derivative of g -> alpha(g, h) at g = 1 in direction X (at h):
     s_*(X) h - h s_*(X)."""
-    s = s_star_matrix(cm, x_mat)
+    s = cm.s_star(x_mat)
     return s @ h_mat - h_mat @ s
 
 

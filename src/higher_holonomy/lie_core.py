@@ -370,11 +370,17 @@ def small_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) ->
 
 def conjugate(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """g y g^-1 on stacks of square matrices whose leading shapes broadcast.
-    For 2x2 both products are entrywise (`small_matmul`) and g^-1 is the
+    Scalars commute, so for 1x1 it is y, as a read-only view broadcast with
+    g.  For 2x2 both products are entrywise (`small_matmul`) and g^-1 is the
     adjugate over the determinant; other sizes use `np.linalg.inv`.  A
-    singular g raises LinAlgError, as `np.linalg.inv` does."""
+    singular g raises LinAlgError, and a non-finite g gives NaN without a
+    warning, as `np.linalg.inv` does."""
     g = np.asarray(g, dtype=complex)
     y = np.asarray(y, dtype=complex)
+    if g.shape[-1] == 1:
+        if np.any(g == 0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.broadcast_to(y, np.broadcast_shapes(g.shape, y.shape))
     if g.shape[-1] != 2:
         return g @ y @ np.linalg.inv(g)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
@@ -386,7 +392,8 @@ def conjugate(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     adj[..., 1, 0] = -g[..., 1, 0]
     adj[..., 1, 1] = g[..., 0, 0]
     out = small_matmul(small_matmul(g, y), adj)
-    out /= det[..., None, None]
+    with np.errstate(invalid="ignore"):  # only a non-finite g or y signals here
+        out /= det[..., None, None]
     return out
 
 

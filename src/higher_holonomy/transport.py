@@ -15,7 +15,7 @@ and then takes their ordered product.
 
 Transformation transport dh = -phi(gamma') h - (alpha_h)_*(A'(gamma')) is
 the H-part of path transport of (phi, A') in the semidirect product
-H x| G.  Every shipped crossed module acts through a homomorphism
+H x| G.  Every crossed module acts through a homomorphism
 s: G -> H, alpha_g = Ad_{s(g)}, so (h, g) -> (h s(g), s(g)) embeds H x| G
 in H x H and
 
@@ -155,9 +155,8 @@ def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarr
     """h(1) for dh = -phi h - (alpha_h)_*(A'), h(0) = 1, for every line of
     phi values `phis` (m, 2n+1, d, d) against one line of A' values on the
     same half-step grid, as U_{phi + s_* A'} U_{s_* A'}^{-1} (see the
-    module docstring): m + 1 lines of one sweep in H.  Returns (m, d, d).
-    Raises CompositionError on a crossed module without `s_star`."""
-    sa = hg.s_star_matrix(cm, a_vals)
+    module docstring): m + 1 lines of one sweep in H.  Returns (m, d, d)."""
+    sa = cm.s_star(a_vals)
     u = _rk4_sweep(np.concatenate([phis + sa, sa[None]]), 1.0 / n, cm.H, keep_nodes=False)
     return u[:-1] @ lc.retracted_inverse(cm.H, u[-1])
 
@@ -357,8 +356,7 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
     F'(gamma) g(x) = t(h^{-1}) g(y) F(gamma) is computed and checked.
     Raises MembershipError when phi(gamma') leaves the algebra of H,
     A'(gamma') the algebra of G, or g(x), g(y) the group G (the per-step
-    retraction would hide the first two), and CompositionError on a
-    crossed module without `s_star`.
+    retraction would hide the first two).
     """
     n = cfg.n_steps_path
     a_vals, h, [(g_start, g_end)] = _transformation_lines(cm, [(g_map, phi)], a_prime,

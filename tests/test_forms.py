@@ -226,6 +226,9 @@ class TestFrameContraction:
             (b.matrices_at(x, v1, v2), dense_pair_contraction(b_planes, n, v1, v2)),
             (fm.curvature_matrices_at(a, x, v1, v2),
              dense_pair_contraction(dict(fm.coordinate_curvatures(a, x)), n, v1, v2)),
+            # a form storing no plane broadcasts x with the frames as well
+            (fm.two_form_from_expressions(SU2, {}, n).matrices_at(x, v1, v2),
+             np.zeros((stack, 2, 2), dtype=complex)),
         ]
         for got, want in cases:
             assert got.shape == want.shape == (stack, 2, 2)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -46,6 +47,10 @@ class TestBuilders:
         rhs = g @ aut_su2.t(h) @ np.linalg.inv(g)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_b_abelian_rejects_a_larger_h(self):
+        with pytest.raises(CompositionError):
+            hg.make_b_abelian(SU2)
+
 
 class TestVerifyAxioms:
     @pytest.mark.parametrize("builder", [
@@ -63,55 +68,33 @@ class TestVerifyAxioms:
         assert report.action_composition == 0.0
 
     def test_corrupted_action_fails(self):
-        # conjugation with the inverse group element violates the Peiffer
-        # identity and equivariance
-        def bad_alpha(g, h):
-            inv = np.linalg.inv(g.matrix)
-            return lc.GroupElement(SU2, inv @ h.matrix @ g.matrix, validate=False)
-
-        def t_eval(h):
-            return lc.GroupElement(SU2, h.matrix, validate=False)
-
-        # rejected on construction, with the failing report attached
-        with pytest.raises(CompositionError) as err:
-            hg.custom_crossed_module(SU2, SU2, t_eval, bad_alpha)
-        report = err.value.report
+        # s(g) = g^-1 is no homomorphism, and conjugating by it violates the
+        # Peiffer identity and equivariance
+        cm = replace(hg.make_eg(SU2), s=np.linalg.inv)
+        report = hg.verify_axioms(cm)
         assert not report.passed and report.tol == 1e-9
         assert report.peiffer > 0.1
 
     def test_nan_action_fails_with_an_infinite_residual(self):
-        # an action that is NaN on about a tenth of its arguments; a NaN
-        # residual must not be dropped by the maximum
-        def alpha_eval(g, h):
-            if abs(h.matrix[0, 0].real) > 0.9:
-                return lc.GroupElement(SU2, np.full((2, 2), np.nan), validate=False)
-            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
-                                   validate=False)
+        # an s that is NaN on part of its arguments; a NaN residual must not
+        # be dropped by the maximum
+        def s_nan(g):
+            bad = np.abs(g[..., 0, 0].real) > 0.9
+            return np.where(bad[..., None, None], np.nan, g)
 
-        with pytest.raises(CompositionError) as err:
-            hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
-        report = err.value.report
+        report = hg.verify_axioms(replace(hg.make_eg(SU2), s=s_nan))
         assert report.max_residual == math.inf and not report.passed
         assert report.action_homomorphism == math.inf
         assert report.as_dict()["max_residual"] == math.inf
 
     def test_axioms_are_evaluated_on_stacks(self):
-        # t and alpha are called once per axiom term, on all samples at once
+        # t is called once per axiom term, on all samples at once
         calls = []
-
-        def t_eval(h):
-            return h
-
-        def alpha_eval(g, h):
-            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
-                                   validate=False)
-
-        cm = hg.custom_crossed_module(SU2, SU2, t_eval, alpha_eval)
-        t_lift = cm.t
+        cm = hg.make_eg(SU2)
 
         def counted_t(h):
             calls.append(np.shape(h))
-            return t_lift(h)
+            return cm.t(h)
 
         report = hg.verify_axioms(replace(cm, t=counted_t), n_samples=7, seed=5)
         assert report.passed
@@ -123,7 +106,60 @@ class TestVerifyAxioms:
         assert r1.as_dict() == r2.as_dict()
 
 
+def _central(f, step):
+    return (f(step) - f(-step)) / (2.0 * step)
+
+
+_MODULES = {
+    "eg:SU(2)": lambda: hg.make_eg(SU2),
+    "aut_inner:SU(2)": lambda: hg.make_aut_inner(SU2),
+    "eg:SO(3)": lambda: hg.make_eg(lc.so(3)),
+    "eg:U(1)": lambda: hg.make_eg(U1),
+    "b_u1": lambda: hg.make_b_abelian(U1),
+}
+
+
+def _difference_quotients(cm, g, h, x, y):
+    """{map name: (derived map, its arguments, difference quotient of t or
+    alpha, tolerance)} on stacks g, h of group elements and x, y of algebra
+    elements of G and H."""
+    def mixed(step):
+        def a(sx, uy):
+            return cm.alpha(lc.expm(sx * step * x), lc.expm(uy * step * y))
+        return (a(1, 1) - a(1, -1) - a(-1, 1) + a(-1, -1)) / (4 * step ** 2)
+
+    action_diff = _central(lambda e: cm.alpha(lc.expm(e * x), h), 1e-5)
+    return {
+        "t_star": (cm.t_star, (y,), _central(lambda e: cm.t(lc.expm(e * y)), 1e-5), 1e-8),
+        "alpha_star": (cm.alpha_star, (x, y), mixed(1e-4), 1e-6),
+        "alpha_g_star": (cm.alpha_g_star, (g, y),
+                         _central(lambda e: cm.alpha(g, lc.expm(e * y)), 1e-5), 1e-8),
+        "alpha_action_diff": (partial(hg.alpha_action_diff, cm), (x, h), action_diff, 1e-8),
+        "alpha_conjugate_star": (partial(hg.alpha_conjugate_star, cm), (h, x),
+                                 action_diff @ np.linalg.inv(h), 1e-8),
+    }
+
+
 class TestInducedMaps:
+    def test_action_derivative_matches_difference_quotient(self):
+        # every map derived from s and s_*, on stacks, against central
+        # differences of t and alpha (steps 1e-5, and 1e-4 for the mixed
+        # second difference of alpha)
+        rng = np.random.default_rng(10)
+
+        def stack(desc, draw):
+            return np.stack([draw(desc, rng).matrix for _ in range(6)]).reshape(
+                (2, 3) + (desc.matrix_dim,) * 2)
+
+        for label, make in _MODULES.items():
+            cm = make()
+            x, y = stack(cm.G, lc.random_algebra), stack(cm.H, lc.random_algebra)
+            g, h = lc.expm(stack(cm.G, lc.random_algebra)), stack(cm.H, lc.random_group)
+            for name, (fn, args, want, tol) in _difference_quotients(cm, g, h, x, y).items():
+                got = fn(*args)
+                assert got.shape == want.shape, (label, name)
+                assert np.max(np.abs(got - want)) <= tol, (label, name)
+
     def test_t_star_eg_identity(self, eg_su2):
         y = lc.random_algebra(SU2, np.random.default_rng(0))
         assert np.array_equal(hg.t_star(eg_su2, y).matrix, y.matrix)
@@ -149,19 +185,6 @@ class TestInducedMaps:
         oracle = 1e-3 * lc.bracket(y, z).matrix
         assert np.allclose(der, oracle, atol=1e-9)
 
-    def test_t_star_custom_difference_quotient(self):
-        # custom module: t(h) = h^2 on U(1), so t_* = 2 id
-        def t_eval(h):
-            return lc.GroupElement(U1, h.matrix @ h.matrix, validate=False)
-
-        def alpha_eval(g, h):
-            return h
-
-        cm = hg.custom_crossed_module(U1, U1, t_eval, alpha_eval)
-        y = lc.AlgebraElement(U1, [[0.7j]])
-        out = hg.t_star(cm, y)
-        assert abs(out.matrix[0, 0] - 1.4j) < 1e-9
-
     def test_alpha_star_zero_first_slot(self, eg_su2):
         y = lc.random_algebra(SU2, np.random.default_rng(3))
         out = hg.alpha_star(eg_su2, lc.zero(SU2), y)
@@ -177,65 +200,6 @@ class TestInducedMaps:
         x = lc.random_algebra(SU2, rng)
         y = lc.random_algebra(SU2, rng)
         assert np.allclose(hg.alpha_star(eg_su2, x, y).matrix, lc.bracket(x, y).matrix)
-
-    def test_alpha_star_custom_matches_closed_form(self):
-        # custom EG(SU(2)) goes through the mixed difference quotient
-        def t_eval(h):
-            return h
-
-        def alpha_eval(g, h):
-            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
-                                   validate=False)
-
-        cm = hg.custom_crossed_module(SU2, SU2, t_eval, alpha_eval)
-        rng = np.random.default_rng(7)
-        x = lc.random_algebra(SU2, rng)
-        y = lc.random_algebra(SU2, rng)
-        got = hg.alpha_star(cm, x, y)
-        assert np.allclose(got.matrix, lc.bracket(x, y).matrix, atol=1e-6)
-
-    def test_custom_maps_on_stacks_match_closed_forms(self, eg_su2):
-        # a custom EG(SU(2)) lifts its difference quotients to stacks,
-        # broadcasting a single g against a stack of y
-        def alpha_eval(g, h):
-            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
-                                   validate=False)
-
-        cm = hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
-        rng = np.random.default_rng(9)
-        ys = np.stack([lc.random_algebra(SU2, rng).matrix for _ in range(6)]).reshape(2, 3, 2, 2)
-        g = lc.random_group(SU2, rng).matrix
-        for name, args in [("t_star", (ys,)), ("alpha_g_star", (g, ys)),
-                           ("alpha_star", (ys[0], ys[1]))]:
-            got = getattr(cm, name)(*args)
-            want = getattr(eg_su2, name)(*args)
-            assert got.shape == want.shape
-            assert np.allclose(got, want, atol=1e-6), name
-
-    def test_action_derivative_matches_difference_quotient(self, eg_su2, bu1):
-        # alpha_action_diff is s_*(x) h - h s_*(x); against the central
-        # difference of g -> alpha(g, h) at g = 1
-        rng = np.random.default_rng(10)
-        for cm in (eg_su2, bu1):
-            x = lc.random_algebra(cm.G, rng)
-            h = cm.sample_h(rng)
-            s = 1e-5
-            gp = lc.exp_map(lc.AlgebraElement(cm.G, s * x.matrix, validate=False))
-            gm = lc.exp_map(lc.AlgebraElement(cm.G, -s * x.matrix, validate=False))
-            want = (cm.alpha(gp.matrix, h.matrix) - cm.alpha(gm.matrix, h.matrix)) / (2 * s)
-            got = hg.alpha_action_diff(cm, x.matrix, h.matrix)
-            assert got.shape == want.shape
-            assert np.allclose(got, want, atol=1e-9)
-
-    def test_custom_module_has_no_action_derivative(self):
-        def alpha_eval(g, h):
-            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
-                                   validate=False)
-
-        cm = hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
-        y = lc.random_algebra(SU2, np.random.default_rng(11)).matrix
-        with pytest.raises(CompositionError):
-            hg.alpha_action_diff(cm, y, np.eye(2))
 
     def test_alpha_g_star_identity_and_conjugation(self, eg_su2, bu1):
         rng = np.random.default_rng(8)

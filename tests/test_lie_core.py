@@ -312,7 +312,8 @@ class TestSmallMatmul:
 
 
 class TestConjugate:
-    @pytest.mark.parametrize("desc", [lc.gl(2, "complex"), lc.su(2), lc.su(3)], ids=str)
+    @pytest.mark.parametrize("desc", [lc.gl(2, "complex"), lc.su(2), lc.su(3), lc.u1()],
+                             ids=str)
     @pytest.mark.parametrize("g_lead, y_lead", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),
                                                 ((), (5,)), ((3, 4), (4,))], ids=str)
     def test_equals_g_y_inverse_g(self, desc, g_lead, y_lead):
@@ -328,9 +329,10 @@ class TestConjugate:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_singular_raises_without_a_warning(self, n):
-        g = np.stack([np.eye(n), np.ones((n, n))])
+        # a 1x1 g is singular only when it is zero
+        g = np.stack([np.eye(n), np.ones((n, n)) if n > 1 else np.zeros((1, 1))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):

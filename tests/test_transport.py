@@ -6,12 +6,7 @@ from higher_holonomy import geometry as geo
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
-from higher_holonomy.errors import (
-    CompositionError,
-    MembershipError,
-    NumericalError,
-    TargetMatchingError,
-)
+from higher_holonomy.errors import MembershipError, NumericalError, TargetMatchingError
 
 from .conftest import SU2, U1, parabola_paths, su2_matrix_table
 from .oracles import (
@@ -407,19 +402,6 @@ class TestTransformationTransport:
         for coarse, fine in zip(gaps, gaps[1:]):
             assert fine <= max(coarse / 12.0, 1e-14)
         assert lc.frob(hs[0] - hs[1]) >= 12.0 * lc.frob(hs[1] - hs[2])
-
-    def test_custom_module_raises(self, mid_cfg):
-        # a black-box action has no s_*, so no semidirect-product embedding
-        def alpha_eval(g, h):
-            return lc.GroupElement(SU2, g.matrix @ h.matrix @ np.linalg.inv(g.matrix),
-                                   validate=False)
-
-        cm = hg.custom_crossed_module(SU2, SU2, lambda h: h, alpha_eval)
-        g_map = fm.constant_group_map(lc.identity(SU2), 2)
-        zero = fm.zero_one_form(SU2, 2)
-        gamma = geo.path_from_expressions(["t", "0.2*t"])
-        with pytest.raises(CompositionError):
-            tp.transformation_transport(cm, g_map, zero, zero, gamma, mid_cfg)
 
     def test_phi_outside_the_algebra_raises(self, mid_cfg):
         # phi = 1 dx1 is not su(2)-valued; the retraction would return h = 1

@@ -142,6 +142,12 @@ def algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
         return math.inf
     if desc.family == U1:
         d = np.abs(m[..., 0, 0].real)
+    elif desc.family == SU and desc.matrix_dim == 2:
+        # the SU branch below from the four entries, with one square root
+        m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        herm = 4.0 * (m00.real ** 2 + m11.real ** 2) + 2.0 * np.abs(m01 + m10.conj()) ** 2
+        d2 = np.maximum(herm, np.abs(m00 + m11) ** 2)
+        return math.sqrt(float(np.max(d2, initial=0.0)))
     elif desc.family == SU:
         tr = np.trace(m, axis1=-2, axis2=-1)
         d = np.maximum(_frobs(m + np.swapaxes(m.conj(), -2, -1)), np.hypot(tr.real, tr.imag))
@@ -165,6 +171,8 @@ def require_algebra(desc: GroupDescriptor, m: np.ndarray, form: str, where: str 
     `desc` within membership_tolerance * max(1, largest |entry|)."""
     m = np.asarray(m)
     d = algebra_defect(desc, m)
+    if d <= desc.membership_tolerance:  # the scale is at least 1
+        return
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0))) if math.isfinite(d) else 1.0
     if not d <= desc.membership_tolerance * scale:
         raise MembershipError(f"{form}{where} leaves the algebra of {desc} (defect {d:.3e})",
@@ -380,6 +388,8 @@ def conjugate(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     if g.shape[-1] == 1:
         if np.any(g == 0):
             raise np.linalg.LinAlgError("Singular matrix")
+        if not np.all(np.isfinite(g)):
+            return np.where(np.isfinite(g), y, np.nan)
         return np.broadcast_to(y, np.broadcast_shapes(g.shape, y.shape))
     if g.shape[-1] != 2:
         return g @ y @ np.linalg.inv(g)

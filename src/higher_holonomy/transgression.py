@@ -134,17 +134,14 @@ def _phi_values(pair: ConnectionPair, lp: LoopPath, times: np.ndarray,
     """phi_F at the loops lp(t, .) in the variations d_t lp(t, .), for every
     t of `times`: shape (m, dh, dh) for m times.  The loop path is evaluated
     on the whole (t, z) grid at once, and the arc transports of all m loops
-    come from one stacked sweep of m lines around the loop.  Raises
-    MembershipError when A leaves its algebra along the loops, which the
-    per-step retraction would otherwise hide."""
+    come from one stacked sweep of m lines around the loop."""
     desc = pair.A.descriptor
     t, z = np.meshgrid(np.asarray(times, dtype=float), np.linspace(0.0, 1.0, 2 * nq + 1),
                        indexing="ij")
     x = lp.point(t, z)
     v = lp.dz(t, z)
     amats = pair.A.matrices_at(x, v)
-    lc.require_algebra(desc, amats, "A", " along the loops")
-    u = _rk4_sweep(amats, 1.0 / nq, desc)
+    u = _rk4_sweep(amats, 1.0 / nq, desc, "A", " along the loops")
     arcs = u[:, -1:] @ lc.retracted_inverse(desc, u)
     bvals = pair.B.matrices_at(x[:, ::2], lp.dt(t[:, ::2], z[:, ::2]), v[:, ::2])
     integrand = hg.alpha_g_star_matrices(pair.cm, arcs, bvals)
@@ -215,11 +212,10 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     * the differential-form route: the loop-space ODE driven by (A_F,
       phi_F) sampled along the loop path.
 
-    Both converge to the same element; the defect is their distance.
+    Both converge to the same element; the defect is their distance.  The
+    form route runs first, so an A leaving its algebra along the loops is
+    reported there; phi_F is built from B and is checked under its name.
     """
-    tv = loop_path_two_morphism(pair, lp, cfg)
-    route_functor = np.linalg.inv(tv.h_part.matrix)
-
     n = cfg.n_steps_surface_s
     tt = np.linspace(0.0, 1.0, 2 * n + 1)
     base = lp.base_path()
@@ -227,7 +223,11 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     vb = base.velocity(tt)
     a_vals = pair.A.matrices_at(xb, vb)
     phi_vals = _phi_values(pair, lp, tt, cfg.n_quad_t)
-    h_mat = _semidirect_transports(pair.cm, phi_vals[None], a_vals, n)[0]
+    h_mat = _semidirect_transports(pair.cm, phi_vals[None], a_vals, n, ("B", "A"),
+                                   " along the loop path")[0]
+
+    tv = loop_path_two_morphism(pair, lp, cfg)
+    route_functor = np.linalg.inv(tv.h_part.matrix)
 
     defect = lc.frob(route_functor - h_mat)
     return ConsistencyReport(route_functor, h_mat, defect)

@@ -11,7 +11,9 @@ after each step (prevents drift over long integrations).  Every ODE in the
 package is of this left-product form and is solved by `_rk4_sweep`: one
 RK4 step is u_{k+1} = P_k u_k with P_k the RK4 transport along the k-th
 piece of the path, so the sweep builds every P_k in a few batched passes
-and then takes their ordered product.
+and then takes their ordered product.  The retraction returns a group
+element whatever the coefficients are, so `_rk4_sweep`, not its callers,
+checks that every line it integrates lies in the Lie algebra.
 
 Transformation transport dh = -phi(gamma') h - (alpha_h)_*(A'(gamma')) is
 the H-part of path transport of (phi, A') in the semidirect product
@@ -119,10 +121,14 @@ def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
 _SMALL_MATMUL_MIN_LINES = 64
 
 
-def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
+def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str,
+               keep_nodes: bool = True):
     """Integrate u' = -a(t) u, u(0) = 1, across a stack of coefficient lines
     by classical RK4 with a retraction onto the group of `desc` after every
     step.
+
+    Every line is checked against the algebra of `desc` first; the
+    MembershipError names `form`, whose values the lines are, and `where`.
 
     `a` has shape (m, 2n+1, d, d) with values at step endpoints and
     midpoints.  The transport along the path is the ordered product of the
@@ -134,6 +140,7 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
     when keep_nodes is false; a non-finite final value raises
     NumericalError.
     """
+    lc.require_algebra(desc, a, form, where)
     p = _rk4_propagators(np.asarray(a, dtype=complex), h)
     n, m, d, _ = p.shape
     wide = d == 2 and m >= _SMALL_MATMUL_MIN_LINES
@@ -151,27 +158,31 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, keep_nodes: bool = True):
 
 
 def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
-                           n: int) -> np.ndarray:
+                           n: int, forms: tuple[str, str], where: str) -> np.ndarray:
     """h(1) for dh = -phi h - (alpha_h)_*(A'), h(0) = 1, for every line of
     phi values `phis` (m, 2n+1, d, d) against one line of A' values on the
     same half-step grid, as U_{phi + s_* A'} U_{s_* A'}^{-1} (see the
-    module docstring): m + 1 lines of one sweep in H.  Returns (m, d, d)."""
+    module docstring): m + 1 lines of one sweep in H.  Returns (m, d, d).
+
+    `forms` names (phi, A').  A' enters H only through s_*, which may be 0
+    (b_u1), so A' is checked in the algebra of G here; s_* A' then lies in
+    h, and the sweep's check of the summed lines is the check of phi."""
+    phi_form, a_form = forms
+    lc.require_algebra(cm.G, a_vals, a_form, where)
     sa = cm.s_star(a_vals)
-    u = _rk4_sweep(np.concatenate([phis + sa, sa[None]]), 1.0 / n, cm.H, keep_nodes=False)
+    u = _rk4_sweep(np.concatenate([phis + sa, sa[None]]), 1.0 / n, cm.H, phi_form, where,
+                   keep_nodes=False)
     return u[:-1] @ lc.retracted_inverse(cm.H, u[-1])
 
 
 def transport_nodes(a_form: OneFormField, gamma: Path, n_steps: int) -> np.ndarray:
     """Transport along gamma, returning the solution at the n_steps+1
-    uniform nodes (used for partial-arc transports).  Raises
-    MembershipError when A(gamma') leaves the Lie algebra, which the
-    per-step retraction would otherwise hide."""
+    uniform nodes (used for partial-arc transports)."""
     tt = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     x = gamma.point(tt)
     v = gamma.velocity(tt)
     a = a_form.matrices_at(x, v)[None]
-    lc.require_algebra(a_form.descriptor, a, "A", " along the path")
-    return _rk4_sweep(a, 1.0 / n_steps, a_form.descriptor)[0]
+    return _rk4_sweep(a, 1.0 / n_steps, a_form.descriptor, "A", " along the path")[0]
 
 
 def path_transport(a_form: OneFormField, gamma: Path,
@@ -191,7 +202,7 @@ def _inner_transports(a_form: OneFormField, sigma: Bigon, s_values: np.ndarray,
     x = sigma.point(s_grid, t_grid)
     vt = sigma.dt(s_grid, t_grid)
     amats = a_form.matrices_at(x, vt)
-    u = _rk4_sweep(amats, 1.0 / nt, a_form.descriptor)
+    u = _rk4_sweep(amats, 1.0 / nt, a_form.descriptor, "A", " over the bigon")
     return x[:, ::2], vt[:, ::2], u
 
 
@@ -242,7 +253,8 @@ def _surface(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
     s_values = np.linspace(0.0, 1.0, 2 * ns + 1)
     drivers = _surface_driver_values(cm, a_form, b_at, sigma, s_values, cfg)
     # outer ODE f' = -D(s) f on the half-step grid of driver values
-    f_end = _rk4_sweep(drivers[None], 1.0 / ns, cm.H, keep_nodes=False)[0]
+    f_end = _rk4_sweep(drivers[None], 1.0 / ns, cm.H, "B", " over the bigon",
+                       keep_nodes=False)[0]
 
     g_source = path_transport(a_form, sigma.source_path(), cfg)
     g_target = path_transport(a_form, sigma.target_path(), cfg)
@@ -330,19 +342,16 @@ def _transformation_lines(cm: CrossedModule, maps, a_prime: OneFormField, gamma:
     """h(gamma) for every (g, phi) of `maps`, from one sample of gamma on the
     half-step grid of an n-step sweep and one semidirect sweep.  Returns
     A'(gamma') there, the h matrices (m, d, d) and (g(x), g(y)) per map.
-    Raises MembershipError when a phi(gamma') leaves the algebra of H,
-    A'(gamma') the algebra of G (the per-step retraction would hide
-    both), or a g(x), g(y) the group G."""
+    Raises MembershipError when a g(x), g(y) leaves the group G."""
     tt = np.linspace(0.0, 1.0, 2 * n + 1)
     x = gamma.point(tt)
     v = gamma.velocity(tt)
     phis = np.stack([phi.matrices_at(x, v) for _, phi in maps])
-    lc.require_algebra(cm.H, phis, "phi", " along the path")
     a_vals = a_prime.matrices_at(x, v)
-    lc.require_algebra(cm.G, a_vals, "A'", " along the path")
+    h = _semidirect_transports(cm, phis, a_vals, n, ("phi", "A'"), " along the path")
     ends = [tuple(GroupElement(g_map.descriptor, g_map.matrix(p))
                   for p in (gamma.start(), gamma.end())) for g_map, _ in maps]
-    return a_vals, _semidirect_transports(cm, phis, a_vals, n), ends
+    return a_vals, h, ends
 
 
 def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
@@ -354,9 +363,7 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
 
     When the source 1-form A is supplied the target-matching residual of
     F'(gamma) g(x) = t(h^{-1}) g(y) F(gamma) is computed and checked.
-    Raises MembershipError when phi(gamma') leaves the algebra of H,
-    A'(gamma') the algebra of G, or g(x), g(y) the group G (the per-step
-    retraction would hide the first two).
+    Raises MembershipError when g(x) or g(y) leaves the group G.
     """
     n = cfg.n_steps_path
     a_vals, h, [(g_start, g_end)] = _transformation_lines(cm, [(g_map, phi)], a_prime,
@@ -364,7 +371,8 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
     residual = None
     if a_source is not None:
         f_src = path_transport(a_source, gamma, cfg)
-        f_tgt = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, keep_nodes=False)[0]
+        f_tgt = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path",
+                           keep_nodes=False)[0]
         lhs = f_tgt @ g_start.matrix
         rhs_m = cm.t(np.linalg.inv(h[0])) @ g_end.matrix @ f_src.matrix
         residual = lc.frob(lhs - rhs_m) / max(1.0, lc.frob(rhs_m))
@@ -397,7 +405,8 @@ def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
     n = cfg.n_steps_path
     a_vals, (h1, h2), _ = _transformation_lines(cm, [(g_map, phi), (g2_map, phi2)],
                                                 a_prime, gamma, n)
-    f_prime = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, keep_nodes=False)[0]
+    f_prime = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path",
+                         keep_nodes=False)[0]
 
     lhs = cm.alpha(f_prime, a_map.matrix(gamma.start())) @ np.linalg.inv(h1)
     rhs = np.linalg.inv(h2) @ a_map.matrix(gamma.end())

@@ -17,7 +17,11 @@ transports and one path transport, as the reference for the one sweep of
 (`dense_one_form`, `dense_pair_contraction`, `DenseOneForm`) evaluate every
 component and sum by one einsum, as the reference for the contraction in
 `forms`, which skips a component whose coefficient is identically zero.
+`su_algebra_defect` restates the SU(n) algebra defect for every n, as the
+reference for the closed form that `lie_core` takes on 2x2 stacks.
 """
+
+import math
 
 import numpy as np
 
@@ -26,6 +30,17 @@ from higher_holonomy import geometry as geo
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transgression as tg
 from higher_holonomy import transport as tp
+
+
+def su_algebra_defect(m):
+    """The largest over the stack (..., n, n) of max(|m + m^H|_F, |tr m|),
+    0 for an empty stack, inf when an entry is not finite."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        return math.inf
+    herm = np.linalg.norm(m + np.swapaxes(m.conj(), -2, -1), axis=(-2, -1))
+    tr = np.abs(np.trace(m, axis1=-2, axis2=-1))
+    return float(np.max(np.maximum(herm, tr), initial=0.0))
 
 
 def leggauss_nodes(n, a=0.0, b=1.0):

@@ -265,6 +265,22 @@ class TestMainEntry:
         assert out.out == ""
         assert out.err.startswith("error: /A: A along the path leaves the algebra of SU(2)")
 
+    def test_surface_outside_the_algebra_inside_the_bigon_is_rejected(self, tmp_path, capsys):
+        # an identity bump in A at the bigon's centre: the pair samples the
+        # box, which it does not reach, and the boundary paths miss it
+        cfg = json.loads((CONFIG_DIR / "surface_eg_su2.json").read_text())
+        bump = " + 0.5*exp(-((x1 - 0.5)^2 + (x2 - 0.5)^2)/0.05^2)"
+        cfg["A"][0][0][0] += bump
+        cfg["A"][0][1][1] += bump
+        cfg["box"] = [[0, 1], [0, 0.2]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli.main(["surface", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err.startswith("error: /A: A over the bigon leaves the algebra of SU(2)")
+
     def test_constant_division_by_zero_is_located(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
         cfg["A"][0][0][0] = "i*(1/0)"

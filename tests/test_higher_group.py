@@ -86,6 +86,11 @@ class TestVerifyAxioms:
         assert report.max_residual == math.inf and not report.passed
         assert report.action_homomorphism == math.inf
         assert report.as_dict()["max_residual"] == math.inf
+        # on 1x1 matrices conjugation is the identity for every finite s(g),
+        # so only a NaN s(g) itself can show
+        report = hg.verify_axioms(replace(hg.make_b_abelian(U1),
+                                          s=lambda g: np.full(np.shape(g), np.nan)))
+        assert report.max_residual == math.inf and not report.passed
 
     def test_axioms_are_evaluated_on_stacks(self):
         # t is called once per axiom term, on all samples at once

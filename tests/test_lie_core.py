@@ -10,7 +10,7 @@ from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
 from higher_holonomy.errors import MembershipError, NumericalError
 
-from .oracles import taylor_expm
+from .oracles import su_algebra_defect, taylor_expm
 
 
 class TestDescriptors:
@@ -277,9 +277,9 @@ class TestSU2Retraction:
         h = 0.5
         a = np.zeros((1, 3, 2, 2), dtype=complex)
         a[0, 0] = np.diag([0.0, 12.0 / h])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
-                tp._rk4_sweep(a, h, lc.su(2), keep_nodes=False)
+        # that a0 is not in su(2), so the sweep refuses it before any step
+        with pytest.raises(MembershipError):
+            tp._rk4_sweep(a, h, lc.su(2), "a", "", keep_nodes=False)
 
 
 def _complex_stack(rng, shape):
@@ -338,6 +338,16 @@ class TestConjugate:
             with pytest.raises(np.linalg.LinAlgError):
                 lc.conjugate(g, np.eye(n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_finite_g_gives_nan_without_a_warning(self, n):
+        g = np.stack([np.eye(n), np.full((n, n), np.nan)])
+        y = 0.5j * np.eye(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lc.conjugate(g, y)
+        assert np.array_equal(out[0], y)
+        assert np.all(np.isnan(out[1]))
+
 
 class TestRetractedInverse:
     @pytest.mark.parametrize("shape", [(1, 1), (7, 1, 1), (129, 65, 1, 1)], ids=str)
@@ -394,7 +404,7 @@ class TestProjectToAlgebra:
 
 
 class TestAlgebraDefect:
-    @pytest.mark.parametrize("desc", [lc.u1(), lc.su(2), lc.so(3), lc.gl(2),
+    @pytest.mark.parametrize("desc", [lc.u1(), lc.su(2), lc.su(3), lc.so(3), lc.gl(2),
                                       lc.unipotent(3)], ids=str)
     def test_stack_gives_the_largest_defect(self, desc):
         rng = np.random.default_rng(12)
@@ -402,6 +412,27 @@ class TestAlgebraDefect:
         stack = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
         singles = [lc.algebra_defect(desc, m) for m in stack.reshape(-1, n, n)]
         assert lc.algebra_defect(desc, stack) == max(singles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(), (0,), (5,), (3, 4)]), st.integers(0, 10_000),
+           st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]), st.integers(-100, 100),
+           st.sampled_from([None, np.nan, np.inf, -np.inf, complex(np.inf, -np.inf)]))
+    def test_su2_closed_form_matches_the_generic_defect(self, lead, seed, noise, exponent,
+                                                         bad):
+        # in-algebra stacks, perturbed and scaled by 10^exponent, with at
+        # most one non-finite entry; the closed form is the generic SU
+        # defect within rounding, and inf without a warning
+        rng = np.random.default_rng(seed)
+        raw = _complex_stack(rng, lead + (2, 2))
+        m = 10.0 ** exponent * (lc.project_to_algebra(lc.su(2), raw)
+                                + noise * _complex_stack(rng, lead + (2, 2)))
+        if bad is not None and m.size:
+            m.reshape(-1)[rng.integers(m.size)] = bad
+        want = su_algebra_defect(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lc.algebra_defect(lc.su(2), m)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_require_algebra_names_the_form(self):
         bad = np.stack([np.zeros((2, 2)), np.diag([1.0, -1.0])])

@@ -261,3 +261,17 @@ class TestStackedPhi:
         cfg = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=64, n_quad_t=64)
         with pytest.raises(er.MembershipError, match="along the loops"):
             tg.transgression_consistency(pair, cylinder_loop_path, cfg)
+
+    def test_a_leaving_its_algebra_along_the_base_path_raises(self, cylinder_loop_path):
+        # an identity bump in dx3 on the base path (0.6, 0, t): the loops
+        # run in the x1x2-plane and never read dx3, the loop-space ODE does
+        bump = "0.5*exp(-((x1 - 0.6)^2 + x2^2 + (x3 - 0.5)^2)/0.03^2)"
+        third = su2_matrix_table("0.2*x1", "0", "0")
+        third = [[f"{third[0][0]} + {bump}", third[0][1]],
+                 [third[1][0], f"{third[1][1]} + {bump}"]]
+        a = fm.one_form_from_expressions(
+            SU2, [su2_matrix_table("0.4*x2", "0.2*x3", "0"),
+                  su2_matrix_table("0.3*x3", "0", "0.1*x1"), third], 3)
+        pair = fm.eg_pair(a, box=[(-1, 1), (-1, 1), (0, 0.3)])
+        with pytest.raises(er.MembershipError, match="^A along the loop path leaves"):
+            tg.transgression_consistency(pair, cylinder_loop_path, self.cfg)

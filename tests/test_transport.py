@@ -19,6 +19,20 @@ from .oracles import (
     transformation_rk4,
 )
 
+# an identity bump at the centre of the unit square; it is below 1e-15 on
+# the box [0, 1] x [0, 0.2], so a pair sampled there cannot see it
+_CENTRE_BUMP = "0.5*exp(-((x1 - 0.5)^2 + (x2 - 0.5)^2)/0.05^2)"
+_LOW_BOX = [(0, 1), (0, 0.2)]
+
+
+def _bumped_a():
+    """An su(2)-valued 1-form plus the centre bump times 1 in dx1."""
+    first = su2_matrix_table("0.4*x2", "0.3*x1", "0")
+    first = [[f"{first[0][0]} + {_CENTRE_BUMP}", first[0][1]],
+             [first[1][0], f"{first[1][1]} + {_CENTRE_BUMP}"]]
+    return fm.one_form_from_expressions(
+        SU2, [first, su2_matrix_table("0.2", "0", "0.5*x2")], 2)
+
 
 class TestIntegratorConfig:
     def test_validation(self):
@@ -86,6 +100,11 @@ class TestPathTransport:
         direct = tp.path_transport(a, gamma, cfg)
         rep = tp.path_transport(a, geo.reparameterize(gamma, beta), cfg)
         assert lc.frob(direct.matrix - rep.matrix) <= 1e-7
+
+    def test_a_leaving_its_algebra_along_the_path_raises(self):
+        gamma = geo.line_path([0.0, 0.5], [1.0, 0.5])
+        with pytest.raises(MembershipError, match="^A along the path leaves"):
+            tp.path_transport(_bumped_a(), gamma, tp.IntegratorConfig(n_steps_path=64))
 
     def test_matches_ordered_product_oracle(self):
         a = fm.one_form_from_expressions(
@@ -181,6 +200,21 @@ class TestSurfaceTransport:
         filler = res.g_target.matrix @ np.linalg.inv(res.g_source.matrix)
         assert lc.frob(eg_su2_pair.cm.t(res.k.matrix) - filler) <= 1e-6
         assert res.matching_residual <= 1e-6
+
+    @pytest.mark.parametrize("form", ["A", "B"])
+    def test_form_leaving_its_algebra_inside_the_bigon_raises(self, form, fast_cfg):
+        # the inner sweep integrates A over the bigon and the outer sweep
+        # the driver built from B; neither bump reaches the boundary paths
+        if form == "A":
+            pair = fm.eg_pair(_bumped_a(), box=_LOW_BOX)
+        else:
+            ident = [[_CENTRE_BUMP, "0"], ["0", _CENTRE_BUMP]]
+            pair = fm.ConnectionPair(hg.make_eg(SU2), fm.zero_one_form(SU2, 2),
+                                     fm.two_form_from_expressions(SU2, {(0, 1): ident}, 2),
+                                     box=_LOW_BOX)
+        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        with pytest.raises(MembershipError, match=f"^{form} over the bigon leaves"):
+            tp.surface_transport(pair, sig, fast_cfg)
 
     def test_hard_limit_raises_on_coarse_grid(self, eg_su2_pair):
         sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
@@ -409,8 +443,19 @@ class TestTransformationTransport:
         g_map = fm.constant_group_map(lc.identity(SU2), 2)
         phi = fm.one_form_from_expressions(SU2, [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]], 2)
         gamma = geo.path_from_expressions(["t", "0.2*t"])
-        with pytest.raises(MembershipError):
+        with pytest.raises(MembershipError, match="^phi along the path leaves"):
             tp.transformation_transport(cm, g_map, phi, fm.zero_one_form(SU2, 2), gamma,
+                                        mid_cfg)
+
+    def test_a_prime_outside_the_algebra_of_b_u1_raises(self, mid_cfg):
+        # s_* is 0 on b_u1, so A' = i dx1 never reaches H: only the check of
+        # A' in the algebra of G (real GL(1)) sees it
+        cm = hg.make_b_abelian(U1)
+        g_map = fm.constant_group_map(lc.identity(cm.G), 2)
+        a_prime = fm.one_form_from_expressions(cm.G, [[["i"]], [["0"]]], 2)
+        gamma = geo.path_from_expressions(["t", "0.2*t"])
+        with pytest.raises(MembershipError, match="^A' along the path leaves"):
+            tp.transformation_transport(cm, g_map, fm.zero_one_form(U1, 2), a_prime, gamma,
                                         mid_cfg)
 
     def test_g_map_outside_the_group_raises(self, mid_cfg):
@@ -657,7 +702,7 @@ class TestPropagatorSweep:
         h = 1.0 / n
         a = _coefficient_lines(desc, m, n)
         a_before = a.copy()
-        got = tp._rk4_sweep(a, h, desc, keep_nodes)
+        got = tp._rk4_sweep(a, h, desc, "a", "", keep_nodes)
         assert np.array_equal(a, a_before)
         d = desc.matrix_dim
         u0 = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
@@ -668,7 +713,7 @@ class TestPropagatorSweep:
 
     @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
     def test_retracted_inverse_inverts_the_nodes(self, desc):
-        u = tp._rk4_sweep(_coefficient_lines(desc, 3, 8), 1.0 / 8, desc)
+        u = tp._rk4_sweep(_coefficient_lines(desc, 3, 8), 1.0 / 8, desc, "a", "")
         eye = np.eye(desc.matrix_dim)
         assert np.max(np.abs(lc.retracted_inverse(desc, u) @ u - eye)) <= 1e-13
 
@@ -682,12 +727,20 @@ class TestPropagatorSweep:
 
         monkeypatch.setattr(lc, "retract", counting)
         n = 12
-        tp._rk4_sweep(_coefficient_lines(lc.su(2), 5, n), 1.0 / n, lc.su(2))
+        tp._rk4_sweep(_coefficient_lines(lc.su(2), 5, n), 1.0 / n, lc.su(2), "a", "")
         assert calls == [(5, 2, 2)] * n
 
     @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
     def test_nan_coefficient_raises(self, desc):
+        # a non-finite line is outside every algebra: no step is taken
         a = _coefficient_lines(desc, 2, 8)
         a[1, 5, 0, 0] = np.nan
-        with pytest.raises(NumericalError):
-            tp._rk4_sweep(a, 1.0 / 8, desc)
+        with pytest.raises(MembershipError, match="^a on line 2 leaves the algebra"):
+            tp._rk4_sweep(a, 1.0 / 8, desc, "a", " on line 2")
+
+    def test_overflow_raises(self):
+        # finite GL(2, C) lines, in the algebra, whose transport overflows
+        a = np.full((1, 17, 2, 2), 1e200, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                tp._rk4_sweep(a, 1.0 / 8, lc.gl(2, "complex"), "a", "")

@@ -113,7 +113,6 @@ from .transgression import (
 )
 from .transport import (
     IntegratorConfig,
-    SurfaceTransportResult,
     derivative_2functor,
     modification_whisker,
     path_transport,

@@ -315,12 +315,13 @@ def _cmd_surface(exp: Experiment) -> dict:
     pair = exp.pair()
     sigma = exp.geometry_bigon()
     res = tp.surface_transport(pair, sigma, exp.integrator)
+    residual = res.matching_residual()
     return {
-        "k": _matrix_json(res.k.matrix),
-        "g_source": _matrix_json(res.g_source.matrix),
-        "g_target": _matrix_json(res.g_target.matrix),
-        "matching_residual": res.matching_residual,
-        "pass": bool(res.matching_residual <= 1e-6),
+        "k": _matrix_json(res.h_part.matrix),
+        "g_source": _matrix_json(res.source.matrix),
+        "g_target": _matrix_json(res.target.matrix),
+        "matching_residual": residual,
+        "pass": bool(residual <= 1e-6),
     }
 
 
@@ -365,7 +366,7 @@ def _cmd_roundtrip(exp: Experiment) -> dict:
 
 def _cmd_stokes(exp: Experiment) -> dict:
     gamma = exp.geometry_path()
-    if float(np.max(np.abs(gamma.end() - gamma.start()))) > 1e-10:
+    if not float(np.max(np.abs(gamma.end() - gamma.start()))) <= 1e-10:
         raise ConfigError("stokes needs a closed geometry.path", "/geometry/path")
     sigma = geo.contraction_bigon(gamma)
     report = tp.stokes_check(exp.A, sigma, exp.integrator)

@@ -23,6 +23,12 @@ class CompositionError(HolonomyError):
     crossed module fails the axioms its composition laws rest on."""
 
 
+class TargetMatchingError(CompositionError):
+    """A 2-morphism value (g, h, g') misses t(h) g = g' beyond its matching
+    tolerance; for a transported bigon the integration is too coarse or the
+    pair is invalid."""
+
+
 class MembershipError(HolonomyError):
     """A matrix fails its group or algebra membership test; `form` names the
     connection form ("A" or "B") whose values left their algebra, if any."""
@@ -34,11 +40,6 @@ class MembershipError(HolonomyError):
 
 class FakeCurvatureError(HolonomyError):
     """Connection pair violates dA + [A wedge A] = t_* B beyond tolerance."""
-
-
-class TargetMatchingError(HolonomyError):
-    """t(h) * source != target beyond the hard limit; integration too
-    coarse or the input data is not a valid 2-morphism."""
 
 
 class ExpressionError(HolonomyError):

@@ -45,9 +45,15 @@ class FdConfig:
 DEFAULT_FD = FdConfig()
 
 
-def _richardson(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    # two-step extrapolation for an O(h^2) quotient
-    return (4.0 * fine - coarse) / 3.0
+def _derivative(stencil, fd: FdConfig) -> AlgebraElement:
+    """Minus the algebra part of an O(h^2) difference quotient
+    `stencil(h) -> (matrix, descriptor)` at fd.step, Richardson-extrapolated
+    with the quotient at fd.step / 2 when fd.richardson is set."""
+    der, desc = stencil(fd.step)
+    if fd.richardson:
+        fine, _ = stencil(fd.step / 2.0)
+        der = (4.0 * fine - der) / 3.0
+    return AlgebraElement(desc, -lc.project_to_algebra(desc, der), validate=False)
 
 
 def extract_one_form(evaluator, x, v, fd: FdConfig = DEFAULT_FD) -> AlgebraElement:
@@ -60,12 +66,7 @@ def extract_one_form(evaluator, x, v, fd: FdConfig = DEFAULT_FD) -> AlgebraEleme
         gm = evaluator(line_path(x, x - h * v))
         return (gp.matrix - gm.matrix) / (2.0 * h), gp.descriptor
 
-    d1, desc = quotient(fd.step)
-    der = d1
-    if fd.richardson:
-        d2, _ = quotient(fd.step / 2.0)
-        der = _richardson(d1, d2)
-    return AlgebraElement(desc, -lc.project_to_algebra(desc, der), validate=False)
+    return _derivative(quotient, fd)
 
 
 def extract_two_form(evaluator, x, v1, v2, fd: FdConfig = DEFAULT_FD) -> AlgebraElement:
@@ -85,12 +86,7 @@ def extract_two_form(evaluator, x, v1, v2, fd: FdConfig = DEFAULT_FD) -> Algebra
                - vmp.h_part.matrix + vmm.h_part.matrix) / (4.0 * h * h)
         return mat, vpp.h_part.descriptor
 
-    d1, desc = stencil(fd.step)
-    der = d1
-    if fd.richardson:
-        d2, _ = stencil(fd.step / 2.0)
-        der = _richardson(d1, d2)
-    return AlgebraElement(desc, -lc.project_to_algebra(desc, der), validate=False)
+    return _derivative(stencil, fd)
 
 
 def one_form_from_evaluator(descriptor, fn, ambient_dim: int) -> OneFormField:

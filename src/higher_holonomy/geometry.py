@@ -171,7 +171,7 @@ def path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_P
 def path_compose(gamma1: Path, gamma2: Path, tol: float = 1e-10) -> Path:
     """Concatenation at parameter 1/2; endpoints must agree within tol."""
     gap = float(np.max(np.abs(gamma1.end() - gamma2.start())))
-    if gap > tol:
+    if not gap <= tol:
         raise CompositionError(f"endpoint mismatch {gap:.3e} exceeds {tol:.1e}")
 
     sitting = None
@@ -373,8 +373,8 @@ def bigon_between(p0: Path, p1: Path, profile: SmoothingProfile = DEFAULT_PROFIL
     """Linear homotopy bigon p0 => p1 between paths sharing endpoints.
     Valid whenever the ambient region between the paths is contained in the
     domain of interest (e.g. convex domains)."""
-    if float(np.max(np.abs(p0.start() - p1.start()))) > tol or \
-       float(np.max(np.abs(p0.end() - p1.end()))) > tol:
+    if not (float(np.max(np.abs(p0.start() - p1.start()))) <= tol
+            and float(np.max(np.abs(p0.end() - p1.end()))) <= tol):
         raise CompositionError("paths do not share endpoints")
     eps = profile.epsilon
     for p in (p0, p1):
@@ -395,7 +395,7 @@ def bigon_vcompose(sigma: Bigon, sigma_prime: Bigon, tol: float = 1e-8) -> Bigon
     """Vertical stacking: sigma for s < 1/2, sigma_prime above; the target
     path of sigma must equal the source path of sigma_prime."""
     gap = sup_distance(sigma.target_path(), sigma_prime.source_path())
-    if gap > tol:
+    if not gap <= tol:
         raise CompositionError(f"target/source paths differ by {gap:.3e}")
 
     def ev(s, t):
@@ -416,7 +416,7 @@ def bigon_hcompose(sigma1: Bigon, sigma2: Bigon, tol: float = 1e-8) -> Bigon:
     s_probe = np.linspace(0.0, 1.0, 9)
     gap = float(np.max(np.abs(sigma1.point(s_probe, np.ones(9)) -
                               sigma2.point(s_probe, np.zeros(9)))))
-    if gap > tol:
+    if not gap <= tol:
         raise CompositionError(f"path families do not meet (gap {gap:.3e})")
 
     def ev(s, t):
@@ -477,7 +477,7 @@ def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) 
     The loop must be star-shaped about its base point within the field's
     domain for the sweep to stay inside."""
     x0 = np.asarray(gamma.start(), dtype=float)
-    if float(np.max(np.abs(gamma.end() - x0))) > 1e-10:
+    if not float(np.max(np.abs(gamma.end() - x0))) <= 1e-10:
         raise CompositionError("contraction_bigon needs a closed loop")
     core = Bigon(lambda u, t: x0 + u[..., None] * (gamma.point(t) - x0), gamma.ambient_dim,
                  lambda u, t: gamma.point(t) - x0, lambda u, t: u[..., None] * gamma.velocity(t))

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import lie_core as lc
-from .errors import CompositionError
+from .errors import CompositionError, TargetMatchingError
 from .lie_core import AlgebraElement, GroupDescriptor, GroupElement
 
 
@@ -158,7 +158,9 @@ def alpha_conjugate_star(cm: CrossedModule, a_mats: np.ndarray, x_mats: np.ndarr
 @dataclass(frozen=True, eq=False)
 class TwoMorphismValue:
     """A 2-morphism value (g, h, g') with the target-matching witness
-    g' = t(h) g checked on construction."""
+    g' = t(h) g checked on construction: a relative residual above
+    `match_tolerance`, or a NaN one, raises TargetMatchingError.  Surface
+    transport returns its value on a bigon in this form."""
 
     cm: CrossedModule
     source: GroupElement
@@ -169,7 +171,8 @@ class TwoMorphismValue:
     def __post_init__(self):
         r = self.matching_residual()
         if not r <= self.match_tolerance:
-            raise CompositionError(f"target-matching residual {r:.3e}")
+            raise TargetMatchingError(
+                f"target-matching residual {r:.3e} exceeds {self.match_tolerance:.1e}")
 
     def matching_residual(self) -> float:
         lhs = self.cm.t(self.h_part.matrix) @ self.source.matrix
@@ -190,7 +193,7 @@ def vcompose(a: TwoMorphismValue, b: TwoMorphismValue, tol: float = 1e-6) -> Two
     """Vertical composite a after b: requires b.target = a.source; the
     h-parts multiply as h_a h_b over b's source."""
     gap = lc.frob(b.target.matrix - a.source.matrix) / max(1.0, lc.frob(a.source.matrix))
-    if gap > tol:
+    if not gap <= tol:
         raise CompositionError(f"vertical composition mismatch {gap:.3e}")
     return TwoMorphismValue(
         a.cm, b.source, lc.gmul(a.h_part, b.h_part), a.target,

@@ -49,11 +49,11 @@ from .lie_core import AlgebraElement, GroupElement
 from .transport import (
     DEFAULT_CONFIG,
     IntegratorConfig,
-    TwoFunctor,
     _rk4_sweep,
     _semidirect_transports,
     _simpson_weights,
     path_transport,
+    surface_transport,
 )
 
 
@@ -193,7 +193,7 @@ def loop_path_two_morphism(pair: ConnectionPair, lp: LoopPath,
                            cfg: IntegratorConfig = DEFAULT_CONFIG) -> TwoMorphismValue:
     """Surface transport over the loop-path bigon, packaged as a
     2-morphism; the G-parts transport along base-point and loop edges."""
-    return TwoFunctor(pair, cfg).on_bigon(loop_path_bigon(lp))
+    return surface_transport(pair, loop_path_bigon(lp), cfg)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,9 @@ Simpson quadrature; the outer group ODE df/ds = -D(s) f(s) then gives
 
     k(Sigma) = alpha(F_A(source path), f(1)^{-1}),
 
-which satisfies the target-matching condition t(k) F_A(source) = F_A(target).
+and the value on Sigma is the 2-morphism (F_A(source), k, F_A(target)), a
+`TwoMorphismValue` whose construction is the one check of target matching
+t(k) F_A(source) = F_A(target).
 For each outer node the whole family of inner transports is produced by a
 single ODE sweep in t, so total work is O(n_s * n_t).  The driver is
 evaluated at the genuine half-step s-values the scheme requires.
@@ -121,8 +123,7 @@ def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
 _SMALL_MATMUL_MIN_LINES = 64
 
 
-def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str,
-               keep_nodes: bool = True):
+def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str):
     """Integrate u' = -a(t) u, u(0) = 1, across a stack of coefficient lines
     by classical RK4 with a retraction onto the group of `desc` after every
     step.
@@ -136,8 +137,7 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str,
     first, in a few batched passes over all lines (`_rk4_propagators`),
     and the step loop only forms u_{k+1} = retract(P_k u_k), by
     `small_matmul` on wide stacks of 2x2 lines.  Returns u at
-    the n+1 nodes, shape (m, n+1, d, d), or the final values (m, d, d)
-    when keep_nodes is false; a non-finite final value raises
+    the n+1 nodes, shape (m, n+1, d, d); a non-finite final value raises
     NumericalError.
     """
     lc.require_algebra(desc, a, form, where)
@@ -145,16 +145,14 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str,
     n, m, d, _ = p.shape
     wide = d == 2 and m >= _SMALL_MATMUL_MIN_LINES
     u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
-    if keep_nodes:
-        out = np.empty((m, n + 1, d, d), dtype=complex)
-        out[:, 0] = u
+    out = np.empty((m, n + 1, d, d), dtype=complex)
+    out[:, 0] = u
     for k in range(n):
         u = lc.retract(desc, lc.small_matmul(p[k], u) if wide else p[k] @ u)
-        if keep_nodes:
-            out[:, k + 1] = u
+        out[:, k + 1] = u
     if not np.all(np.isfinite(u)):
         raise NumericalError("transport ODE produced non-finite values")
-    return out if keep_nodes else u
+    return out
 
 
 def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
@@ -170,8 +168,8 @@ def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarr
     phi_form, a_form = forms
     lc.require_algebra(cm.G, a_vals, a_form, where)
     sa = cm.s_star(a_vals)
-    u = _rk4_sweep(np.concatenate([phis + sa, sa[None]]), 1.0 / n, cm.H, phi_form, where,
-                   keep_nodes=False)
+    lines = np.concatenate([phis + sa, sa[None]])
+    u = _rk4_sweep(lines, 1.0 / n, cm.H, phi_form, where)[:, -1]
     return u[:-1] @ lc.retracted_inverse(cm.H, u[-1])
 
 
@@ -235,52 +233,36 @@ def surface_driver(pair: ConnectionPair, sigma: Bigon, s: float,
     return AlgebraElement(pair.cm.H, val, validate=False)
 
 
-@dataclass(frozen=True)
-class SurfaceTransportResult:
-    """Surface transport output with its target-matching witness."""
-
-    k: GroupElement
-    g_source: GroupElement
-    g_target: GroupElement
-    matching_residual: float
-
-
 def _surface(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
-             cfg: IntegratorConfig, hard_limit: float) -> SurfaceTransportResult:
+             cfg: IntegratorConfig, hard_limit: float) -> TwoMorphismValue:
     """Surface transport of sigma under (A, B) in `cm`, with B given by its
-    evaluator `b_at(x, v1, v2)`."""
+    evaluator `b_at(x, v1, v2)`, as the 2-morphism (F_A(source), k,
+    F_A(target)) checked to match within `hard_limit`."""
     ns = cfg.n_steps_surface_s
     s_values = np.linspace(0.0, 1.0, 2 * ns + 1)
     drivers = _surface_driver_values(cm, a_form, b_at, sigma, s_values, cfg)
     # outer ODE f' = -D(s) f on the half-step grid of driver values
-    f_end = _rk4_sweep(drivers[None], 1.0 / ns, cm.H, "B", " over the bigon",
-                       keep_nodes=False)[0]
+    f_end = _rk4_sweep(drivers[None], 1.0 / ns, cm.H, "B", " over the bigon")[0, -1]
 
     g_source = path_transport(a_form, sigma.source_path(), cfg)
     g_target = path_transport(a_form, sigma.target_path(), cfg)
     k = cm.alpha(g_source.matrix, np.linalg.inv(f_end))
-
-    lhs = cm.t(k) @ g_source.matrix
-    residual = lc.frob(lhs - g_target.matrix) / max(1.0, lc.frob(g_target.matrix))
-    if residual > hard_limit:
-        raise TargetMatchingError(
-            f"matching residual {residual:.3e} exceeds hard limit {hard_limit:.1e}"
-        )
-    return SurfaceTransportResult(GroupElement(cm.H, k, validate=False), g_source, g_target,
-                                  residual)
+    return TwoMorphismValue(cm, g_source, GroupElement(cm.H, k, validate=False), g_target,
+                            match_tolerance=hard_limit)
 
 
 def surface_transport(pair: ConnectionPair, sigma: Bigon,
-                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> SurfaceTransportResult:
-    """Transport of a bigon under (A, B); raises TargetMatchingError when
-    the target-matching residual exceeds MATCHING_HARD_LIMIT (integration
-    too coarse, or the pair is invalid)."""
+                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> TwoMorphismValue:
+    """Transport of a bigon under (A, B), the 2-morphism (F_A(source), k,
+    F_A(target)); raises TargetMatchingError when the target-matching
+    residual exceeds MATCHING_HARD_LIMIT (integration too coarse, or the
+    pair is invalid)."""
     return _surface(pair.cm, pair.A, pair.B.matrices_at, sigma, cfg, MATCHING_HARD_LIMIT)
 
 
 class TwoFunctor:
-    """Evaluator bundling path transport on boundary paths with the
-    surface-transport h-part; values are 2-morphisms in the 2-group."""
+    """The 2-functor of a pair: path transport on paths and surface
+    transport on bigons, whose values are 2-morphisms in the 2-group."""
 
     def __init__(self, pair: ConnectionPair, cfg: IntegratorConfig = DEFAULT_CONFIG):
         self.pair = pair
@@ -290,11 +272,7 @@ class TwoFunctor:
         return path_transport(self.pair.A, gamma, self.cfg)
 
     def on_bigon(self, sigma: Bigon) -> TwoMorphismValue:
-        res = surface_transport(self.pair, sigma, self.cfg)
-        return TwoMorphismValue(
-            self.pair.cm, res.g_source, res.k, res.g_target,
-            match_tolerance=1e-3,
-        )
+        return surface_transport(self.pair, sigma, self.cfg)
 
     __call__ = on_bigon
 
@@ -371,12 +349,11 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
     residual = None
     if a_source is not None:
         f_src = path_transport(a_source, gamma, cfg)
-        f_tgt = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path",
-                           keep_nodes=False)[0]
+        f_tgt = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path")[0, -1]
         lhs = f_tgt @ g_start.matrix
         rhs_m = cm.t(np.linalg.inv(h[0])) @ g_end.matrix @ f_src.matrix
         residual = lc.frob(lhs - rhs_m) / max(1.0, lc.frob(rhs_m))
-        if residual > MATCHING_HARD_LIMIT:
+        if not residual <= MATCHING_HARD_LIMIT:
             raise TargetMatchingError(
                 f"transformation matching residual {residual:.3e}"
             )
@@ -405,8 +382,7 @@ def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
     n = cfg.n_steps_path
     a_vals, (h1, h2), _ = _transformation_lines(cm, [(g_map, phi), (g2_map, phi2)],
                                                 a_prime, gamma, n)
-    f_prime = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path",
-                         keep_nodes=False)[0]
+    f_prime = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path")[0, -1]
 
     lhs = cm.alpha(f_prime, a_map.matrix(gamma.start())) @ np.linalg.inv(h1)
     rhs = np.linalg.inv(h2) @ a_map.matrix(gamma.end())
@@ -466,5 +442,5 @@ def stokes_check(a_form: OneFormField, sigma: Bigon,
         return fm.curvature_matrices_at(a_form, x, v1, v2)
 
     res = _surface(hg.make_eg(a_form.descriptor), a_form, k_a, sigma, cfg, math.inf)
-    error = lc.frob(res.g_target.matrix - res.k.matrix)
-    return StokesReport(res.g_target, res.k, error)
+    error = lc.frob(res.target.matrix - res.h_part.matrix)
+    return StokesReport(res.target, res.h_part, error)

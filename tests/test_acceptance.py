@@ -152,8 +152,8 @@ def test_criterion_04_two_functoriality():
 
         gamma = geo.path_from_expressions(["t", "0.3*t*(1-t)"])
         res_id = tp.surface_transport(pair, geo.identity_bigon(gamma), cfg)
-        id_defect = max(id_defect, lc.frob(res_id.k.matrix - np.eye(dim)))
-        matching = max(matching, res_id.matching_residual)
+        id_defect = max(id_defect, lc.frob(res_id.h_part.matrix - np.eye(dim)))
+        matching = max(matching, res_id.matching_residual())
 
         for idx, (h0, h1) in enumerate(heights):
             if idx % 2 == 0:
@@ -164,7 +164,7 @@ def test_criterion_04_two_functoriality():
                 r2 = tp.surface_transport(pair, s2, cfg)
                 rc = tp.surface_transport(pair, geo.bigon_vcompose(s1, s2), cfg)
                 law_defect = max(law_defect, lc.frob(
-                    rc.k.matrix - r2.k.matrix @ r1.k.matrix))
+                    rc.h_part.matrix - r2.h_part.matrix @ r1.h_part.matrix))
             else:
                 # horizontal pair
                 p0, p1 = parabola_paths([h0, h1])
@@ -173,11 +173,11 @@ def test_criterion_04_two_functoriality():
                 r1 = tp.surface_transport(pair, s1, cfg)
                 r2 = tp.surface_transport(pair, s2, cfg)
                 rc = tp.surface_transport(pair, geo.bigon_hcompose(s1, s2), cfg)
-                acted = pair.cm.alpha(r2.g_source.matrix, r1.k.matrix)
+                acted = pair.cm.alpha(r2.source.matrix, r1.h_part.matrix)
                 law_defect = max(law_defect, lc.frob(
-                    rc.k.matrix - r2.k.matrix @ acted))
+                    rc.h_part.matrix - r2.h_part.matrix @ acted))
             for r in (r1, r2, rc):
-                matching = max(matching, r.matching_residual)
+                matching = max(matching, r.matching_residual())
     elapsed = time.time() - t0
     _report(4, "2-functoriality of surface transport",
             law_defect <= 1e-6 and id_defect <= 1e-8 and matching <= 1e-6
@@ -192,15 +192,15 @@ def test_criterion_05_thin_homotopy_invariance():
     pair = _pair_for_kind("eg")
     p0, p1 = parabola_paths([0.0, 0.6])
     sig = geo.bigon_between(p0, p1)
-    base = tp.surface_transport(pair, sig, cfg).k.matrix
+    base = tp.surface_transport(pair, sig, cfg).h_part.matrix
     worst = 0.0
     for bs, bt in [(geo.SmoothingProfile(0.2), None),
                    (None, geo.SmoothingProfile(0.25)),
                    (geo.SmoothingProfile(0.3), geo.SmoothingProfile(0.12))]:
-        other = tp.surface_transport(pair, sig.reparameterized(bs, bt), cfg).k.matrix
+        other = tp.surface_transport(pair, sig.reparameterized(bs, bt), cfg).h_part.matrix
         worst = max(worst, lc.frob(other - base))
     swapped = tp.surface_transport(
-        pair, geo.bigon_between(p0, p1, geo.SmoothingProfile(0.2)), cfg).k.matrix
+        pair, geo.bigon_between(p0, p1, geo.SmoothingProfile(0.2)), cfg).h_part.matrix
     worst = max(worst, lc.frob(swapped - base))
     elapsed = time.time() - t0
     _report(5, "thin-homotopy/reparameterization invariance of k",

@@ -128,6 +128,14 @@ class TestRun:
         assert report["seed"] == 5
         assert report["result"]["pass"] is True
 
+    def test_stokes_path_ending_in_nan_is_not_closed(self):
+        # (t - 1)/(t - 1) is 1 except at t = 1, where the path ends in NaN
+        cfg = json.loads((CONFIG_DIR / "stokes_su2.json").read_text())
+        cfg["geometry"]["path"][1] = "0.5 + 0.3*sin(2*pi*t) + (t - 1)/(t - 1) - 1"
+        with np.errstate(all="ignore"), pytest.raises(ConfigError) as err:
+            cli.run("stokes", cfg)
+        assert err.value.pointer == "/geometry/path"
+
     def test_unknown_command(self):
         with pytest.raises(ConfigError):
             cli.run("fly", surface_cfg())

@@ -84,6 +84,17 @@ class TestExtractTwoForm:
         out = ex.extract_two_form(trivial, np.zeros(2), np.eye(2)[0], np.eye(2)[1])
         assert lc.frob(out.matrix) == 0.0
 
+    def test_plain_quotient_is_the_negated_stencil(self, eg_pair):
+        functor = tp.two_functor(eg_pair, EXTRACT_CFG)
+        x, v1, v2 = np.array([0.5, 0.4]), np.array([1.0, 0.2]), np.array([-0.3, 1.0])
+        h = 2e-3
+        out = ex.extract_two_form(functor, x, v1, v2, ex.FdConfig(h, richardson=False))
+        chart = geo.affine_chart(x, v1, v2)
+        k = [functor.on_bigon(geo.standard_bigon(chart, a, b)).h_part.matrix
+             for a, b in ((h, h), (h, -h), (-h, h), (-h, -h))]
+        stencil = (k[0] - k[1] - k[2] + k[3]) / (4.0 * h * h)
+        assert np.array_equal(out.matrix, -lc.project_to_algebra(SU2, stencil))
+
     def test_repeated_vector_vanishes(self, eg_pair):
         functor = tp.two_functor(eg_pair, EXTRACT_CFG)
         v = np.array([0.7, 0.3])
@@ -366,8 +377,8 @@ class TestTransportOfExtraction:
             chart = geo.affine_chart(lo, np.array([hi[0] - lo[0], 0.0]),
                                      np.array([0.0, hi[1] - lo[1]]))
             sigma = geo.standard_bigon(chart, 1.0, 1.0)
-            k1 = tp.surface_transport(pair, sigma, cfg).k.matrix
-            k2 = tp.surface_transport(pair2, sigma, cfg).k.matrix
+            k1 = tp.surface_transport(pair, sigma, cfg).h_part.matrix
+            k2 = tp.surface_transport(pair2, sigma, cfg).h_part.matrix
             assert lc.frob(k1 - k2) <= 1e-3
 
 

@@ -55,6 +55,11 @@ class TestPaths:
     def test_compose_requires_matching_endpoints(self):
         with pytest.raises(CompositionError):
             geo.path_compose(geo.line_path([0.0], [1.0]), geo.line_path([2.0], [3.0]))
+        # a NaN end matches nothing, although NaN > tol is false
+        with pytest.raises(CompositionError):
+            geo.path_compose(geo.line_path([0.0], [np.nan]), geo.line_path([1.0], [2.0]))
+        with pytest.raises(CompositionError):
+            geo.bigon_between(geo.line_path([0.0], [1.0]), geo.line_path([0.0], [np.nan]))
 
     def test_reverse(self):
         p = geo.line_path([0.0, 0.0], [1.0, 2.0])
@@ -132,6 +137,9 @@ class TestBigons:
                       for h in (0.0, 0.5, 1.0))
         with pytest.raises(CompositionError):
             geo.bigon_vcompose(geo.bigon_between(g0, g1), geo.bigon_between(g0, g2))
+        nan_end = geo.line_path([0.0, 0.0], [np.nan, 0.0])
+        with pytest.raises(CompositionError):
+            geo.bigon_vcompose(geo.identity_bigon(g0), geo.identity_bigon(nan_end))
 
     def test_stacked_rectangles_match_explicit_map(self):
         prof = geo.DEFAULT_PROFILE
@@ -179,6 +187,9 @@ class TestBigons:
         far1 = geo.path_from_expressions(["5+t", "t*(1-t)"])
         with pytest.raises(CompositionError):
             geo.bigon_hcompose(geo.bigon_between(g0, g1), geo.bigon_between(far0, far1))
+        nan_end = geo.line_path([0.0, 0.0], [np.nan, 0.0])
+        with pytest.raises(CompositionError):
+            geo.bigon_hcompose(geo.identity_bigon(nan_end), geo.identity_bigon(g0))
 
     def test_boundary_conditions_of_compositions(self):
         g0, g1, g2 = (geo.path_from_expressions(["t", f"{h}*t*(1-t)"])
@@ -335,6 +346,8 @@ class TestContraction:
     def test_requires_closed_loop(self):
         with pytest.raises(CompositionError):
             geo.contraction_bigon(geo.line_path([0.0, 0.0], [1.0, 0.0]))
+        with pytest.raises(CompositionError):
+            geo.contraction_bigon(geo.line_path([0.0, 0.0], [np.nan, 0.0]))
 
     def test_sweeps_from_base_to_loop(self):
         loop = geo.loop_from_expressions(["0.5 + 0.3*cos(2*pi*z)", "0.5 + 0.3*sin(2*pi*z)"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
-from higher_holonomy.errors import CompositionError
+from higher_holonomy.errors import CompositionError, TargetMatchingError
 
 SU2 = lc.su(2)
 U1 = lc.u1()
@@ -226,8 +226,12 @@ class TestTwoMorphisms:
         h = lc.random_group(SU2, rng)
         tv = hg.two_morphism(eg_su2, g, h)
         assert tv.matching_residual() <= 1e-12
-        with pytest.raises(CompositionError):
+        assert issubclass(TargetMatchingError, CompositionError)
+        with pytest.raises(TargetMatchingError):
             hg.TwoMorphismValue(eg_su2, g, h, g)  # wrong target
+        nan_target = lc.GroupElement(SU2, np.full((2, 2), np.nan), validate=False)
+        with pytest.raises(TargetMatchingError):
+            hg.TwoMorphismValue(eg_su2, g, h, nan_target, match_tolerance=math.inf)
 
     def test_vcompose_identity_neutral(self, eg_su2):
         rng = np.random.default_rng(1)

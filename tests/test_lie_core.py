@@ -279,7 +279,7 @@ class TestSU2Retraction:
         a[0, 0] = np.diag([0.0, 12.0 / h])
         # that a0 is not in su(2), so the sweep refuses it before any step
         with pytest.raises(MembershipError):
-            tp._rk4_sweep(a, h, lc.su(2), "a", "", keep_nodes=False)
+            tp._rk4_sweep(a, h, lc.su(2), "a", "")[:, -1]
 
 
 def _complex_stack(rng, shape):

@@ -55,7 +55,6 @@ from .forms import (
 )
 from .geometry import (
     Bigon,
-    Chart,
     Loop,
     Path,
     SmoothingProfile,

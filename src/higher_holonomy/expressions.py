@@ -14,8 +14,9 @@ Grammar (documented bit-exactly in docs/expression_grammar.md):
 Powers are restricted to integer exponents.  The literal `i` is the
 imaginary unit (for complex algebras); `pi` is the circle constant.
 Evaluation environments may bind variables to scalars or numpy arrays.
-The parser folds every constant subexpression into one number, so a
-constant division by zero is an ExpressionError when it is parsed.
+The parser folds every constant subexpression into one number, and
+`simplify` folds by the same rule, so a divisor that folds to 0 is an
+ExpressionError, whether parsed or met only in a derivative.
 """
 
 from __future__ import annotations
@@ -232,18 +233,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fold(self, node: Expr) -> Expr:
-        """`node` as a `Num` when its operands are all numbers, computed by
-        its own `evaluate`; otherwise `node` itself."""
-        if not all(isinstance(v, Num) for v in vars(node).values() if isinstance(v, Expr)):
-            return node
-        try:
-            return Num(node.evaluate({}))
-        except ZeroDivisionError as exc:
-            raise ExpressionError(f"division by zero in {self.text!r}") from exc
-        except OverflowError as exc:
-            raise ExpressionError(f"overflow in {self.text!r}") from exc
-
     def parse(self):
         e = self.expr()
         if self.peek()[0] != "end":
@@ -254,20 +243,20 @@ class _Parser:
         e = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take()[1]
-            e = self.fold(Bin(op, e, self.term()))
+            e = _fold(Bin(op, e, self.term()), self.text)
         return e
 
     def term(self):
         e = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.take()[1]
-            e = self.fold(Bin(op, e, self.unary()))
+            e = _fold(Bin(op, e, self.unary()), self.text)
         return e
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return self.fold(Neg(self.unary()))
+            return _fold(Neg(self.unary()), self.text)
         if self.peek() == ("op", "+"):
             self.take()
             return self.unary()
@@ -284,7 +273,7 @@ class _Parser:
             tok = self.take("num")
             if tok[1] != int(tok[1]):
                 raise ExpressionError("only integer powers are supported")
-            return self.fold(Pow(base, sign * int(tok[1])))
+            return _fold(Pow(base, sign * int(tok[1])), self.text)
         return base
 
     def atom(self):
@@ -302,7 +291,7 @@ class _Parser:
                 self.take("op", "(")
                 arg = self.expr()
                 self.take("op", ")")
-                return self.fold(Call(value, arg))
+                return _fold(Call(value, arg), self.text)
             if _VAR_RE.match(value):
                 return Var(value)
             raise ExpressionError(f"unknown identifier {value!r}")
@@ -323,13 +312,36 @@ def parse(text) -> Expr:
     return _Parser(_tokenize(text), text).parse()
 
 
+def _fold(node: Expr, where) -> Expr:
+    """`node` as a `Num` when its operands are all numbers, computed by its
+    own `evaluate`, otherwise `node` itself; a divisor that is the number 0
+    (x/0, 0^-n) is an ExpressionError naming `where`."""
+    if isinstance(node, Bin):
+        divisor = node.b if node.op == "/" else None
+        constant = isinstance(node.a, Num) and isinstance(node.b, Num)
+    elif isinstance(node, Pow):
+        divisor = node.base if node.exponent < 0 else None
+        constant = isinstance(node.base, Num)
+    else:
+        divisor, constant = None, isinstance(node.a if isinstance(node, Neg) else node.arg, Num)
+    if isinstance(divisor, Num) and divisor.value == 0:
+        raise ExpressionError(f"division by zero in {str(where)!r}")
+    if not constant:
+        return node
+    try:
+        return Num(node.evaluate({}))
+    except OverflowError as exc:
+        raise ExpressionError(f"overflow in {str(where)!r}") from exc
+
+
 def simplify(e: Expr) -> Expr:
-    """Light constant folding and unit elimination; keeps derivative
-    evaluation cheap without attempting canonical forms."""
+    """Constant folding, by the parser's rule, and unit elimination; keeps
+    derivative evaluation cheap without attempting canonical forms."""
     if isinstance(e, Bin):
         a, b = simplify(e.a), simplify(e.b)
-        if isinstance(a, Num) and isinstance(b, Num):
-            return Num(Bin(e.op, a, b).evaluate({}))
+        folded = _fold(Bin(e.op, a, b), e)
+        if isinstance(folded, Num):
+            return folded
         if e.op == "+":
             if _is_const(a, 0):
                 return b
@@ -352,28 +364,19 @@ def simplify(e: Expr) -> Expr:
                 return Num(0.0)
             if _is_const(b, 1):
                 return a
-        return Bin(e.op, a, b)
+        return folded
     if isinstance(e, Neg):
         a = simplify(e.a)
-        if isinstance(a, Num):
-            return Num(-a.value)
-        if isinstance(a, Neg):
-            return a.a
-        return Neg(a)
+        return a.a if isinstance(a, Neg) else _fold(Neg(a), e)
     if isinstance(e, Pow):
         base = simplify(e.base)
         if e.exponent == 0:
             return Num(1.0)
         if e.exponent == 1:
             return base
-        if isinstance(base, Num):
-            return Num(base.value**e.exponent)
-        return Pow(base, e.exponent)
+        return _fold(Pow(base, e.exponent), e)
     if isinstance(e, Call):
-        arg = simplify(e.arg)
-        if isinstance(arg, Num):
-            return Num(Call(e.fn, arg).evaluate({}))
-        return Call(e.fn, arg)
+        return _fold(Call(e.fn, simplify(e.arg)), e)
     return e
 
 

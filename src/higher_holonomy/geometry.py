@@ -1,5 +1,9 @@
 """Paths, bigons, and loops in open subsets of R^n.
 
+A `Bigon` is the one two-slot map: a bigon when it sits, and otherwise a
+chart or a core.  A chart carries exact partials, and `standard_bigon`
+pushes the standard bigon of a coordinate rectangle through them.
+
 All evaluators are closures over closed-form data and broadcast over numpy
 parameter arrays; discretization happens only in the transport and
 quadrature routines.  Sitting instants are realized by a mollifier-based
@@ -255,57 +259,13 @@ def loop_to_path(tau: Loop, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path
     return _profiled(tau, profile)
 
 
-class Chart:
-    """Smooth map R^2 -> R^n with an exact Jacobian, used to push the
-    standard bigon family into the ambient space."""
-
-    def __init__(self, eval_fn, jac_fn, ambient_dim: int):
-        self.eval_fn = eval_fn
-        self.jac_fn = jac_fn  # (...,2) -> (..., n, 2)
-        self.ambient_dim = int(ambient_dim)
-
-    def point(self, p):
-        return self.eval_fn(p)
-
-    def jacobian(self, p):
-        return self.jac_fn(p)
-
-
-def affine_chart(x, v1, v2) -> Chart:
-    """(a, b) -> x + a v1 + b v2."""
-    x = np.asarray(x, dtype=float)
-    j = np.stack([np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)], axis=-1)
-
-    def ev(p):
-        p = np.asarray(p, dtype=float)
-        return x + p @ j.T
-
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        return np.broadcast_to(j, p.shape[:-1] + j.shape).copy()
-
-    return Chart(ev, jac, x.shape[-1])
-
-
-def identity_chart() -> Chart:
-    return affine_chart(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-def chart_from_expressions(component_exprs, vars=("s", "t")) -> Chart:
-    n, ev, partials = _expression_map(component_exprs, vars)
-
-    def coords(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 0], p[..., 1]
-
-    return Chart(lambda p: ev(*coords(p)),
-                 lambda p: np.stack([d(*coords(p)) for d in partials], axis=-1), n)
-
-
 class Bigon:
-    """Smooth map [0,1]^2 -> R^n between two paths with common endpoints,
-    constant on the boundary strips.  `eval_fn(s, t)` broadcasts over
-    parameter arrays; `ds_fn`/`dt_fn` are exact partials when available."""
+    """Smooth two-slot map (s, t) -> R^n.  `eval_fn(s, t)` broadcasts over
+    parameter arrays; `ds_fn`/`dt_fn` are exact partials when available.
+    It is a bigon when it sits: on [0,1]^2, between two paths with common
+    endpoints, and constant on the boundary strips of width
+    `sitting.epsilon`.  Charts and the cores that `_profiled` takes do not
+    sit (`sitting=None`)."""
 
     def __init__(self, eval_fn, ambient_dim: int, ds_fn=None, dt_fn=None, sitting=None):
         self.eval_fn = eval_fn
@@ -329,26 +289,45 @@ class Bigon:
             return self.dt_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         return _difference(lambda u: self.point(s, u), t)
 
+    def _edge(self, s: float) -> Path:
+        """The path t -> self(s, t), sitting as the map does."""
+        return Path(lambda t: self.point(np.full(np.shape(t), s), t), self.ambient_dim,
+                    lambda t: self.dt(np.full(np.shape(t), s), t), sitting=self.sitting)
+
     def source_path(self) -> Path:
-        return Path(
-            lambda t: self.point(np.zeros_like(np.asarray(t, dtype=float)), t),
-            self.ambient_dim,
-            lambda t: self.dt(np.zeros_like(np.asarray(t, dtype=float)), t),
-            sitting=self.sitting,
-        )
+        return self._edge(0.0)
 
     def target_path(self) -> Path:
-        return Path(
-            lambda t: self.point(np.ones_like(np.asarray(t, dtype=float)), t),
-            self.ambient_dim,
-            lambda t: self.dt(np.ones_like(np.asarray(t, dtype=float)), t),
-            sitting=self.sitting,
-        )
+        return self._edge(1.0)
 
     def reparameterized(self, beta_s=None, beta_t=None) -> "Bigon":
         """Precompose both parameters with diffeomorphisms of [0,1]; a slot
         left None stays as it is, with its partial exact."""
         return _bigon_chain(self, beta_s, beta_t)
+
+
+def affine_chart(x, v1, v2) -> Bigon:
+    """(a, b) -> x + a v1 + b v2, with partials v1 and v2."""
+    x = np.asarray(x, dtype=float)
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    j = np.stack([v1, v2], axis=-1)
+
+    def ev(a, b):
+        return x + np.stack(np.broadcast_arrays(a, b), -1) @ j.T
+
+    def constant(v):
+        return lambda a, b: np.broadcast_to(v, np.broadcast_shapes(a.shape, b.shape) + v.shape)
+
+    return Bigon(ev, x.shape[-1], constant(v1), constant(v2))
+
+
+def identity_chart() -> Bigon:
+    return affine_chart(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def chart_from_expressions(component_exprs, vars=("s", "t")) -> Bigon:
+    n, ev, partials = _expression_map(component_exprs, vars)
+    return Bigon(ev, n, *partials)
 
 
 def identity_bigon(gamma: Path) -> Bigon:
@@ -434,7 +413,8 @@ def bigon_hcompose(sigma1: Bigon, sigma2: Bigon, tol: float = 1e-8) -> Bigon:
 def standard_bigon(chart, s: float, t: float,
                    profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
     """The canonical bigon sweeping the coordinate rectangle spanned by
-    (0,0) and (s,t), pushed forward by `chart`.
+    (0,0) and (s,t), pushed forward by `chart`: a two-slot map with exact
+    partials, whose Jacobian at a point has the columns (ds, dt).
 
     Its source path runs (0,0) -> (0,t) -> (s,t) (second coordinate first)
     and its target path runs (0,0) -> (s,0) -> (s,t); the sweep is the
@@ -442,10 +422,8 @@ def standard_bigon(chart, s: float, t: float,
     so that the mixed derivative of surface transport at (s,t)=(0,0)
     recovers the driving 2-form values (see transport module).
     """
-    if isinstance(chart, Chart):
-        ch = chart
-    else:
-        raise TypeError("standard_bigon expects a Chart")
+    if not (isinstance(chart, Bigon) and chart.ds_fn and chart.dt_fn):
+        raise TypeError("standard_bigon expects a Bigon chart with exact partials")
     origin = np.zeros(2)
     corner_s = np.array([float(s), 0.0])
     corner_t = np.array([0.0, float(t)])
@@ -457,18 +435,19 @@ def standard_bigon(chart, s: float, t: float,
                        line_path(corner_s, corner_st, profile))
     plane = bigon_between(src, tgt, profile)
 
-    def ev(ss, tt):
-        return ch.point(plane.point(ss, tt))
-
-    def dsf(ss, tt):
+    def at(ss, tt):
         p = plane.point(ss, tt)
-        return np.einsum("...nk,...k->...n", ch.jacobian(p), plane.ds(ss, tt))
+        return p[..., 0], p[..., 1]
 
-    def dtf(ss, tt):
-        p = plane.point(ss, tt)
-        return np.einsum("...nk,...k->...n", ch.jacobian(p), plane.dt(ss, tt))
+    def pushed(partial):
+        def fn(ss, tt):
+            a, b = at(ss, tt)
+            jac = np.stack([chart.ds(a, b), chart.dt(a, b)], -1)
+            return np.einsum("...nk,...k->...n", jac, partial(ss, tt))
+        return fn
 
-    return Bigon(ev, ch.ambient_dim, dsf, dtf, sitting=plane.sitting)
+    return Bigon(lambda ss, tt: chart.point(*at(ss, tt)), chart.ambient_dim,
+                 pushed(plane.ds), pushed(plane.dt), sitting=plane.sitting)
 
 
 def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:

@@ -34,7 +34,6 @@ from .forms import ConnectionPair
 from .geometry import (
     DEFAULT_PROFILE,
     Bigon,
-    Chart,
     Loop,
     Path,
     SmoothingProfile,
@@ -97,11 +96,7 @@ class LoopPath:
         return _difference(lambda u: self.eval_fn(t, u), z, periodic=True)
 
     def base_path(self) -> Path:
-        return Path(
-            lambda t: self.point(t, np.zeros(np.shape(t))),
-            self.ambient_dim,
-            lambda t: self.dt(t, np.zeros(np.shape(t))),
-        )
+        return _cylinder_map(self).source_path()
 
 
 def loop_path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
@@ -166,27 +161,19 @@ def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
     return AlgebraElement(pair.cm.H, val, validate=False)
 
 
-def _cylinder_chart(lp: LoopPath) -> Chart:
-    """Chart (angle, time) -> loop path evaluation, used to sweep the
-    loop-path bigon."""
-
-    def ev(p):
-        p = np.asarray(p, dtype=float)
-        return lp.point(p[..., 1], p[..., 0])
-
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        col_s = lp.dz(p[..., 1], p[..., 0])
-        col_t = lp.dt(p[..., 1], p[..., 0])
-        return np.stack([col_s, col_t], axis=-1)
-
-    return Chart(ev, jac, lp.ambient_dim)
+def _cylinder_map(lp: LoopPath) -> Bigon:
+    """The loop path as a chart (angle, time) -> lp(time, angle): a
+    two-slot map that does not sit, with the loop path's angle and time
+    partials as its exact partials.  Its source edge is the base path, and
+    `standard_bigon` sweeps the loop-path bigon through it."""
+    return Bigon(lambda a, t: lp.point(t, a), lp.ambient_dim,
+                 lambda a, t: lp.dz(t, a), lambda a, t: lp.dt(t, a))
 
 
 def loop_path_bigon(lp: LoopPath, profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
     """The bigon swept by a loop path: the standard bigon over the full
-    (angle, time) rectangle pushed through the cylinder chart."""
-    return standard_bigon(_cylinder_chart(lp), 1.0, 1.0, profile)
+    (angle, time) rectangle pushed through the cylinder map."""
+    return standard_bigon(_cylinder_map(lp), 1.0, 1.0, profile)
 
 
 def loop_path_two_morphism(pair: ConnectionPair, lp: LoopPath,

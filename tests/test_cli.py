@@ -290,18 +290,34 @@ class TestMainEntry:
         assert out.err.startswith("error: /A: A over the bigon leaves the algebra of SU(2)")
 
     def test_constant_division_by_zero_is_located(self, tmp_path, capsys):
-        cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
-        cfg["A"][0][0][0] = "i*(1/0)"
-        with pytest.raises(ConfigError) as err:
-            cli.run("holonomy", cfg)
-        assert err.value.pointer == "/A"
+        for text in ("i*(1/0)", "x1/0"):
+            cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
+            cfg["A"][0][0][0] = text
+            with pytest.raises(ConfigError) as err:
+                cli.run("holonomy", cfg)
+            assert err.value.pointer == "/A"
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            rc = cli.main(["holonomy", "--config", str(cfg_path)])
+            out = capsys.readouterr()
+            assert rc == 2
+            assert out.out == ""
+            assert out.err.startswith(f"error: /A: division by zero in {text!r}")
+
+    def test_zero_divisor_in_a_derivative_is_an_error_line(self, tmp_path, capsys):
+        # x1/(0*x2) parses, and its divisor folds to 0 only in dA
+        cfg = json.loads((CONFIG_DIR / "check_fc_eg_su2.json").read_text())
+        cfg["A"][0][0][0] = "0.4*i*x2 + x1/(0*x2)"
+        cfg["A"][0][1][1] = "-0.4*i*x2 - x1/(0*x2)"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        rc = cli.main(["holonomy", "--config", str(cfg_path)])
+        with np.errstate(all="ignore"):  # evaluating A divides by zero first
+            rc = cli.main(["check-fc", "--config", str(cfg_path)])
         out = capsys.readouterr()
         assert rc == 2
         assert out.out == ""
-        assert out.err.startswith("error: /A: division by zero in 'i*(1/0)'")
+        assert out.err.startswith("error: division by zero in ")
+        assert "Traceback" not in out.err
 
     def test_pair_that_is_not_fake_flat_is_located_at_b(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "surface_eg_su2.json").read_text())

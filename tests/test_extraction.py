@@ -131,23 +131,19 @@ class TestExtractTwoForm:
         v1, v2 = np.eye(2)
         straight = ex.extract_two_form(functor, x, v1, v2).matrix
 
+        def chart_eval(a, b):
+            lin = x + np.stack(np.broadcast_arrays(a, b), axis=-1)
+            return lin + 0.5 * (a * b)[..., None] * np.array([1.0, -1.0])
+
+        def d_a(a, b):
+            return np.stack(np.broadcast_arrays(1.0 + 0.5 * b, -0.5 * b), axis=-1)
+
+        def d_b(a, b):
+            return np.stack(np.broadcast_arrays(0.5 * a, 1.0 - 0.5 * a), axis=-1)
+
+        chart = geo.Bigon(chart_eval, 2, d_a, d_b)
+
         def curved_value(h):
-            def chart_eval(p):
-                p = np.asarray(p, dtype=float)
-                lin = x + np.stack([p[..., 0], p[..., 1]], axis=-1)
-                bend = 0.5 * (p[..., 0] * p[..., 1])[..., None] * np.array([1.0, -1.0])
-                return lin + bend
-
-            def chart_jac(p):
-                p = np.asarray(p, dtype=float)
-                j = np.broadcast_to(np.eye(2), p.shape[:-1] + (2, 2)).copy()
-                j = j + 0.5 * np.stack([
-                    np.stack([p[..., 1], p[..., 0]], axis=-1),
-                    np.stack([-p[..., 1], -p[..., 0]], axis=-1),
-                ], axis=-2)
-                return j
-
-            chart = geo.Chart(chart_eval, chart_jac, 2)
             fd = ex.FdConfig(step=h, richardson=False)
 
             def h_value(a, b):

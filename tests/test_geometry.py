@@ -219,13 +219,7 @@ def _two_slot_map(exprs, variables):
     """An expression map of two parameters with its exact partials, read
     off a chart: (point, d_first, d_second)."""
     ch = geo.chart_from_expressions(exprs, variables)
-
-    def at(a, b):
-        return np.stack(np.broadcast_arrays(np.asarray(a, dtype=float),
-                                            np.asarray(b, dtype=float)), axis=-1)
-
-    return (lambda a, b: ch.point(at(a, b)), lambda a, b: ch.jacobian(at(a, b))[..., 0],
-            lambda a, b: ch.jacobian(at(a, b))[..., 1])
+    return ch.point, ch.ds, ch.dt
 
 
 # Nodes with both ends of each clipped slot, where the quotient is one-sided,
@@ -318,6 +312,30 @@ class TestStandardBigon:
     def test_boundary_defect(self):
         sb = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
         assert geo.bigon_boundary_defect(sb) <= 1e-12
+
+    def test_charts_are_two_slot_maps_with_exact_partials(self):
+        a, b = np.linspace(-0.5, 1.5, 7), np.linspace(1.5, -0.5, 7)
+        x, v1, v2 = np.array([0.3, -0.2, 1.0]), np.array([1.0, 0.5, 0.0]), np.array([-0.25, 1, 2])
+        expr = geo.chart_from_expressions(["s + 0.2*s*t", "t - 0.1*s^2"])
+        for ch in (geo.affine_chart(x, v1, v2), geo.identity_chart(), expr):
+            assert isinstance(ch, geo.Bigon) and ch.sitting is None
+            assert ch.ds_fn is not None and ch.dt_fn is not None
+        ch = geo.affine_chart(x, v1, v2)
+        assert np.allclose(ch.point(a, b), x + a[:, None] * v1 + b[:, None] * v2,
+                           rtol=0, atol=1e-15)
+        assert np.array_equal(ch.ds(a, b), np.broadcast_to(v1, (7, 3)))
+        assert np.array_equal(ch.dt(a, b), np.broadcast_to(v2, (7, 3)))
+        assert np.array_equal(geo.identity_chart().dt(a, b), np.broadcast_to([0.0, 1.0], (7, 2)))
+        assert np.allclose(expr.ds(a, b), np.stack([1 + 0.2 * b, -0.2 * a], -1), rtol=0, atol=1e-15)
+        assert np.allclose(expr.dt(a, b), np.stack([0.2 * a, np.ones(7)], -1), rtol=0, atol=1e-15)
+
+    def test_refuses_a_chart_without_exact_partials(self):
+        ch = geo.identity_chart()
+        for bad in (geo.Bigon(ch.point, 2), geo.Bigon(ch.point, 2, ch.ds_fn),
+                    geo.Bigon(ch.point, 2, None, ch.dt_fn), ch.point,
+                    geo.line_path(np.zeros(2), np.ones(2))):
+            with pytest.raises(TypeError, match="exact partials"):
+                geo.standard_bigon(bad, 0.1, -0.1)
 
 
 class TestLoops:

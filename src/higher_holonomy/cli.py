@@ -32,7 +32,8 @@ from . import higher_group as hg
 from . import lie_core as lc
 from . import transgression as tg
 from . import transport as tp
-from .errors import ConfigError, FakeCurvatureError, HolonomyError, MembershipError
+from .errors import (ConfigError, ExpressionError, FakeCurvatureError, HolonomyError,
+                     MembershipError)
 from .sampling import MAX_DIM, halton_box
 
 COMMANDS = ("holonomy", "surface", "check-cm", "check-fc", "roundtrip",
@@ -216,7 +217,9 @@ def _parse_two_form(tables, desc, ambient_dim, pointer):
 def _pair_gates_located():
     """An algebra-gate MembershipError on A or B, as a ConfigError there;
     a fake-curvature rejection, as a ConfigError at B, the 2-form that
-    dA + [A ^ A] = t_* B fixes."""
+    dA + [A ^ A] = t_* B fixes; an ExpressionError, which past parsing
+    only differentiating A can raise (a divisor that folds to 0 in dA), as
+    a ConfigError at A."""
     try:
         yield
     except MembershipError as exc:
@@ -225,6 +228,8 @@ def _pair_gates_located():
         raise ConfigError(str(exc), f"/{exc.form}") from exc
     except FakeCurvatureError as exc:
         raise ConfigError(str(exc), "/B") from exc
+    except ExpressionError as exc:
+        raise ConfigError(str(exc), "/A") from exc
 
 
 class Experiment:

@@ -315,7 +315,8 @@ def parse(text) -> Expr:
 def _fold(node: Expr, where) -> Expr:
     """`node` as a `Num` when its operands are all numbers, computed by its
     own `evaluate`, otherwise `node` itself; a divisor that is the number 0
-    (x/0, 0^-n) is an ExpressionError naming `where`."""
+    (x/0, 0^-n), and a constant that is not finite (10^400, exp(1000)), is
+    an ExpressionError naming `where`."""
     if isinstance(node, Bin):
         divisor = node.b if node.op == "/" else None
         constant = isinstance(node.a, Num) and isinstance(node.b, Num)
@@ -329,9 +330,13 @@ def _fold(node: Expr, where) -> Expr:
     if not constant:
         return node
     try:
-        return Num(node.evaluate({}))
-    except OverflowError as exc:
-        raise ExpressionError(f"overflow in {str(where)!r}") from exc
+        with np.errstate(all="ignore"):  # numpy functions overflow to inf
+            value = node.evaluate({})
+    except OverflowError:
+        value = math.inf
+    if not np.isfinite(value):
+        raise ExpressionError(f"overflow in {str(where)!r}")
+    return Num(value)
 
 
 def simplify(e: Expr) -> Expr:

@@ -3,9 +3,9 @@ and the 2-group composition laws.
 
 Every crossed module here acts through a homomorphism s: G -> H,
 alpha_g = Ad_{s(g)}.  A `CrossedModule` is therefore (G, H, t, s) with the
-differentials t_* and s_* and its G sampler; alpha, (alpha_g)_*, alpha_*,
-the action derivative and transformation transport are all derived from s
-and s_*.  Every map acts on stacks of raw matrices.  Builders:
+differentials t_* and s_* and a flag for a trivial G; alpha, (alpha_g)_*,
+alpha_*, the action derivative and transformation transport are all
+derived from s and s_*.  Every map acts on stacks of raw matrices.  Builders:
 
 * ``make_b_abelian`` -- G trivial (the one-element subgroup of GL(1)), H
   = U(1) or another 1x1 group, t collapsing to 1 and s = 1.
@@ -44,9 +44,10 @@ class CrossedModule:
     * s(g): the homomorphism s: G -> H;
     * t_star(y), s_star(x): their differentials at 1.
 
-    `sample_g(rng, scale=0.7)` draws the G-elements that `verify_axioms`
-    samples.  The action and its induced maps are methods derived from s
-    and s_*.
+    `trivial_g` says that G is the one-element group, so that
+    `verify_axioms` takes every G-sample to be 1 and draws nothing for it;
+    otherwise it draws G-samples as it draws H-samples (see there).  The
+    action and its induced maps are methods derived from s and s_*.
     """
 
     G: GroupDescriptor
@@ -55,8 +56,8 @@ class CrossedModule:
     s: Callable
     t_star: Callable
     s_star: Callable
-    sample_g: Callable
     kind: str = "custom"
+    trivial_g: bool = False
 
     def alpha(self, g, h):
         """The action alpha(g, h) = s(g) h s(g)^-1."""
@@ -69,9 +70,6 @@ class CrossedModule:
         """The mixed differential of alpha at (1, 1): [s_* x, y]."""
         sx = self.s_star(x)
         return sx @ y - y @ sx
-
-    def sample_h(self, rng, scale: float = 0.7) -> GroupElement:
-        return lc.random_group(self.H, rng, scale)
 
 
 _ONE = np.ones((1, 1), dtype=complex)
@@ -95,8 +93,8 @@ def make_b_abelian(abelian_desc: GroupDescriptor) -> CrossedModule:
         s=one,
         t_star=lambda y: np.zeros(np.shape(y)[:-2] + (1, 1), dtype=complex),
         s_star=lambda x: np.zeros(np.shape(x)[:-2] + (1, 1), dtype=complex),
-        sample_g=lambda rng, scale=0.7: lc.identity(g_desc),
         kind="b_abelian",
+        trivial_g=True,
     )
 
 
@@ -105,7 +103,7 @@ def make_eg(group_desc: GroupDescriptor) -> CrossedModule:
     identity = partial(np.asarray, dtype=complex)
     return CrossedModule(
         group_desc, group_desc, t=identity, s=identity, t_star=identity, s_star=identity,
-        sample_g=partial(lc.random_group, group_desc), kind="eg",
+        kind="eg",
     )
 
 
@@ -257,17 +255,33 @@ def verify_axioms(cm: CrossedModule, n_samples: int = 100, tol: float = 1e-9,
     """Check all crossed-module axioms on pseudo-random samples.
 
     The evaluators are black boxes, so verification is sampling-based; the
-    seed is recorded in the report for reproducibility.  Each sample draws
-    g, g2, h1, h2 and x in that order; every axiom is then evaluated once
-    on the stacks of all samples.  A non-finite residual is reported as
-    inf, so it fails the check.
+    seed is recorded in the report for reproducibility.  Sample k is
+    g, g2 in G and h1, h2, x in H, each exp(0.7 P(Z_re + i Z_im)) for its own
+    standard normal d x d matrices Z_re, Z_im and P the projection onto the
+    algebra.  All of them come from one draw, laid out as
+    (n_samples, 5, 2, d, d) when G and H are d x d; for a trivial G
+    (`trivial_g`, as in b_abelian) g = g2 = 1 and the layout is
+    (n_samples, 3, 2, d, d).  That is the order in which one-at-a-time
+    draws (`lc.random_group`) would consume the stream, and every matrix
+    is computed as it would be alone, so the report is bit-identical to
+    theirs.  Each stack is exponentiated and gated onto its group
+    (`lc.group_from_normals`) at once, and every axiom is then evaluated
+    once on the stacks of all samples.  A non-finite residual is reported
+    as inf, so it fails the check.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    draws = [(cm.sample_g(rng), cm.sample_g(rng), cm.sample_h(rng), cm.sample_h(rng),
-              cm.sample_h(rng)) for _ in range(n_samples)]
-    g, g2, h1, h2, x = (np.stack([d[k].matrix for d in draws]) for k in range(5))
+    dg, dh = cm.G.matrix_dim, cm.H.matrix_dim
+    cut = 0 if cm.trivial_g else 4 * dg * dg  # the normals of g and g2
+    z = rng.standard_normal((n_samples, cut + 6 * dh * dh))
+    if cm.trivial_g:
+        g = g2 = np.broadcast_to(lc.identity(cm.G).matrix, (n_samples, dg, dg))
+    else:
+        gs = lc.group_from_normals(cm.G, z[:, :cut].reshape(n_samples, 2, 2, dg, dg))
+        g, g2 = gs[:, 0], gs[:, 1]
+    hs = lc.group_from_normals(cm.H, z[:, cut:].reshape(n_samples, 3, 2, dh, dh))
+    h1, h2, x = hs[:, 0], hs[:, 1], hs[:, 2]
     t_h1 = cm.t(h1)
     a_h1 = cm.alpha(g, h1)
     sides = {

@@ -94,32 +94,35 @@ def _as_matrix(desc: GroupDescriptor, matrix) -> np.ndarray:
 
 
 def group_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
-    """Distance-like residual of the membership predicate; 0 on the group."""
+    """Distance-like residual of the membership predicate; 0 on the group.
+    For a stack (..., n, n) it is the largest over the stack; inf when any
+    entry is not finite, and for GL when any matrix is singular."""
+    m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         return math.inf
-    n = desc.matrix_dim
-    eye = np.eye(n)
     if desc.family == U1:
-        return abs(abs(m[0, 0]) - 1.0)
-    if desc.family == SU:
-        return max(frob(m.conj().T @ m - eye), abs(np.linalg.det(m) - 1.0))
-    if desc.family == SO:
-        return max(
-            frob(m.conj().T @ m - eye),
-            abs(np.linalg.det(m) - 1.0),
-            frob(m.imag),
-        )
-    if desc.family == UT:
-        lower = np.tril(m, -1)
-        diag = np.diagonal(m) - 1.0
-        d = max(frob(lower), frob(diag))
+        d = np.abs(_modulus(m[..., 0, 0]) - 1.0)
+    elif desc.family in (SU, SO):
+        unitary = np.swapaxes(m.conj(), -2, -1) @ m - np.eye(desc.matrix_dim)
+        d = np.maximum(_frobs(unitary), _modulus(np.linalg.det(m) - 1.0))
+        if desc.family == SO:
+            d = np.maximum(d, _frobs(m.imag))
+    elif desc.family == UT:
+        diag = np.diagonal(m, axis1=-2, axis2=-1) - 1.0
+        d = np.maximum(_frobs(np.tril(m, -1)), np.sqrt(np.sum(np.abs(diag) ** 2, axis=-1)))
         if desc.field == "real":
-            d = max(d, frob(m.imag))
-        return d
-    # GL: invertible with finite entries
-    if abs(np.linalg.det(m)) < 1e-12:
+            d = np.maximum(d, _frobs(m.imag))
+    elif np.any(np.abs(np.linalg.det(m)) < 1e-12):  # GL: invertible
         return math.inf
-    return frob(m.imag) if desc.field == "real" else 0.0
+    else:
+        d = _frobs(m.imag) if desc.field == "real" else np.zeros(m.shape[:-2])
+    return float(np.max(d, initial=0.0))
+
+
+def _modulus(z):
+    """|z| entrywise by `np.hypot`, which rounds as the modulus of one
+    complex scalar does (`np.abs` on a complex array may differ by an ulp)."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def _frobs(m: np.ndarray) -> np.ndarray:
@@ -286,8 +289,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a single matrix or a stack (..., n, n).
 
     Closed forms for n = 1 (`np.exp`) and n = 2 (Cayley-Hamilton, see
-    `_expm2`); scaling-and-squaring with a truncated series for n >= 3.
-    Non-finite entries raise NumericalError.
+    `_expm2`); scaling-and-squaring with a truncated series for n >= 3,
+    each matrix halved the fewest times that bring its Frobenius norm to
+    at most 1/2, so every matrix of a stack is exponentiated exactly as it
+    would be alone.  Non-finite entries raise NumericalError.
     """
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -296,33 +301,43 @@ def expm(m: np.ndarray) -> np.ndarray:
         return np.exp(m)
     if m.shape[-1] == 2:
         return _expm2(m)
-    norm = np.max(_frobs(m)) if m.size else 0.0
-    if not np.isfinite(norm):
+    twice_norm = 2.0 * _frobs(m)
+    if not np.all(np.isfinite(twice_norm)):
         raise NumericalError("non-finite entries in exponential argument")
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    a = m / (2.0**squarings)
+    # 2 norm = f 2^e with 1/2 <= f < 1, so norm / 2^s <= 1/2 from s = e, or
+    # from s = e - 1 when f = 1/2
+    frac, exp2 = np.frexp(twice_norm)
+    squarings = np.maximum(exp2 - (frac == 0.5), 0)
+    a = m / np.ldexp(1.0, squarings)[..., None, None]
     eye = np.broadcast_to(np.eye(m.shape[-1]), m.shape).astype(complex)
     result = eye.copy()
     term = eye.copy()
     for k in range(1, _EXPM_ORDER + 1):
         term = term @ a / k
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for k in range(int(np.max(squarings, initial=0))):
+        more = squarings > k
+        result[more] = result[more] @ result[more]
     return result
+
+
+def _exp_on_group(desc: GroupDescriptor, x: np.ndarray) -> np.ndarray:
+    """expm of an algebra stack, gated: non-finite output raises
+    NumericalError, and output more than 10x the membership tolerance off
+    the group (`group_defect` over the stack) raises MembershipError."""
+    m = expm(x)
+    if not np.all(np.isfinite(m)):
+        raise NumericalError("exponential produced non-finite entries")
+    defect = group_defect(desc, m)
+    if defect > 10 * desc.membership_tolerance:
+        raise MembershipError(f"exp_map left {desc} (defect {defect:.3e})")
+    return m
 
 
 def exp_map(x: AlgebraElement) -> GroupElement:
     """Exponential of an algebra element; lands on the group within
     10x the membership tolerance."""
-    m = expm(x.matrix)
-    if not np.all(np.isfinite(m)):
-        raise NumericalError("exponential produced non-finite entries")
-    d = x.descriptor
-    g = GroupElement(d, m, validate=False)
-    if group_defect(d, m) > 10 * d.membership_tolerance:
-        raise MembershipError(f"exp_map left {d} (defect {group_defect(d, m):.3e})")
-    return g
+    return GroupElement(x.descriptor, _exp_on_group(x.descriptor, x.matrix), validate=False)
 
 
 def ginv(g: GroupElement) -> GroupElement:
@@ -485,12 +500,33 @@ def retracted_inverse(desc: GroupDescriptor, u: np.ndarray) -> np.ndarray:
     return np.linalg.inv(u)
 
 
-def random_algebra(desc: GroupDescriptor, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    """Seeded random algebra element, used by axiom and residual samplers."""
+def algebra_from_normals(desc: GroupDescriptor, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale times the algebra projection of z[..., 0, :, :] + i z[..., 1, :, :]
+    for a stack z (..., 2, n, n) of standard normal draws: a stack of random
+    algebra matrices."""
+    return scale * project_to_algebra(desc, z[..., 0, :, :] + 1j * z[..., 1, :, :])
+
+
+def group_from_normals(desc: GroupDescriptor, z: np.ndarray, scale: float = 0.7) -> np.ndarray:
+    """The exponential of `algebra_from_normals(desc, z, scale)`, gated
+    onto the group as `exp_map` is: a stack of random group matrices."""
+    return _exp_on_group(desc, algebra_from_normals(desc, z, scale))
+
+
+def _normals(desc: GroupDescriptor, rng: np.random.Generator) -> np.ndarray:
     n = desc.matrix_dim
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return AlgebraElement(desc, scale * project_to_algebra(desc, raw), validate=False)
+    return rng.standard_normal((2, n, n))
+
+
+def random_algebra(desc: GroupDescriptor, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
+    """Seeded random algebra element, used by axiom and residual samplers:
+    the one-sample case of `algebra_from_normals`, so it draws the real
+    part of its matrix, then the imaginary part."""
+    return AlgebraElement(desc, algebra_from_normals(desc, _normals(desc, rng), scale),
+                          validate=False)
 
 
 def random_group(desc: GroupDescriptor, rng: np.random.Generator, scale: float = 0.7) -> GroupElement:
-    return exp_map(random_algebra(desc, rng, scale))
+    """The one-sample case of `group_from_normals`."""
+    return GroupElement(desc, group_from_normals(desc, _normals(desc, rng), scale),
+                        validate=False)

@@ -19,6 +19,11 @@ component and sum by one einsum, as the reference for the contraction in
 `forms`, which skips a component whose coefficient is identically zero.
 `su_algebra_defect` restates the SU(n) algebra defect for every n, as the
 reference for the closed form that `lie_core` takes on 2x2 stacks.
+`per_sample_axioms` is the crossed-module axiom check with its samples
+drawn one matrix at a time (`per_sample_draw`, each exponentiated and
+gated alone), as the reference for the one stacked draw of
+`higher_group.verify_axioms`; `sample_g` and `sample_h` draw single
+elements the same way for the composition-law tests.
 """
 
 import math
@@ -27,9 +32,11 @@ import numpy as np
 
 from higher_holonomy import forms as fm
 from higher_holonomy import geometry as geo
+from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transgression as tg
 from higher_holonomy import transport as tp
+from higher_holonomy.errors import MembershipError
 
 
 def su_algebra_defect(m):
@@ -218,3 +225,47 @@ class DenseOneForm(fm.OneFormField):
 
     def matrices_at(self, x, v):
         return dense_one_form(self, x, v)
+
+
+def per_sample_draw(desc, rng, scale=0.7):
+    """One random group element: a d x d standard normal real part, then
+    an imaginary part, projected onto the algebra, scaled, exponentiated
+    on its own and required to lie within 10x the membership tolerance of
+    the group."""
+    n = desc.matrix_dim
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = lc.expm(scale * lc.project_to_algebra(desc, raw))
+    if not lc.group_defect(desc, m) <= 10 * desc.membership_tolerance:
+        raise MembershipError(f"sample left {desc}")
+    return lc.GroupElement(desc, m, validate=False)
+
+
+def sample_g(cm, rng):
+    """A G-element of `cm`: 1 without a draw for a trivial G."""
+    return lc.identity(cm.G) if cm.trivial_g else per_sample_draw(cm.G, rng)
+
+
+def sample_h(cm, rng):
+    return per_sample_draw(cm.H, rng)
+
+
+def per_sample_axioms(cm, n_samples, tol, seed):
+    """`AxiomReport.as_dict()` of the six crossed-module axioms on samples
+    g, g2, h1, h2, x drawn one element at a time, in that order per
+    sample, then stacked."""
+    rng = np.random.default_rng(seed)
+    draws = [(sample_g(cm, rng), sample_g(cm, rng), sample_h(cm, rng), sample_h(cm, rng),
+              sample_h(cm, rng)) for _ in range(n_samples)]
+    g, g2, h1, h2, x = (np.stack([d[k].matrix for d in draws]) for k in range(5))
+    t_h1 = cm.t(h1)
+    a_h1 = cm.alpha(g, h1)
+    sides = {
+        "t_homomorphism": (cm.t(h1 @ h2), t_h1 @ cm.t(h2)),
+        "action_identity": (cm.alpha(lc.identity(cm.G).matrix, h1), h1),
+        "action_homomorphism": (cm.alpha(g, h1 @ h2), a_h1 @ cm.alpha(g, h2)),
+        "action_composition": (cm.alpha(g @ g2, h1), cm.alpha(g, cm.alpha(g2, h1))),
+        "equivariance": (cm.t(a_h1), g @ t_h1 @ np.linalg.inv(g)),
+        "peiffer": (cm.alpha(t_h1, x), h1 @ x @ np.linalg.inv(h1)),
+    }
+    res = {name: lc.max_frob(lhs - rhs) for name, (lhs, rhs) in sides.items()}
+    return hg.AxiomReport(**res, n_samples=n_samples, seed=seed, tol=tol).as_dict()

@@ -18,7 +18,7 @@ from higher_holonomy import transport as tp
 from higher_holonomy.errors import FakeCurvatureError
 
 from .conftest import SU2, U1, parabola_paths, su2_matrix_table
-from .oracles import leggauss_nodes, line_integral
+from .oracles import leggauss_nodes, line_integral, sample_g, sample_h
 
 
 def _report(number, name, passed, detail):
@@ -58,12 +58,12 @@ def test_criterion_01_crossed_module_axioms():
         cm = make()
         rng = np.random.default_rng(1)
         for _ in range(100):
-            g = cm.sample_g(rng)
-            k = cm.sample_g(rng)
-            phi2 = hg.two_morphism(cm, g, cm.sample_h(rng))
-            phi1 = hg.two_morphism(cm, phi2.target, cm.sample_h(rng))
-            psi2 = hg.two_morphism(cm, k, cm.sample_h(rng))
-            psi1 = hg.two_morphism(cm, psi2.target, cm.sample_h(rng))
+            g = sample_g(cm, rng)
+            k = sample_g(cm, rng)
+            phi2 = hg.two_morphism(cm, g, sample_h(cm, rng))
+            phi1 = hg.two_morphism(cm, phi2.target, sample_h(cm, rng))
+            psi2 = hg.two_morphism(cm, k, sample_h(cm, rng))
+            psi1 = hg.two_morphism(cm, psi2.target, sample_h(cm, rng))
             lhs = hg.hcompose(hg.vcompose(phi1, phi2), hg.vcompose(psi1, psi2))
             rhs = hg.vcompose(hg.hcompose(phi1, psi1), hg.hcompose(phi2, psi2))
             interchange = max(interchange, lc.frob(lhs.h_part.matrix - rhs.h_part.matrix))

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -316,7 +317,24 @@ class TestMainEntry:
         out = capsys.readouterr()
         assert rc == 2
         assert out.out == ""
-        assert out.err.startswith("error: division by zero in ")
+        assert out.err.startswith("error: /A: division by zero in ")
+        assert "Traceback" not in out.err
+
+    def test_constant_overflow_is_located(self, tmp_path, capsys):
+        # exp(1000) folds to inf at parse time; numpy's overflow warning
+        # must not escape, even when warnings are errors
+        cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
+        cfg["A"][0][0][0] = "i*exp(1000)"
+        cfg["A"][0][1][1] = "-i*exp(1000)"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["holonomy", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err == "error: /A: overflow in 'i*exp(1000)'\n"
         assert "Traceback" not in out.err
 
     def test_pair_that_is_not_fake_flat_is_located_at_b(self, tmp_path, capsys):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
-from higher_holonomy.errors import CompositionError, TargetMatchingError
+from higher_holonomy.errors import CompositionError, MembershipError, TargetMatchingError
+
+from .oracles import per_sample_axioms, sample_g, sample_h
 
 SU2 = lc.su(2)
 U1 = lc.u1()
@@ -41,8 +43,8 @@ class TestBuilders:
 
     def test_aut_inner_equivariance_by_construction(self, aut_su2):
         rng = np.random.default_rng(2)
-        g = aut_su2.sample_g(rng).matrix
-        h = aut_su2.sample_h(rng).matrix
+        g = sample_g(aut_su2, rng).matrix
+        h = sample_h(aut_su2, rng).matrix
         lhs = aut_su2.t(aut_su2.alpha(g, h))
         rhs = g @ aut_su2.t(h) @ np.linalg.inv(g)
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -50,6 +52,14 @@ class TestBuilders:
     def test_b_abelian_rejects_a_larger_h(self):
         with pytest.raises(CompositionError):
             hg.make_b_abelian(SU2)
+
+
+_ORACLE_MODULES = {
+    **{f"{kind}:{desc}": partial(make, desc)
+       for kind, make in (("eg", hg.make_eg), ("aut_inner", hg.make_aut_inner))
+       for desc in (SU2, lc.su(3), lc.so(3), lc.gl(2), lc.unipotent(3))},
+    "b_u1": partial(hg.make_b_abelian, U1),
+}
 
 
 class TestVerifyAxioms:
@@ -109,6 +119,32 @@ class TestVerifyAxioms:
         r1 = hg.verify_axioms(eg_su2, n_samples=20, seed=11)
         r2 = hg.verify_axioms(eg_su2, n_samples=20, seed=11)
         assert r1.as_dict() == r2.as_dict()
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MODULES))
+    @pytest.mark.parametrize("n_samples", [1, 7, 200])
+    def test_stacked_draw_equals_the_per_sample_draws(self, name, n_samples):
+        # one draw for all samples gives the report of one-at-a-time draws,
+        # bit for bit
+        cm = _ORACLE_MODULES[name]()
+        for seed in (0, 3, 101):
+            report = hg.verify_axioms(cm, n_samples=n_samples, tol=1e-9, seed=seed)
+            assert report.as_dict() == per_sample_axioms(cm, n_samples, 1e-9, seed)
+
+    def test_an_exponential_off_the_group_fails_the_stacked_gate(self, eg_su2, monkeypatch):
+        # one H-sample of 200 pushed off SU(2) after its exponential
+        expm = lc.expm
+
+        def one_off(m):
+            out = expm(m)
+            if out.shape[:2] == (200, 3):
+                out[137, 2] *= 1.001
+            return out
+
+        monkeypatch.setattr(lc, "expm", one_off)
+        with pytest.raises(MembershipError, match="exp_map left SU"):
+            hg.verify_axioms(eg_su2, n_samples=200)
+        monkeypatch.setattr(lc, "expm", expm)
+        assert hg.verify_axioms(eg_su2, n_samples=200).passed
 
 
 def _central(f, step):
@@ -291,12 +327,12 @@ class TestTwoMorphisms:
 
 def _composable_quadruple(cm, rng):
     """phi2: g => g', phi1: g' => g'', psi2: k => k', psi1: k' => k''."""
-    g = cm.sample_g(rng)
-    k = cm.sample_g(rng)
-    phi2 = hg.two_morphism(cm, g, cm.sample_h(rng))
-    phi1 = hg.two_morphism(cm, phi2.target, cm.sample_h(rng))
-    psi2 = hg.two_morphism(cm, k, cm.sample_h(rng))
-    psi1 = hg.two_morphism(cm, psi2.target, cm.sample_h(rng))
+    g = sample_g(cm, rng)
+    k = sample_g(cm, rng)
+    phi2 = hg.two_morphism(cm, g, sample_h(cm, rng))
+    phi1 = hg.two_morphism(cm, phi2.target, sample_h(cm, rng))
+    psi2 = hg.two_morphism(cm, k, sample_h(cm, rng))
+    psi1 = hg.two_morphism(cm, psi2.target, sample_h(cm, rng))
     return phi1, phi2, psi1, psi2
 
 
@@ -323,5 +359,5 @@ def test_interchange_law(make):
 def test_every_constructed_morphism_target_matches(seed):
     cm = hg.make_eg(SU2)
     rng = np.random.default_rng(seed)
-    tv = hg.two_morphism(cm, cm.sample_g(rng), cm.sample_h(rng))
+    tv = hg.two_morphism(cm, sample_g(cm, rng), sample_h(cm, rng))
     assert tv.matching_residual() <= 1e-8

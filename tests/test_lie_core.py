@@ -10,7 +10,7 @@ from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
 from higher_holonomy.errors import MembershipError, NumericalError
 
-from .oracles import su_algebra_defect, taylor_expm
+from .oracles import per_sample_draw, su_algebra_defect, taylor_expm
 
 
 class TestDescriptors:
@@ -125,6 +125,102 @@ class TestClosedFormExpm:
         m[2, 0, 0] = np.nan
         with pytest.raises(NumericalError):
             lc.expm(m)
+
+
+_FAMILIES = [lc.u1(), lc.su(2), lc.su(3), lc.so(2), lc.so(3), lc.gl(2), lc.gl(3, "complex"),
+             lc.unipotent(3), lc.unipotent(3, "complex")]
+
+
+def _group_defect_one(desc, m):
+    """Reference membership defect of one matrix, written with the plain
+    transpose, scalar moduli and Python maxima."""
+    if not np.all(np.isfinite(m)):
+        return np.inf
+    if desc.family == lc.U1:
+        return abs(abs(m[0, 0]) - 1.0)
+    if desc.family in (lc.SU, lc.SO):
+        d = max(lc.frob(m.conj().T @ m - np.eye(desc.matrix_dim)), abs(np.linalg.det(m) - 1.0))
+        return max(d, lc.frob(m.imag)) if desc.family == lc.SO else d
+    if desc.family == lc.UT:
+        d = max(lc.frob(np.tril(m, -1)), lc.frob(np.diagonal(m) - 1.0))
+        return max(d, lc.frob(m.imag)) if desc.field == "real" else d
+    if abs(np.linalg.det(m)) < 1e-12:
+        return np.inf
+    return lc.frob(m.imag) if desc.field == "real" else 0.0
+
+
+def _near_group_stack(desc, rng, k):
+    """k random group matrices, each drifted off the group by up to 1e-6
+    in a random complex direction."""
+    n = desc.matrix_dim
+    g = lc.group_from_normals(desc, rng.standard_normal((k, 2, n, n)))
+    return g + 1e-6 * rng.random((k, 1, 1)) * (rng.standard_normal((k, n, n))
+                                                + 1j * rng.standard_normal((k, n, n)))
+
+
+class TestGroupDefect:
+    @pytest.mark.parametrize("desc", _FAMILIES, ids=str)
+    def test_one_matrix_matches_the_reference_bit_for_bit(self, desc):
+        # the holonomy report prints the defect of one matrix
+        rng = np.random.default_rng(17)
+        for m in _near_group_stack(desc, rng, 50):
+            assert lc.group_defect(desc, m) == _group_defect_one(desc, m)
+            assert lc.group_defect(desc, m.real) == _group_defect_one(desc, m.real)
+
+    @pytest.mark.parametrize("desc", _FAMILIES, ids=str)
+    def test_stack_gives_the_largest_defect(self, desc):
+        n = desc.matrix_dim
+        stack = _near_group_stack(desc, np.random.default_rng(18), 12).reshape(3, 4, n, n)
+        singles = [lc.group_defect(desc, m) for m in stack.reshape(-1, n, n)]
+        assert lc.group_defect(desc, stack) == max(singles)
+        assert lc.group_defect(desc, stack[:0]) == 0.0
+
+    @pytest.mark.parametrize("desc", _FAMILIES, ids=str)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_entry_anywhere_gives_inf(self, desc, bad):
+        n = desc.matrix_dim
+        stack = lc.group_from_normals(desc, np.random.default_rng(19).standard_normal((200, 2, n, n)))
+        stack[123, n - 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lc.group_defect(desc, stack) == np.inf
+
+    @pytest.mark.parametrize("desc", [lc.gl(2), lc.gl(3, "complex")], ids=str)
+    def test_one_singular_gl_matrix_gives_inf(self, desc):
+        n = desc.matrix_dim
+        stack = lc.group_from_normals(desc, np.random.default_rng(20).standard_normal((200, 2, n, n)))
+        assert lc.group_defect(desc, stack) < 1e-12
+        stack[57] = 0.0
+        stack[57, 0, 0] = 1.0
+        assert lc.group_defect(desc, stack) == np.inf
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize("desc", [lc.su(3), lc.so(3), lc.gl(3), lc.unipotent(3), lc.su(4)],
+                             ids=str)
+    def test_stacked_expm_is_the_per_matrix_expm(self, desc):
+        # each matrix takes its own number of squarings, so its neighbours
+        # in the stack do not change its rounding
+        n = desc.matrix_dim
+        z = np.random.default_rng(21).standard_normal((400, 2, n, n))
+        x = lc.algebra_from_normals(desc, z, 1.0) * np.geomspace(0.01, 30.0, 400)[:, None, None]
+        assert np.array_equal(lc.expm(x), np.stack([lc.expm(m) for m in x]))
+
+    @pytest.mark.parametrize("desc", _FAMILIES, ids=str)
+    def test_one_sample_draws_match_the_per_sample_reference(self, desc):
+        r1, r2 = np.random.default_rng(22), np.random.default_rng(22)
+        for _ in range(10):
+            assert lc.random_group(desc, r1) == per_sample_draw(desc, r2)
+        a, b = lc.random_algebra(desc, r1, 0.3), lc.algebra_from_normals(
+            desc, r2.standard_normal((2, desc.matrix_dim, desc.matrix_dim)), 0.3)
+        assert np.array_equal(a.matrix, b)
+
+    def test_stacked_draws_are_the_one_sample_draws(self):
+        desc = lc.su(3)
+        z = np.random.default_rng(23).standard_normal((50, 2, 3, 3))
+        rng = np.random.default_rng(23)
+        singles = [lc.random_group(desc, rng).matrix for _ in range(50)]
+        assert np.array_equal(lc.group_from_normals(desc, z), np.stack(singles))
 
 
 class TestAdjointAndBracket:

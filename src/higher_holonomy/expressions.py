@@ -21,6 +21,7 @@ ExpressionError, whether parsed or met only in a derivative.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -329,12 +330,17 @@ def _fold(node: Expr, where) -> Expr:
         raise ExpressionError(f"division by zero in {str(where)!r}")
     if not constant:
         return node
-    try:
-        with np.errstate(all="ignore"):  # numpy functions overflow to inf
+    if isinstance(node, Call):
+        # a numpy function overflows to inf with a warning; its value is
+        # kept as a Python number, whose arithmetic warns of nothing
+        with np.errstate(all="ignore"):
+            value = node.evaluate({}).item()
+    else:
+        try:
             value = node.evaluate({})
-    except OverflowError:
-        value = math.inf
-    if not np.isfinite(value):
+        except OverflowError:
+            value = math.inf
+    if not cmath.isfinite(value):
         raise ExpressionError(f"overflow in {str(where)!r}")
     return Num(value)
 

@@ -143,7 +143,7 @@ class TestVerifyAxioms:
         monkeypatch.setattr(lc, "expm", one_off)
         with pytest.raises(MembershipError, match="exp_map left SU"):
             hg.verify_axioms(eg_su2, n_samples=200)
-        monkeypatch.setattr(lc, "expm", expm)
+        monkeypatch.undo()
         assert hg.verify_axioms(eg_su2, n_samples=200).passed
 
 

@@ -60,6 +60,7 @@ class TestParsing:
         ("1/0", "division by zero"), ("i*(1/0)", "division by zero"),
         ("x1 + 2/(1 - 1)", "division by zero"), ("0^-1", "division by zero"),
         ("x1/0", "division by zero"), ("10^400", "overflow"), ("exp(1000)", "overflow"),
+        ("exp(700)*exp(700)", "overflow"),
     ])
     def test_constant_arithmetic_errors_are_parse_errors(self, text, message):
         with pytest.raises(ExpressionError, match=message):

@@ -102,7 +102,6 @@ from .lie_core import (
     unipotent,
 )
 from .transgression import (
-    LoopPath,
     LoopTangent,
     loop_holonomy,
     loop_path_two_morphism,

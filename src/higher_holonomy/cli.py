@@ -291,8 +291,8 @@ class Experiment:
         return self._geometry(
             "bigon", lambda e: geo.standard_bigon(geo.chart_from_expressions(e), 1.0, 1.0))
 
-    def geometry_loop_path(self) -> tg.LoopPath:
-        return self._geometry("loop_path", tg.loop_path_from_expressions)
+    def geometry_loop_path(self) -> geo.Bigon:
+        return self._geometry("loop_path", geo.loop_path_from_expressions)
 
     def geometry_variation(self) -> object:
         return self._geometry("variation", lambda e: geo.loop_from_expressions(e).point)

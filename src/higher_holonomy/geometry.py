@@ -1,8 +1,9 @@
 """Paths, bigons, and loops in open subsets of R^n.
 
 A `Bigon` is the one two-slot map: a bigon when it sits, and otherwise a
-chart or a core.  A chart carries exact partials, and `standard_bigon`
-pushes the standard bigon of a coordinate rectangle through them.
+chart, a core or a loop path, the map (angle, time) -> R^n.  A chart
+carries exact partials, and `standard_bigon` pushes the standard bigon of
+a coordinate rectangle through them.
 
 All evaluators are closures over closed-form data and broadcast over numpy
 parameter arrays; discretization happens only in the transport and
@@ -12,8 +13,10 @@ stay smooth.  Polynomial smoothsteps are only finitely flat and are not
 offered.
 
 Every constructor that uses the profile builds a core map and hands it to
-`_profiled`, the one place where the profile is applied; the chain rules
-behind it also serve `reparameterize` and `Bigon.reparameterized`.
+`_profiled`, the one place where the profile is applied: to a path or loop
+in its parameter, to a bigon core in its first slot and to a loop path in
+its time slot.  The chain rules behind it also serve `reparameterize` and
+`Bigon.reparameterized`.
 """
 
 from __future__ import annotations
@@ -248,8 +251,20 @@ class Loop:
         return self.point(0.0)
 
 
+def _check_closed(ev, *times):
+    """Raise unless the unwrapped map `ev` takes the same values at z = 0
+    and z = 1 within 1e-10, at each of `times` in a time slot.  A pole
+    there leaves a non-finite gap, which fails too."""
+    with np.errstate(all="ignore"):
+        start, end = ev(np.reshape([0.0, 1.0], (2,) + (1,) * len(times)), *times)
+        gap = float(np.max(np.abs(start - end)))
+    if not gap <= 1e-10:
+        raise CompositionError(f"loop does not close: z = 0 and z = 1 differ by {gap:.3e}")
+
+
 def loop_from_expressions(component_exprs, var: str = "z") -> Loop:
     n, ev, (dv,) = _expression_map(component_exprs, (var,))
+    _check_closed(ev)
     return Loop(ev, n, dv)
 
 
@@ -328,6 +343,21 @@ def identity_chart() -> Bigon:
 def chart_from_expressions(component_exprs, vars=("s", "t")) -> Bigon:
     n, ev, partials = _expression_map(component_exprs, vars)
     return Bigon(ev, n, *partials)
+
+
+def loop_path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
+                               time_var: str = "t", angle_var: str = "z") -> Bigon:
+    """Loop path from expressions in the angle and time variables: the
+    two-slot map (z, t) -> R^n, taking z modulo 1, with the sitting profile
+    in its time slot.  Its source edge t -> (0, t) is the base path; like a
+    chart, it does not sit."""
+    n, ev, (dz, dt) = _expression_map(component_exprs, (angle_var, time_var))
+    _check_closed(ev, np.linspace(0.0, 1.0, 9))
+
+    def wrapped(fn):
+        return lambda z, t: fn(z % 1.0, t)
+
+    return _profiled(Bigon(wrapped(ev), n, wrapped(dz), wrapped(dt)), profile, slot=1)
 
 
 def identity_bigon(gamma: Path) -> Bigon:
@@ -521,11 +551,14 @@ def _bigon_chain(core: Bigon, beta_s=None, beta_t=None, sitting=None) -> Bigon:
                  chain(core.ds, beta_s, 0), chain(core.dt, beta_t, 1), sitting=sitting)
 
 
-def _profiled(core, profile: SmoothingProfile, sitting=None):
+def _profiled(core, profile: SmoothingProfile, sitting=None, slot: int = 0):
     """Run a core map through the sitting profile: a path or loop core in
-    its parameter, a bigon core in its first slot.  The result sits as
-    `sitting`, by default as the profile itself."""
+    its parameter, a bigon core in its slot `slot`.  The result sits as
+    `sitting`, by default as the profile itself; a bigon core profiled in
+    its second slot leaves the first as it is, so it does not sit."""
     sitting = profile if sitting is None else sitting
     if isinstance(core, Bigon):
+        if slot:
+            return _bigon_chain(core, None, profile)
         return _bigon_chain(core, profile, None, sitting)
     return _path_chain(core, profile, sitting=sitting)

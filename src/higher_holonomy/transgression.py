@@ -2,11 +2,18 @@
 the pulled-back 1-form A_F, the fiber-integrated 1-form phi_F, and the
 loop-path bigon with its consistency check.
 
-Loops are parameterized by angle fraction z in [0, 1).  The partial arc
-entering phi_F runs from angle z to angle 1 counterclockwise; its
-orientation, and the slot order of the fiber contraction, are fixed once
-against the abelian route comparison (`transgression_consistency` on a
-trivial-action module) and recorded here:
+Loops are parameterized by angle fraction z in [0, 1).  A loop path, a
+path in the free loop space, is a `Bigon` on (angle, time), as
+`geometry.loop_path_from_expressions` builds it: z -> lp(z, t) is the loop
+at time t, and its source edge t -> lp(0, t) is the base path.  The
+standard bigon of the full (angle, time) rectangle, pushed through it, is
+the loop-path bigon.
+
+The partial arc entering phi_F runs from angle z to angle 1
+counterclockwise; its orientation, and the slot order of the fiber
+contraction, are fixed once against the abelian route comparison
+(`transgression_consistency` on a trivial-action module) and recorded
+here:
 
 * fiber contraction: the variation enters the first slot of B and the
   loop direction the last, phi_F = oint (alpha_{W(z)})_* B(dtau(z), tau'(z)) dz,
@@ -35,11 +42,7 @@ from .geometry import (
     DEFAULT_PROFILE,
     Bigon,
     Loop,
-    Path,
     SmoothingProfile,
-    _difference,
-    _expression_map,
-    _profiled,
     loop_to_path,
     standard_bigon,
 )
@@ -68,48 +71,6 @@ class LoopTangent:
         return self.field(np.asarray(z, dtype=float) % 1.0)
 
 
-class LoopPath:
-    """Smooth family of loops: a map [0,1] x S^1 -> R^n with sitting
-    instants in the time slot."""
-
-    def __init__(self, eval_fn, ambient_dim: int, dt_fn=None, dz_fn=None):
-        self.eval_fn = eval_fn
-        self.ambient_dim = int(ambient_dim)
-        self.dt_fn = dt_fn
-        self.dz_fn = dz_fn
-
-    def point(self, t, z):
-        return self.eval_fn(np.asarray(t, dtype=float), np.asarray(z, dtype=float) % 1.0)
-
-    def dt(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float) % 1.0
-        if self.dt_fn is not None:
-            return self.dt_fn(t, z)
-        return _difference(lambda u: self.eval_fn(u, z), t)
-
-    def dz(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float) % 1.0
-        if self.dz_fn is not None:
-            return self.dz_fn(t, z)
-        return _difference(lambda u: self.eval_fn(t, u), z, periodic=True)
-
-    def base_path(self) -> Path:
-        return _cylinder_map(self).source_path()
-
-
-def loop_path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
-                               time_var: str = "t", angle_var: str = "z") -> LoopPath:
-    """Loop path from expressions in the time and angle variables; the time
-    slot is reparameterized by the sitting profile.  The (time, angle) map
-    is a two-slot core, so the profile meets it in its first slot."""
-    slots = (time_var, angle_var)
-    n, ev, (dt, dz) = _expression_map(component_exprs, slots)
-    swept = _profiled(Bigon(ev, n, dt, dz), profile)
-    return LoopPath(swept.point, n, swept.ds, swept.dt)
-
-
 def loop_holonomy(pair: ConnectionPair, tau: Loop,
                   cfg: IntegratorConfig = DEFAULT_CONFIG,
                   profile: SmoothingProfile = DEFAULT_PROFILE) -> GroupElement:
@@ -124,21 +85,21 @@ def transgressed_A(pair: ConnectionPair, tangent: LoopTangent) -> AlgebraElement
     return pair.A(tau.base_point(), tangent.vector(0.0))
 
 
-def _phi_values(pair: ConnectionPair, lp: LoopPath, times: np.ndarray,
+def _phi_values(pair: ConnectionPair, lp: Bigon, times: np.ndarray,
                 nq: int) -> np.ndarray:
-    """phi_F at the loops lp(t, .) in the variations d_t lp(t, .), for every
+    """phi_F at the loops lp(., t) in the variations d_t lp(., t), for every
     t of `times`: shape (m, dh, dh) for m times.  The loop path is evaluated
     on the whole (t, z) grid at once, and the arc transports of all m loops
     come from one stacked sweep of m lines around the loop."""
     desc = pair.A.descriptor
     t, z = np.meshgrid(np.asarray(times, dtype=float), np.linspace(0.0, 1.0, 2 * nq + 1),
                        indexing="ij")
-    x = lp.point(t, z)
-    v = lp.dz(t, z)
+    x = lp.point(z, t)
+    v = lp.ds(z, t)
     amats = pair.A.matrices_at(x, v)
     u = _rk4_sweep(amats, 1.0 / nq, desc, "A", " along the loops")
     arcs = u[:, -1:] @ lc.retracted_inverse(desc, u)
-    bvals = pair.B.matrices_at(x[:, ::2], lp.dt(t[:, ::2], z[:, ::2]), v[:, ::2])
+    bvals = pair.B.matrices_at(x[:, ::2], lp.dt(z[:, ::2], t[:, ::2]), v[:, ::2])
     integrand = hg.alpha_g_star_matrices(pair.cm, arcs, bvals)
     return np.einsum("t,mtij->mij", _simpson_weights(nq), integrand)
 
@@ -155,28 +116,19 @@ def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
     partial arcs come from one accumulating sweep around the loop.
     """
     tau = tangent.base
-    lp = LoopPath(lambda t, z: tau.point(z), tau.ambient_dim,
-                  lambda t, z: tangent.vector(z), lambda t, z: tau.velocity(z))
+    lp = Bigon(lambda z, t: tau.point(z), tau.ambient_dim,
+               lambda z, t: tau.velocity(z), lambda z, t: tangent.vector(z))
     val = _phi_values(pair, lp, np.zeros(1), cfg.n_quad_t)[0]
     return AlgebraElement(pair.cm.H, val, validate=False)
 
 
-def _cylinder_map(lp: LoopPath) -> Bigon:
-    """The loop path as a chart (angle, time) -> lp(time, angle): a
-    two-slot map that does not sit, with the loop path's angle and time
-    partials as its exact partials.  Its source edge is the base path, and
-    `standard_bigon` sweeps the loop-path bigon through it."""
-    return Bigon(lambda a, t: lp.point(t, a), lp.ambient_dim,
-                 lambda a, t: lp.dz(t, a), lambda a, t: lp.dt(t, a))
-
-
-def loop_path_bigon(lp: LoopPath, profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
+def loop_path_bigon(lp: Bigon, profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
     """The bigon swept by a loop path: the standard bigon over the full
-    (angle, time) rectangle pushed through the cylinder map."""
-    return standard_bigon(_cylinder_map(lp), 1.0, 1.0, profile)
+    (angle, time) rectangle pushed through the loop path."""
+    return standard_bigon(lp, 1.0, 1.0, profile)
 
 
-def loop_path_two_morphism(pair: ConnectionPair, lp: LoopPath,
+def loop_path_two_morphism(pair: ConnectionPair, lp: Bigon,
                            cfg: IntegratorConfig = DEFAULT_CONFIG) -> TwoMorphismValue:
     """Surface transport over the loop-path bigon, packaged as a
     2-morphism; the G-parts transport along base-point and loop edges."""
@@ -190,7 +142,7 @@ class ConsistencyReport:
     defect: float
 
 
-def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
+def transgression_consistency(pair: ConnectionPair, lp: Bigon,
                               cfg: IntegratorConfig = DEFAULT_CONFIG) -> ConsistencyReport:
     """Compare the two routes from a surface transport to loop-space data:
 
@@ -205,7 +157,7 @@ def transgression_consistency(pair: ConnectionPair, lp: LoopPath,
     """
     n = cfg.n_steps_surface_s
     tt = np.linspace(0.0, 1.0, 2 * n + 1)
-    base = lp.base_path()
+    base = lp.source_path()
     xb = base.point(tt)
     vb = base.velocity(tt)
     a_vals = pair.A.matrices_at(xb, vb)

@@ -177,15 +177,15 @@ def surface_k_product_oracle(cm_kind, a_eval, b_eval, sigma, ns, nt):
 
 
 def per_loop_phi(pair, lp, times, cfg):
-    """phi_F at each loop lp(t, .) in the variation d_t lp(t, .), one
+    """phi_F at each loop lp(., t) in the variation d_t lp(., t), one
     `transgressed_phi` per time t, each on a loop and variation built from
-    `lp.point`, `lp.dz` and `lp.dt` at that t."""
+    `lp.point`, `lp.ds` and `lp.dt` at that t."""
     def at(fn, t):
-        return lambda z: fn(np.full(np.shape(z), t), z)
+        return lambda z: fn(z, np.full(np.shape(z), t))
 
     out = []
     for t in np.asarray(times, dtype=float):
-        loop = geo.Loop(at(lp.point, t), lp.ambient_dim, at(lp.dz, t))
+        loop = geo.Loop(at(lp.point, t), lp.ambient_dim, at(lp.ds, t))
         out.append(tg.transgressed_phi(pair, tg.LoopTangent(loop, at(lp.dt, t)), cfg).matrix)
     return np.stack(out)
 

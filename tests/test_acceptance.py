@@ -335,7 +335,7 @@ def test_criterion_09_transgression():
         oracle = line_integral(integrand, 200)
         quad_err = max(quad_err, abs(got - oracle))
 
-    lp = tg.loop_path_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "t"])
+    lp = geo.loop_path_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "t"])
     defects = []
     for n in (32, 64):
         c = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=n, n_quad_t=n)

@@ -31,6 +31,14 @@ def surface_cfg():
     }
 
 
+def _opened(key, k):
+    """The geometry of the shipped transgress config, with coordinate k of
+    geometry.<key> no longer closing: + 0.3*z."""
+    geometry = json.loads((CONFIG_DIR / "transgress_bu1.json").read_text())["geometry"]
+    geometry[key][k] += " + 0.3*z"
+    return geometry
+
+
 class TestDumpJson:
     def test_float_formatting_17_digits(self):
         text = cli.dump_json({"x": 1.0 / 3.0})
@@ -373,18 +381,41 @@ class TestMainEntry:
          "/geometry/loop"),
         ({"loop": ["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "0.2"],
           "variation": ["0.1*cos(2*pi*z)", "0", "0.3"]}, "/geometry"),
+        # the shipped geometry with one entry opened: wrapping z modulo 1
+        # would let both routes see the same jump, so they would agree
+        (_opened("loop", 1), "/geometry/loop"),
+        (_opened("variation", 1), "/geometry/variation"),
+        (_opened("loop_path", 1), "/geometry/loop_path"),
     ], ids=["no_route", "loop_without_variation", "misspelled_keys", "short_loop_path",
-            "short_loop", "loop_and_variation_only"])
+            "short_loop", "loop_and_variation_only", "open_loop", "open_variation",
+            "open_loop_path"])
     def test_transgress_must_check_something(self, tmp_path, capsys, geometry, pointer):
         cfg = json.loads((CONFIG_DIR / "transgress_bu1.json").read_text())
         cfg["geometry"] = geometry
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        rc = cli.main(["transgress", "--config", str(cfg_path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["transgress", "--config", str(cfg_path)])
         out = capsys.readouterr()
         assert rc == 2
         assert out.out == ""
         assert out.err.startswith(f"error: {pointer}: ")
+        assert "Traceback" not in out.err
+
+    def test_holonomy_around_an_open_loop_is_located(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
+        cfg["geometry"] = {"loop": ["0.3*cos(2*pi*z)", "0.3*sin(2*pi*z) + 0.3*z"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["holonomy", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err == ("error: /geometry/loop: loop does not close: "
+                           "z = 0 and z = 1 differ by 3.000e-01\n")
 
     def test_console_invocation(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

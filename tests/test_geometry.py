@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from higher_holonomy import geometry as geo
 from higher_holonomy.errors import CompositionError, DomainError
-from higher_holonomy.transgression import LoopPath
 
 
 class TestSmoothingProfile:
@@ -248,16 +249,8 @@ def _bigon_partials():
     return [(sig.ds(_S, _T), ds(_S, _T)), (sig.dt(_S, _T), dt(_S, _T))]
 
 
-def _loop_path_partials():
-    ev, dt, dz = _two_slot_map(["(1 + 0.5*t)*cos(2*pi*z)", "(1 + 0.5*t)*sin(2*pi*z)",
-                                "sin(pi*t) + 0.2*cos(2*pi*z)"], ("t", "z"))
-    lp = LoopPath(ev, 3)
-    return [(lp.dt(_T, _Z), dt(_T, _Z)), (lp.dz(_T, _Z), dz(_T, _Z))]
-
-
-@pytest.mark.parametrize("partials", [_path_partials, _loop_partials, _bigon_partials,
-                                      _loop_path_partials],
-                         ids=["Path", "Loop", "Bigon", "LoopPath"])
+@pytest.mark.parametrize("partials", [_path_partials, _loop_partials, _bigon_partials],
+                         ids=["Path", "Loop", "Bigon"])
 def test_difference_quotient_matches_exact_partials(partials):
     for fallback, exact in partials():
         assert np.max(np.abs(fallback - exact)) <= 1e-8
@@ -358,6 +351,48 @@ class TestLoops:
         loop = geo.loop_from_expressions(["cos(2*pi*z)", "sin(2*pi*z)"])
         v = loop.velocity(0.25)
         assert np.allclose(v, [-2 * np.pi, 0.0], atol=1e-12)
+
+    def test_open_loop_is_refused(self):
+        with pytest.raises(CompositionError,
+                           match="^loop does not close: z = 0 and z = 1 differ by 3.000e-01$"):
+            geo.loop_from_expressions(["cos(2*pi*z)", "sin(2*pi*z) + 0.3*z"])
+
+    def test_pole_at_the_seam_is_an_open_loop(self):
+        # z = 1 is never evaluated once the map wraps; the check meets the
+        # pole there, and numpy's division warning must not escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CompositionError, match="differ by inf"):
+                geo.loop_from_expressions(["cos(2*pi*z)", "z/(1 - z)"])
+
+
+class TestLoopPaths:
+    """A loop path is the two-slot map (angle z, time t) -> R^n."""
+
+    def test_wraps_modulo_one_bit_for_bit(self):
+        lp = geo.loop_path_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "t"])
+        t = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(lp.point(np.ones(7), t), lp.point(np.zeros(7), t))
+
+    def test_source_edge_is_the_base_path_and_it_does_not_sit(self):
+        lp = geo.loop_path_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "t"])
+        t = np.linspace(0.0, 1.0, 7)
+        prof = geo.DEFAULT_PROFILE
+        base = np.stack([np.full(7, 0.6), np.zeros(7), prof(t)], axis=-1)
+        assert np.array_equal(lp.source_path().point(t), base)
+        assert lp.sitting is None
+
+    def test_time_slot_carries_the_profile(self):
+        lp = geo.loop_path_from_expressions(["cos(2*pi*z)", "0", "t"])
+        z, t = np.full(7, 0.25), np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(lp.dt(z, t)[:, 2], geo.DEFAULT_PROFILE.derivative(t))
+        assert np.allclose(lp.ds(z, t)[:, 0], -2.0 * np.pi, rtol=0.0, atol=1e-12)
+
+    def test_open_loop_path_is_refused(self):
+        # closed at t = 0, open by t at later times: every time node counts
+        with pytest.raises(CompositionError,
+                           match="^loop does not close: z = 0 and z = 1 differ by 1.000e\\+00$"):
+            geo.loop_path_from_expressions(["cos(2*pi*z)", "sin(2*pi*z) + t*z", "t"])
 
 
 class TestContraction:

@@ -44,7 +44,7 @@ def circle_loop():
 
 @pytest.fixture(scope="module")
 def cylinder_loop_path():
-    return tg.loop_path_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "t"])
+    return geo.loop_path_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z)", "t"])
 
 
 def radial_variation(scale=0.1, lift=0.0):
@@ -147,15 +147,13 @@ class TestTransgressedPhi:
 
 class TestLoopPathTwoMorphism:
     def test_constant_loop_path_is_identity(self, eg_pair_3d, mid_cfg):
-        lp = tg.LoopPath(
-            lambda t, z: np.stack(
-                [0.5 * np.cos(2 * np.pi * np.asarray(z)),
-                 0.5 * np.sin(2 * np.pi * np.asarray(z)),
-                 np.broadcast_to(0.0, np.broadcast_shapes(np.shape(t), np.shape(z)))],
-                axis=-1),
-            3)
+        lp = geo.loop_path_from_expressions(["0.5*cos(2*pi*z)", "0.5*sin(2*pi*z)", "0"])
         tv = tg.loop_path_two_morphism(eg_pair_3d, lp, mid_cfg)
         assert lc.frob(tv.h_part.matrix - np.eye(2)) <= 1e-7
+
+    def test_loop_path_without_partials_is_refused(self, cylinder_loop_path):
+        with pytest.raises(TypeError, match="exact partials"):
+            tg.loop_path_bigon(geo.Bigon(cylinder_loop_path.point, 3))
 
     def test_target_matching(self, eg_pair_3d, cylinder_loop_path, tight_cfg):
         tv = tg.loop_path_two_morphism(eg_pair_3d, cylinder_loop_path, tight_cfg)
@@ -168,9 +166,9 @@ class TestLoopPathTwoMorphism:
         total = 0.0
         for ti, wi in zip(nodes, weights):
             zs = nodes
-            x = cylinder_loop_path.point(np.full_like(zs, ti), zs)
-            vz = cylinder_loop_path.dz(np.full_like(zs, ti), zs)
-            vt = cylinder_loop_path.dt(np.full_like(zs, ti), zs)
+            x = cylinder_loop_path.point(zs, np.full_like(zs, ti))
+            vz = cylinder_loop_path.ds(zs, np.full_like(zs, ti))
+            vt = cylinder_loop_path.dt(zs, np.full_like(zs, ti))
             vals = abelian_pair_3d.B.matrices_at(x, vz, vt)[..., 0, 0].imag
             total += wi * np.dot(weights, vals)
         oracle = np.exp(-1j * total)
@@ -182,7 +180,7 @@ class TestConsistency:
         cm = hg.make_b_abelian(U1)
         pair = fm.ConnectionPair(cm, fm.zero_one_form(cm.G, 3),
                                  fm.two_form_from_expressions(U1, {}, 3))
-        lp = tg.loop_path_from_expressions(
+        lp = geo.loop_path_from_expressions(
             ["0.4*cos(2*pi*z)", "0.4*sin(2*pi*z)", "0.5*t"])
         rep = tg.transgression_consistency(pair, lp, mid_cfg)
         assert lc.frob(rep.route_functor - np.eye(1)) <= 1e-12

@@ -1,16 +1,17 @@
 """Paths, bigons, and loops in open subsets of R^n.
 
-A `Bigon` is the one two-slot map: a bigon when it sits, and otherwise a
-chart, a core or a loop path, the map (angle, time) -> R^n.  A chart
-carries exact partials, and `standard_bigon` pushes the standard bigon of
-a coordinate rectangle through them.
+A `Bigon` is the one two-slot map: a bigon, a chart, a core or a loop
+path, the map (angle, time) -> R^n.  `standard_bigon` pushes the standard
+bigon of a coordinate rectangle through a chart's partials.
 
 All evaluators are closures over closed-form data and broadcast over numpy
 parameter arrays; discretization happens only in the transport and
-quadrature routines.  Sitting instants are realized by a mollifier-based
-profile that is genuinely flat near the parameter boundary, so compositions
-stay smooth.  Polynomial smoothsteps are only finitely flat and are not
-offered.
+quadrature routines.  Every `Path`, `Loop` and `Bigon` takes its exact
+partials as required arguments, and every constructor here supplies them by
+the chain rule; nothing falls back to a difference quotient.  Sitting
+instants are realized by a mollifier-based profile that is genuinely flat
+near the parameter boundary, so compositions stay smooth.  Polynomial
+smoothsteps are only finitely flat and are not offered.
 
 Every constructor that uses the profile builds a core map and hands it to
 `_profiled`, the one place where the profile is applied: to a path or loop
@@ -25,8 +26,6 @@ import numpy as np
 
 from . import expressions as xp
 from .errors import CompositionError, DomainError
-
-_FD_STEP = 1e-6
 
 
 class SmoothingProfile:
@@ -77,17 +76,6 @@ class SmoothingProfile:
 DEFAULT_PROFILE = SmoothingProfile(0.1)
 
 
-def _difference(fn, u, periodic=False):
-    """Difference quotient of `fn` at `u` with step _FD_STEP: central and
-    wrapped mod 1 in a periodic slot, otherwise clipped to [0, 1], so that
-    it turns one-sided at the ends."""
-    u = np.asarray(u, dtype=float)
-    if periodic:
-        return (fn((u + _FD_STEP) % 1.0) - fn((u - _FD_STEP) % 1.0)) / (2.0 * _FD_STEP)
-    up, um = np.minimum(u + _FD_STEP, 1.0), np.maximum(u - _FD_STEP, 0.0)
-    return (fn(up) - fn(um)) / (up - um)[..., None]
-
-
 def _halves(u, first, second):
     """Concatenation at u = 1/2: `first` on [0, 1/2) and `second` on
     [1/2, 1], each run over its own [0, 1] at double speed."""
@@ -117,14 +105,13 @@ def _expression_map(component_exprs, variables):
 
 class Path:
     """Smooth map [0,1] -> R^n.  `eval_fn` must broadcast over parameter
-    arrays and return shape (..., n); `deriv_fn` is the exact velocity when
-    available, otherwise a central difference is used."""
+    arrays and return shape (..., n); `deriv_fn`, required, is its exact
+    velocity, in the same shape."""
 
-    def __init__(self, eval_fn, ambient_dim: int, deriv_fn=None, sitting=None):
+    def __init__(self, eval_fn, ambient_dim: int, deriv_fn):
         self.eval_fn = eval_fn
         self.ambient_dim = int(ambient_dim)
         self.deriv_fn = deriv_fn
-        self.sitting = sitting
 
     def point(self, t):
         return self.eval_fn(t)
@@ -132,9 +119,7 @@ class Path:
     __call__ = point
 
     def velocity(self, t):
-        if self.deriv_fn is not None:
-            return self.deriv_fn(t)
-        return _difference(self.eval_fn, t)
+        return self.deriv_fn(t)
 
     def start(self):
         return self.point(0.0)
@@ -155,7 +140,7 @@ def constant_path(x, ambient_dim=None) -> Path:
         t = np.asarray(t, dtype=float)
         return np.zeros(t.shape + (n,))
 
-    return Path(ev, n, dv, sitting=DEFAULT_PROFILE)
+    return Path(ev, n, dv)
 
 
 def line_path(a, b, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
@@ -180,14 +165,8 @@ def path_compose(gamma1: Path, gamma2: Path, tol: float = 1e-10) -> Path:
     gap = float(np.max(np.abs(gamma1.end() - gamma2.start())))
     if not gap <= tol:
         raise CompositionError(f"endpoint mismatch {gap:.3e} exceeds {tol:.1e}")
-
-    sitting = None
-    if gamma1.sitting is not None and gamma2.sitting is not None:
-        sitting = SmoothingProfile(
-            min(gamma1.sitting.epsilon, gamma2.sitting.epsilon) / 2.0
-        )
     return Path(lambda t: _halves(t, gamma1.point, gamma2.point), gamma1.ambient_dim,
-                lambda t: 2.0 * _halves(t, gamma1.velocity, gamma2.velocity), sitting=sitting)
+                lambda t: 2.0 * _halves(t, gamma1.velocity, gamma2.velocity))
 
 
 def path_reverse(gamma: Path) -> Path:
@@ -197,14 +176,13 @@ def path_reverse(gamma: Path) -> Path:
     def dv(t):
         return -gamma.velocity(1.0 - np.asarray(t, dtype=float))
 
-    return Path(ev, gamma.ambient_dim, dv, sitting=gamma.sitting)
+    return Path(ev, gamma.ambient_dim, dv)
 
 
 def reparameterize(gamma: Path, beta, beta_deriv=None) -> Path:
-    """Precompose with an orientation-preserving diffeomorphism of [0,1].
-
-    `beta` may be a SmoothingProfile (derivative known exactly) or a plain
-    callable (derivative by finite differences unless given)."""
+    """Precompose with an orientation-preserving diffeomorphism of [0,1]:
+    a SmoothingProfile, which supplies its own derivative, or a plain
+    callable `beta` together with its derivative `beta_deriv`."""
     return _path_chain(gamma, beta, beta_deriv)
 
 
@@ -215,23 +193,20 @@ def sup_distance(p: Path, q: Path, n_nodes: int = 64) -> float:
     return float(np.max(np.abs(p.point(t) - q.point(t))))
 
 
-def path_sitting_defect(gamma: Path, n_nodes: int = 16) -> float:
-    """Sampled violation of constancy on the sitting strips."""
-    if gamma.sitting is None:
-        return 0.0
-    eps = gamma.sitting.epsilon
-    lo = np.linspace(0.0, eps * 0.999, n_nodes)
-    hi = np.linspace(1.0 - eps * 0.999, 1.0, n_nodes)
-    d0 = np.max(np.abs(gamma.point(lo) - gamma.start()))
-    d1 = np.max(np.abs(gamma.point(hi) - gamma.end()))
-    return float(max(d0, d1))
+def path_sitting_defect(gamma: Path, width: float, n_nodes: int = 16) -> float:
+    """Sampled violation of constancy on the sitting strips [0, width] and
+    [1 - width, 1]."""
+    strip = np.linspace(0.0, width, n_nodes)
+    return float(max(np.max(np.abs(gamma.point(strip) - gamma.start())),
+                     np.max(np.abs(gamma.point(1.0 - strip) - gamma.end()))))
 
 
 class Loop:
-    """Smooth map S^1 -> R^n parameterized by angle fraction z in [0,1);
-    evaluation wraps z modulo 1."""
+    """Smooth map S^1 -> R^n parameterized by angle fraction z in [0,1),
+    with its exact velocity `deriv_fn`, required; evaluation wraps z
+    modulo 1."""
 
-    def __init__(self, eval_fn, ambient_dim: int, deriv_fn=None):
+    def __init__(self, eval_fn, ambient_dim: int, deriv_fn):
         self.eval_fn = eval_fn
         self.ambient_dim = int(ambient_dim)
         self.deriv_fn = deriv_fn
@@ -242,29 +217,35 @@ class Loop:
     __call__ = point
 
     def velocity(self, z):
-        z = np.asarray(z, dtype=float) % 1.0
-        if self.deriv_fn is not None:
-            return self.deriv_fn(z)
-        return _difference(self.eval_fn, z, periodic=True)
+        return self.deriv_fn(np.asarray(z, dtype=float) % 1.0)
 
     def base_point(self):
         return self.point(0.0)
 
 
-def _check_closed(ev, *times):
+def _check_closed(ev, dz, *times):
     """Raise unless the unwrapped map `ev` takes the same values at z = 0
-    and z = 1 within 1e-10, at each of `times` in a time slot.  A pole
-    there leaves a non-finite gap, which fails too."""
+    and z = 1 within 1e-10, and its exact z-partial `dz` the same values
+    within 1e-10 of the largest |dz| there (at least 1), at each of `times`
+    in a time slot.  A pole there leaves a non-finite gap, which fails
+    too."""
+    ends = np.reshape([0.0, 1.0], (2,) + (1,) * len(times))
     with np.errstate(all="ignore"):
-        start, end = ev(np.reshape([0.0, 1.0], (2,) + (1,) * len(times)), *times)
+        start, end = ev(ends, *times)
         gap = float(np.max(np.abs(start - end)))
-    if not gap <= 1e-10:
-        raise CompositionError(f"loop does not close: z = 0 and z = 1 differ by {gap:.3e}")
+        if not gap <= 1e-10:
+            raise CompositionError(f"loop does not close: z = 0 and z = 1 differ by {gap:.3e}")
+        start, end = dz(ends, *times)
+        gap = float(np.max(np.abs(start - end)))
+        scale = max(1.0, float(np.max(np.abs([start, end]))))
+    if not gap / scale <= 1e-10:
+        raise CompositionError(f"loop does not close smoothly: its z-partials at z = 0 and "
+                               f"z = 1 differ by {gap:.3e}")
 
 
 def loop_from_expressions(component_exprs, var: str = "z") -> Loop:
     n, ev, (dv,) = _expression_map(component_exprs, (var,))
-    _check_closed(ev)
+    _check_closed(ev, dv)
     return Loop(ev, n, dv)
 
 
@@ -276,18 +257,17 @@ def loop_to_path(tau: Loop, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path
 
 class Bigon:
     """Smooth two-slot map (s, t) -> R^n.  `eval_fn(s, t)` broadcasts over
-    parameter arrays; `ds_fn`/`dt_fn` are exact partials when available.
-    It is a bigon when it sits: on [0,1]^2, between two paths with common
-    endpoints, and constant on the boundary strips of width
-    `sitting.epsilon`.  Charts and the cores that `_profiled` takes do not
-    sit (`sitting=None`)."""
+    parameter arrays; `ds_fn` and `dt_fn`, required, are its exact
+    partials.  It is a bigon when, on [0,1]^2, it runs between two paths
+    with common endpoints and is constant on boundary strips; charts and
+    the cores that `_profiled` takes are not (`bigon_boundary_defect`
+    measures it for a given strip width)."""
 
-    def __init__(self, eval_fn, ambient_dim: int, ds_fn=None, dt_fn=None, sitting=None):
+    def __init__(self, eval_fn, ambient_dim: int, ds_fn, dt_fn):
         self.eval_fn = eval_fn
         self.ambient_dim = int(ambient_dim)
         self.ds_fn = ds_fn
         self.dt_fn = dt_fn
-        self.sitting = sitting
 
     def point(self, s, t):
         return self.eval_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
@@ -295,19 +275,15 @@ class Bigon:
     __call__ = point
 
     def ds(self, s, t):
-        if self.ds_fn is not None:
-            return self.ds_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        return _difference(lambda u: self.point(u, t), s)
+        return self.ds_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
 
     def dt(self, s, t):
-        if self.dt_fn is not None:
-            return self.dt_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        return _difference(lambda u: self.point(s, u), t)
+        return self.dt_fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
 
     def _edge(self, s: float) -> Path:
-        """The path t -> self(s, t), sitting as the map does."""
+        """The path t -> self(s, t)."""
         return Path(lambda t: self.point(np.full(np.shape(t), s), t), self.ambient_dim,
-                    lambda t: self.dt(np.full(np.shape(t), s), t), sitting=self.sitting)
+                    lambda t: self.dt(np.full(np.shape(t), s), t))
 
     def source_path(self) -> Path:
         return self._edge(0.0)
@@ -316,8 +292,8 @@ class Bigon:
         return self._edge(1.0)
 
     def reparameterized(self, beta_s=None, beta_t=None) -> "Bigon":
-        """Precompose both parameters with diffeomorphisms of [0,1]; a slot
-        left None stays as it is, with its partial exact."""
+        """Precompose each parameter with a SmoothingProfile, which brings
+        its derivative; a slot left None stays as it is."""
         return _bigon_chain(self, beta_s, beta_t)
 
 
@@ -350,9 +326,9 @@ def loop_path_from_expressions(component_exprs, profile: SmoothingProfile = DEFA
     """Loop path from expressions in the angle and time variables: the
     two-slot map (z, t) -> R^n, taking z modulo 1, with the sitting profile
     in its time slot.  Its source edge t -> (0, t) is the base path; like a
-    chart, it does not sit."""
+    chart, it is not constant on boundary strips."""
     n, ev, (dz, dt) = _expression_map(component_exprs, (angle_var, time_var))
-    _check_closed(ev, np.linspace(0.0, 1.0, 9))
+    _check_closed(ev, dz, np.linspace(0.0, 1.0, 9))
 
     def wrapped(fn):
         return lambda z, t: fn(z % 1.0, t)
@@ -374,7 +350,7 @@ def identity_bigon(gamma: Path) -> Bigon:
         s = np.asarray(s, dtype=float)
         return np.broadcast_to(v, np.broadcast_shapes(s.shape, v.shape[:-1]) + v.shape[-1:]).copy()
 
-    return Bigon(ev, gamma.ambient_dim, dsf, dtf, sitting=gamma.sitting or DEFAULT_PROFILE)
+    return Bigon(ev, gamma.ambient_dim, dsf, dtf)
 
 
 def bigon_between(p0: Path, p1: Path, profile: SmoothingProfile = DEFAULT_PROFILE,
@@ -385,10 +361,6 @@ def bigon_between(p0: Path, p1: Path, profile: SmoothingProfile = DEFAULT_PROFIL
     if not (float(np.max(np.abs(p0.start() - p1.start()))) <= tol
             and float(np.max(np.abs(p0.end() - p1.end()))) <= tol):
         raise CompositionError("paths do not share endpoints")
-    eps = profile.epsilon
-    for p in (p0, p1):
-        if p.sitting is not None:
-            eps = min(eps, p.sitting.epsilon)
 
     def ev(u, t):
         return (1.0 - u[..., None]) * p0.point(t) + u[..., None] * p1.point(t)
@@ -397,7 +369,7 @@ def bigon_between(p0: Path, p1: Path, profile: SmoothingProfile = DEFAULT_PROFIL
         return (1.0 - u[..., None]) * p0.velocity(t) + u[..., None] * p1.velocity(t)
 
     core = Bigon(ev, p0.ambient_dim, lambda u, t: p1.point(t) - p0.point(t), dtf)
-    return _profiled(core, profile, SmoothingProfile(eps))
+    return _profiled(core, profile)
 
 
 def bigon_vcompose(sigma: Bigon, sigma_prime: Bigon, tol: float = 1e-8) -> Bigon:
@@ -416,7 +388,7 @@ def bigon_vcompose(sigma: Bigon, sigma_prime: Bigon, tol: float = 1e-8) -> Bigon
     def dtf(s, t):
         return _halves(s, lambda u: sigma.dt(u, t), lambda u: sigma_prime.dt(u, t))
 
-    return Bigon(ev, sigma.ambient_dim, dsf, dtf, sitting=None)
+    return Bigon(ev, sigma.ambient_dim, dsf, dtf)
 
 
 def bigon_hcompose(sigma1: Bigon, sigma2: Bigon, tol: float = 1e-8) -> Bigon:
@@ -437,7 +409,7 @@ def bigon_hcompose(sigma1: Bigon, sigma2: Bigon, tol: float = 1e-8) -> Bigon:
     def dtf(s, t):
         return 2.0 * _halves(t, lambda u: sigma1.dt(s, u), lambda u: sigma2.dt(s, u))
 
-    return Bigon(ev, sigma1.ambient_dim, dsf, dtf, sitting=None)
+    return Bigon(ev, sigma1.ambient_dim, dsf, dtf)
 
 
 def standard_bigon(chart, s: float, t: float,
@@ -452,7 +424,7 @@ def standard_bigon(chart, s: float, t: float,
     so that the mixed derivative of surface transport at (s,t)=(0,0)
     recovers the driving 2-form values (see transport module).
     """
-    if not (isinstance(chart, Bigon) and chart.ds_fn and chart.dt_fn):
+    if not isinstance(chart, Bigon):
         raise TypeError("standard_bigon expects a Bigon chart with exact partials")
     origin = np.zeros(2)
     corner_s = np.array([float(s), 0.0])
@@ -477,7 +449,7 @@ def standard_bigon(chart, s: float, t: float,
         return fn
 
     return Bigon(lambda ss, tt: chart.point(*at(ss, tt)), chart.ambient_dim,
-                 pushed(plane.ds), pushed(plane.dt), sitting=plane.sitting)
+                 pushed(plane.ds), pushed(plane.dt))
 
 
 def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
@@ -493,72 +465,58 @@ def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) 
     return _profiled(core, profile)
 
 
-def bigon_boundary_defect(sigma: Bigon, n_nodes: int = 12) -> float:
-    """Sampled violation of the boundary-strip conditions of a bigon."""
-    eps = (sigma.sitting.epsilon if sigma.sitting else 0.05) * 0.98
-    s = np.linspace(0.0, 1.0, n_nodes)
-    x = sigma.point(0.0, 0.0)
-    y = sigma.point(0.0, 1.0)
-    strip0 = np.linspace(0.0, eps, n_nodes)
-    strip1 = np.linspace(1.0 - eps, 1.0, n_nodes)
-    d = 0.0
-    for tt in strip0:
-        d = max(d, float(np.max(np.abs(sigma.point(s, np.full(n_nodes, tt)) - x))))
-    for tt in strip1:
-        d = max(d, float(np.max(np.abs(sigma.point(s, np.full(n_nodes, tt)) - y))))
-    src = sigma.source_path()
-    tgt = sigma.target_path()
-    t = np.linspace(0.0, 1.0, n_nodes)
-    for ss in strip0:
-        d = max(d, float(np.max(np.abs(sigma.point(np.full(n_nodes, ss), t) - src.point(t)))))
-    for ss in strip1:
-        d = max(d, float(np.max(np.abs(sigma.point(np.full(n_nodes, ss), t) - tgt.point(t)))))
-    return d
+def bigon_boundary_defect(sigma: Bigon, width: float, n_nodes: int = 12) -> float:
+    """Sampled violation of the boundary-strip conditions of a bigon on
+    strips of width `width`: constant near t = 0 and t = 1, and its source
+    and target paths near s = 0 and s = 1."""
+    full, strip = np.meshgrid(np.linspace(0.0, 1.0, n_nodes), np.linspace(0.0, width, n_nodes),
+                              indexing="ij")
+    gaps = [sigma.point(full, strip) - sigma.point(0.0, 0.0),
+            sigma.point(full, 1.0 - strip) - sigma.point(0.0, 1.0),
+            sigma.point(strip, full) - sigma.source_path().point(full),
+            sigma.point(1.0 - strip, full) - sigma.target_path().point(full)]
+    return float(np.max([np.max(np.abs(g)) for g in gaps]))
 
 
-def _path_chain(core, beta, beta_deriv=None, sitting=None) -> Path:
+def _path_chain(core, beta, beta_deriv=None) -> Path:
     """The path t -> core(beta(t)) of a path or loop core, with velocity
     core'(beta(t)) beta'(t).  A SmoothingProfile supplies its own beta';
-    without one the velocity falls back to the difference quotient."""
+    any other beta needs `beta_deriv`."""
     if isinstance(beta, SmoothingProfile):
         beta_deriv = beta.derivative
-    dv = None
-    if beta_deriv is not None:
-        def dv(t):
-            t = np.asarray(t, dtype=float)
-            return core.velocity(beta(t)) * np.asarray(beta_deriv(t))[..., None]
-    return Path(lambda t: core.point(beta(np.asarray(t, dtype=float))), core.ambient_dim, dv,
-                sitting=sitting)
+    elif beta_deriv is None:
+        raise TypeError("a reparameterization other than a SmoothingProfile needs beta_deriv")
+
+    def dv(t):
+        t = np.asarray(t, dtype=float)
+        return core.velocity(beta(t)) * np.asarray(beta_deriv(t))[..., None]
+    return Path(lambda t: core.point(beta(np.asarray(t, dtype=float))), core.ambient_dim, dv)
 
 
-def _bigon_chain(core: Bigon, beta_s=None, beta_t=None, sitting=None) -> Bigon:
-    """The bigon (s, t) -> core(beta_s(s), beta_t(t)); a slot left None is
-    not moved and passes its partial through exactly.  A SmoothingProfile
-    supplies its own derivative; the partial along a slot moved by any
-    other callable falls back to the difference quotient."""
+def _bigon_chain(core: Bigon, beta_s=None, beta_t=None) -> Bigon:
+    """The bigon (s, t) -> core(beta_s(s), beta_t(t)), each beta a
+    SmoothingProfile, which supplies its own derivative; a slot left None
+    is not moved and passes its partial through exactly."""
     bs = (lambda u: u) if beta_s is None else beta_s
     bt = (lambda u: u) if beta_t is None else beta_t
 
     def chain(partial, beta, slot):
         if beta is None:
             return lambda s, t: partial(bs(s), bt(t))
-        if isinstance(beta, SmoothingProfile):
-            return lambda s, t: (partial(bs(s), bt(t))
-                                 * np.asarray(beta.derivative((s, t)[slot]))[..., None])
-        return None
+        if not isinstance(beta, SmoothingProfile):
+            raise TypeError("a bigon is reparameterized by a SmoothingProfile or None per slot")
+        return lambda s, t: (partial(bs(s), bt(t))
+                             * np.asarray(beta.derivative((s, t)[slot]))[..., None])
 
     return Bigon(lambda s, t: core.point(bs(s), bt(t)), core.ambient_dim,
-                 chain(core.ds, beta_s, 0), chain(core.dt, beta_t, 1), sitting=sitting)
+                 chain(core.ds, beta_s, 0), chain(core.dt, beta_t, 1))
 
 
-def _profiled(core, profile: SmoothingProfile, sitting=None, slot: int = 0):
+def _profiled(core, profile: SmoothingProfile, slot: int = 0):
     """Run a core map through the sitting profile: a path or loop core in
-    its parameter, a bigon core in its slot `slot`.  The result sits as
-    `sitting`, by default as the profile itself; a bigon core profiled in
-    its second slot leaves the first as it is, so it does not sit."""
-    sitting = profile if sitting is None else sitting
+    its parameter, a bigon core in its slot `slot`."""
     if isinstance(core, Bigon):
         if slot:
             return _bigon_chain(core, None, profile)
-        return _bigon_chain(core, profile, None, sitting)
-    return _path_chain(core, profile, sitting=sitting)
+        return _bigon_chain(core, profile, None)
+    return _path_chain(core, profile)

@@ -31,11 +31,11 @@ def surface_cfg():
     }
 
 
-def _opened(key, k):
-    """The geometry of the shipped transgress config, with coordinate k of
-    geometry.<key> no longer closing: + 0.3*z."""
+def _opened(key, k, term=" + 0.3*z"):
+    """The geometry of the shipped transgress config, with `term` added to
+    coordinate k of geometry.<key>: by default it no longer closes."""
     geometry = json.loads((CONFIG_DIR / "transgress_bu1.json").read_text())["geometry"]
-    geometry[key][k] += " + 0.3*z"
+    geometry[key][k] += term
     return geometry
 
 
@@ -386,9 +386,11 @@ class TestMainEntry:
         (_opened("loop", 1), "/geometry/loop"),
         (_opened("variation", 1), "/geometry/variation"),
         (_opened("loop_path", 1), "/geometry/loop_path"),
+        # closed, with a kink at the base point: the z-partial jumps by 0.6*pi
+        (_opened("loop_path", 1, " + 0.3*sin(pi*z)"), "/geometry/loop_path"),
     ], ids=["no_route", "loop_without_variation", "misspelled_keys", "short_loop_path",
             "short_loop", "loop_and_variation_only", "open_loop", "open_variation",
-            "open_loop_path"])
+            "open_loop_path", "kinked_loop_path"])
     def test_transgress_must_check_something(self, tmp_path, capsys, geometry, pointer):
         cfg = json.loads((CONFIG_DIR / "transgress_bu1.json").read_text())
         cfg["geometry"] = geometry
@@ -416,6 +418,24 @@ class TestMainEntry:
         assert out.out == ""
         assert out.err == ("error: /geometry/loop: loop does not close: "
                            "z = 0 and z = 1 differ by 3.000e-01\n")
+
+    def test_holonomy_around_a_kinked_loop_takes_it_as_a_path(self, tmp_path, capsys):
+        # a loop must close smoothly; a closed curve with a kink at its base
+        # point is a path
+        cfg = json.loads((CONFIG_DIR / "holonomy_su2.json").read_text())
+        curve = ["0.3*cos(2*pi*z)", "0.3*sin(2*pi*z) + 0.3*sin(pi*z)"]
+        cfg["geometry"] = {"loop": curve}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["holonomy", "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.err == ("error: /geometry/loop: loop does not close smoothly: its z-partials "
+                           "at z = 0 and z = 1 differ by 1.885e+00\n")
+        cfg["geometry"] = {"path": [c.replace("z", "t") for c in curve]}
+        assert cli.run("holonomy", cfg)["pass"] is True
 
     def test_console_invocation(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -84,23 +84,25 @@ class TestPaths:
             return np.where(t < 0.5, 0.5 * t,
                             np.where(t < 0.75, t - 0.25, 2.0 * t - 1.0))
 
-        remapped = geo.Path(lambda t: left.point(remap(t)), 2)
+        def remap_deriv(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t < 0.5, 0.5, np.where(t < 0.75, 1.0, 2.0))
+
+        remapped = geo.reparameterize(left, remap, remap_deriv)
         assert geo.sup_distance(remapped, right) <= 1e-9
 
     def test_sitting_defect_zero_for_lines(self):
+        # the profile sits on strips of its epsilon, a composite on half
         p = geo.line_path([0.0], [2.0])
-        assert geo.path_sitting_defect(p) == 0.0
-
-    def test_velocity_exact_vs_fd(self):
-        p = geo.path_from_expressions(["t^2", "sin(t)"])
-        t = 0.43
-        h = 1e-6
-        fd = (p.point(t + h) - p.point(t - h)) / (2 * h)
-        assert np.allclose(p.velocity(t), fd, atol=1e-8)
+        assert geo.path_sitting_defect(p, 0.1) == 0.0
+        assert geo.path_sitting_defect(p, 0.2) > 0.0
+        pp = geo.path_compose(p, geo.line_path([2.0], [3.0]))
+        assert geo.path_sitting_defect(pp, 0.05) == 0.0
+        assert geo.path_sitting_defect(pp, 0.1) > 0.0
 
     def test_reparameterize_identity_and_profile(self):
         p = geo.path_from_expressions(["t", "t*(1-t)"])
-        same = geo.reparameterize(p, lambda t: t)
+        same = geo.reparameterize(p, lambda t: t, np.ones_like)
         t = np.linspace(0, 1, 17)
         assert np.allclose(same.point(t), p.point(t))
         prof = geo.SmoothingProfile(0.15)
@@ -146,13 +148,9 @@ class TestBigons:
         prof = geo.DEFAULT_PROFILE
 
         def rect(y0, y1):
-            return geo.Bigon(
-                lambda s, t: np.stack(
-                    [np.broadcast_to(prof(t), np.broadcast_shapes(np.shape(s), np.shape(t))),
-                     np.broadcast_to(y0 + prof(s) * (y1 - y0),
-                                     np.broadcast_shapes(np.shape(s), np.shape(t)))],
-                    axis=-1),
-                2, sitting=prof)
+            # (s, t) -> (prof(t), y0 + prof(s) (y1 - y0))
+            return geo.affine_chart([0.0, y0], [0.0, y1 - y0], [1.0, 0.0]).reparameterized(
+                prof, prof)
 
         stacked = geo.bigon_vcompose(rect(0.0, 0.5), rect(0.5, 1.0))
 
@@ -160,14 +158,9 @@ class TestBigons:
             s = np.asarray(s, dtype=float)
             return np.where(s < 0.5, 0.5 * prof(2 * s), 0.5 + 0.5 * prof(2 * s - 1))
 
-        doubled = geo.Bigon(
-            lambda s, t: np.stack(
-                [np.broadcast_to(prof(t), np.broadcast_shapes(np.shape(s), np.shape(t))),
-                 np.broadcast_to(remap(s), np.broadcast_shapes(np.shape(s), np.shape(t)))],
-                axis=-1),
-            2)
         ss, tt = np.meshgrid(np.linspace(0, 1, 13), np.linspace(0, 1, 13), indexing="ij")
-        assert np.allclose(stacked.point(ss, tt), doubled.point(ss, tt), atol=1e-12)
+        doubled = np.stack([prof(tt), remap(ss)], axis=-1)
+        assert np.allclose(stacked.point(ss, tt), doubled, atol=1e-12)
 
     def test_hcompose_formula(self):
         g0 = geo.path_from_expressions(["t", "0"])
@@ -196,7 +189,8 @@ class TestBigons:
         g0, g1, g2 = (geo.path_from_expressions(["t", f"{h}*t*(1-t)"])
                       for h in (0.0, 0.4, 0.8))
         comp = geo.bigon_vcompose(geo.bigon_between(g0, g1), geo.bigon_between(g1, g2))
-        assert geo.bigon_boundary_defect(comp) <= 1e-12
+        assert geo.bigon_boundary_defect(comp, 0.05) <= 1e-12
+        assert geo.bigon_boundary_defect(comp, 0.1) > 0.0
 
 
 class TestReparameterizedBigon:
@@ -216,44 +210,70 @@ class TestReparameterizedBigon:
         assert np.array_equal(sig.reparameterized(None, prof).ds(s, t), sig.ds(s, prof(t)))
 
 
-def _two_slot_map(exprs, variables):
-    """An expression map of two parameters with its exact partials, read
-    off a chart: (point, d_first, d_second)."""
-    ch = geo.chart_from_expressions(exprs, variables)
-    return ch.point, ch.ds, ch.dt
+# Nodes away from the seams at 1/2 of the composites, and an ordering of
+# them for the second slot of a two-slot map.
+_U = np.array([0.13, 0.31, 0.44, 0.58, 0.71, 0.9])
+_V = np.array([0.9, 0.58, 0.13, 0.71, 0.31, 0.44])
+_H = 1e-6
 
 
-# Nodes with both ends of each clipped slot, where the quotient is one-sided,
-# and z = 0 of the periodic slot, where it wraps.  The second derivatives of
-# the maps below vanish at the ends of every clipped slot, so the one-sided
-# quotients are second-order accurate there too.
-_S = np.array([0.0, 0.0, 0.37, 0.8, 1.0, 1.0])
-_T = np.array([0.0, 1.0, 0.52, 0.0, 0.25, 1.0])
-_Z = np.array([0.0, 0.25, 0.6, 0.0, 1.0 - 1e-9, 0.5])
+def _expr_paths(*tables):
+    return [geo.path_from_expressions(t) for t in tables]
 
 
-def _path_partials():
-    ev, d, _ = _two_slot_map(["2*t - 1", "sin(pi*t)", "t + 0.3*sin(2*pi*t)"], ("t", "r"))
-    return [(geo.Path(lambda t: ev(t, 0.0), 3).velocity(_T), d(_T, 0.0))]
+def _circle():
+    return geo.loop_from_expressions(["0.5 + 0.3*cos(2*pi*z)",
+                                      "0.5 + 0.3*sin(2*pi*z) + 0.1*sin(4*pi*z)"])
 
 
-def _loop_partials():
-    ev, d, _ = _two_slot_map(["cos(2*pi*z)", "sin(2*pi*z) + 0.3*sin(4*pi*z)"], ("z", "r"))
-    return [(geo.Loop(lambda z: ev(z, 0.0), 2).velocity(_Z), d(_Z, 0.0))]
+def _family():
+    return _expr_paths(*(["t", f"{h}*t*(1-t)"] for h in (0.0, 0.5, 1.0)))
 
 
-def _bigon_partials():
-    ev, ds, dt = _two_slot_map(["s + sin(pi*s)*sin(pi*t)", "t + s*t", "sin(pi*t)*(1 + s)"],
-                               ("s", "t"))
-    sig = geo.Bigon(ev, 3)
-    return [(sig.ds(_S, _T), ds(_S, _T)), (sig.dt(_S, _T), dt(_S, _T))]
+_CONSTRUCTORS = {
+    "line_path": lambda: geo.line_path([0.2, -1.0], [1.5, 0.7]),
+    "path_from_expressions": lambda: geo.path_from_expressions(["t^2", "sin(t)"]),
+    "path_compose": lambda: geo.path_compose(*_expr_paths(["t", "t^2"], ["1 + sin(t)", "1 - t"])),
+    "path_reverse": lambda: geo.path_reverse(geo.path_from_expressions(["t^3", "cos(2*t)"])),
+    "constant_path": lambda: geo.constant_path([1.0, 2.0]),
+    "loop_from_expressions": _circle,
+    "loop_to_path": lambda: geo.loop_to_path(_circle()),
+    "reparameterize_profile": lambda: geo.reparameterize(
+        geo.path_from_expressions(["t", "t*(1-t)"]), geo.SmoothingProfile(0.15)),
+    "reparameterize_callable": lambda: geo.reparameterize(
+        geo.path_from_expressions(["t", "t*(1-t)"]), lambda t: t * t, lambda t: 2.0 * t),
+    "identity_bigon": lambda: geo.identity_bigon(geo.path_from_expressions(["t", "t^2"])),
+    "bigon_between": lambda: geo.bigon_between(*_family()[:2]),
+    "bigon_vcompose": lambda: geo.bigon_vcompose(geo.bigon_between(*_family()[:2]),
+                                                 geo.bigon_between(*_family()[1:])),
+    "bigon_hcompose": lambda: geo.bigon_hcompose(
+        geo.bigon_between(*_expr_paths(["t", "0"], ["t", "t*(1-t)"])),
+        geo.bigon_between(*_expr_paths(["1+t", "0"], ["1+t", "0.5*t*(1-t)"]))),
+    "contraction_bigon": lambda: geo.contraction_bigon(geo.loop_to_path(_circle())),
+    "standard_bigon": lambda: geo.standard_bigon(
+        geo.chart_from_expressions(["s + 0.2*s*t", "t - 0.1*s^2"]), 0.8, 0.9),
+    "loop_path_from_expressions": lambda: geo.loop_path_from_expressions(
+        ["(0.5 + 0.1*t)*cos(2*pi*z)", "(0.5 + 0.1*t)*sin(2*pi*z)", "t"]),
+    "reparameterized": lambda: geo.bigon_between(*_family()[:2]).reparameterized(
+        geo.SmoothingProfile(0.2), geo.SmoothingProfile(0.15)),
+}
 
 
-@pytest.mark.parametrize("partials", [_path_partials, _loop_partials, _bigon_partials],
-                         ids=["Path", "Loop", "Bigon"])
-def test_difference_quotient_matches_exact_partials(partials):
-    for fallback, exact in partials():
-        assert np.max(np.abs(fallback - exact)) <= 1e-8
+def _central(fn, u):
+    return (fn(u + _H) - fn(u - _H)) / (2.0 * _H)
+
+
+@pytest.mark.parametrize("build", list(_CONSTRUCTORS.values()), ids=list(_CONSTRUCTORS))
+def test_exact_partials_match_a_central_difference(build):
+    m = build()
+    if isinstance(m, geo.Bigon):
+        pairs = [(m.ds(_U, _V), _central(lambda u: m.point(u, _V), _U)),
+                 (m.dt(_U, _V), _central(lambda u: m.point(_U, u), _V))]
+    else:
+        pairs = [(m.velocity(_U), _central(m.point, _U))]
+    for exact, fd in pairs:
+        assert exact.shape == fd.shape
+        assert np.max(np.abs(exact - fd)) <= 1e-7 * max(1.0, np.max(np.abs(exact)))
 
 
 class TestStandardBigon:
@@ -292,26 +312,17 @@ class TestStandardBigon:
         center = sb.point(0.5, 0.5)
         assert np.allclose(center, [0.5, 0.5], atol=1e-12)
 
-    def test_partials_match_fd(self):
-        ch = geo.chart_from_expressions(["s + 0.2*s*t", "t - 0.1*s^2"])
-        sb = geo.standard_bigon(ch, 0.8, 0.9)
-        h = 1e-6
-        for (s0, t0) in [(0.3, 0.4), (0.62, 0.55)]:
-            fd_s = (sb.point(s0 + h, t0) - sb.point(s0 - h, t0)) / (2 * h)
-            fd_t = (sb.point(s0, t0 + h) - sb.point(s0, t0 - h)) / (2 * h)
-            assert np.allclose(sb.ds(s0, t0), fd_s, atol=1e-7)
-            assert np.allclose(sb.dt(s0, t0), fd_t, atol=1e-7)
-
     def test_boundary_defect(self):
+        # the edge paths are composites of profiled lines: strips of 0.05
         sb = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
-        assert geo.bigon_boundary_defect(sb) <= 1e-12
+        assert geo.bigon_boundary_defect(sb, 0.05) <= 1e-12
 
     def test_charts_are_two_slot_maps_with_exact_partials(self):
         a, b = np.linspace(-0.5, 1.5, 7), np.linspace(1.5, -0.5, 7)
         x, v1, v2 = np.array([0.3, -0.2, 1.0]), np.array([1.0, 0.5, 0.0]), np.array([-0.25, 1, 2])
         expr = geo.chart_from_expressions(["s + 0.2*s*t", "t - 0.1*s^2"])
         for ch in (geo.affine_chart(x, v1, v2), geo.identity_chart(), expr):
-            assert isinstance(ch, geo.Bigon) and ch.sitting is None
+            assert isinstance(ch, geo.Bigon)
             assert ch.ds_fn is not None and ch.dt_fn is not None
         ch = geo.affine_chart(x, v1, v2)
         assert np.allclose(ch.point(a, b), x + a[:, None] * v1 + b[:, None] * v2,
@@ -324,16 +335,28 @@ class TestStandardBigon:
 
     def test_refuses_a_chart_without_exact_partials(self):
         ch = geo.identity_chart()
-        for bad in (geo.Bigon(ch.point, 2), geo.Bigon(ch.point, 2, ch.ds_fn),
-                    geo.Bigon(ch.point, 2, None, ch.dt_fn), ch.point,
-                    geo.line_path(np.zeros(2), np.ones(2))):
+        line = geo.line_path(np.zeros(2), np.ones(2))
+        for bad in (ch.point, line):
             with pytest.raises(TypeError, match="exact partials"):
                 geo.standard_bigon(bad, 0.1, -0.1)
+        # no map is built without its partials
+        for build in (lambda: geo.Bigon(ch.point, 2), lambda: geo.Bigon(ch.point, 2, ch.ds_fn),
+                      lambda: geo.Path(line.point, 2), lambda: geo.Loop(line.point, 2)):
+            with pytest.raises(TypeError, match="required positional argument"):
+                build()
+        # a reparameterization brings its derivative
+        with pytest.raises(TypeError, match="needs beta_deriv"):
+            geo.reparameterize(line, lambda t: t)
+        prof = geo.SmoothingProfile(0.2)
+        for slots in ((lambda u: u, None), (None, lambda u: u), (prof, lambda u: u * u)):
+            with pytest.raises(TypeError, match="SmoothingProfile or None"):
+                ch.reparameterized(*slots)
 
 
 class TestLoops:
     def test_constant_loop_to_path(self):
-        loop = geo.Loop(lambda z: np.broadcast_to([1.0, 2.0], np.shape(z) + (2,)).copy(), 2)
+        loop = geo.Loop(lambda z: np.broadcast_to([1.0, 2.0], np.shape(z) + (2,)).copy(), 2,
+                        lambda z: np.zeros(np.shape(z) + (2,)))
         p = geo.loop_to_path(loop)
         assert np.allclose(p.point(0.3), [1.0, 2.0])
 
@@ -365,6 +388,20 @@ class TestLoops:
             with pytest.raises(CompositionError, match="differ by inf"):
                 geo.loop_from_expressions(["cos(2*pi*z)", "z/(1 - z)"])
 
+    def test_kinked_loop_is_refused(self):
+        # the values close; the z-partial of the x2 entry reads 1.5*pi at
+        # z = 0 and 0.9*pi at z = 1
+        with pytest.raises(CompositionError,
+                           match="^loop does not close smoothly: its z-partials at z = 0 and "
+                                 "z = 1 differ by 1.885e\\+00$"):
+            geo.loop_from_expressions(["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z) + 0.3*sin(pi*z)"])
+
+    def test_smooth_seam_gap_is_relative_to_the_partials(self):
+        # the z-partials of the x1 entry, about 6.0e5, differ by 1.2e-10
+        # between z = 0 and z = 1 by rounding alone
+        loop = geo.loop_from_expressions(["1e5*sin(2*pi*z + 0.3)", "cos(2*pi*z)"])
+        assert loop.velocity(0.0)[0] == pytest.approx(2e5 * np.pi * np.cos(0.3), rel=1e-15)
+
 
 class TestLoopPaths:
     """A loop path is the two-slot map (angle z, time t) -> R^n."""
@@ -380,7 +417,6 @@ class TestLoopPaths:
         prof = geo.DEFAULT_PROFILE
         base = np.stack([np.full(7, 0.6), np.zeros(7), prof(t)], axis=-1)
         assert np.array_equal(lp.source_path().point(t), base)
-        assert lp.sitting is None
 
     def test_time_slot_carries_the_profile(self):
         lp = geo.loop_path_from_expressions(["cos(2*pi*z)", "0", "t"])
@@ -393,6 +429,14 @@ class TestLoopPaths:
         with pytest.raises(CompositionError,
                            match="^loop does not close: z = 0 and z = 1 differ by 1.000e\\+00$"):
             geo.loop_path_from_expressions(["cos(2*pi*z)", "sin(2*pi*z) + t*z", "t"])
+
+    def test_kinked_loop_path_is_refused(self):
+        # smooth at t = 0, kinked by t at later times: every time node counts
+        with pytest.raises(CompositionError,
+                           match="^loop does not close smoothly: its z-partials at z = 0 and "
+                                 "z = 1 differ by 1.885e\\+00$"):
+            geo.loop_path_from_expressions(
+                ["0.6*cos(2*pi*z)", "0.6*sin(2*pi*z) + 0.3*t*sin(pi*z)", "t"])
 
 
 class TestContraction:

@@ -58,7 +58,8 @@ def radial_variation(scale=0.1, lift=0.0):
 
 class TestLoopHolonomy:
     def test_constant_loop(self, eg_pair_3d, mid_cfg):
-        loop = geo.Loop(lambda z: np.broadcast_to([0.1, 0.1, 0.1], np.shape(z) + (3,)).copy(), 3)
+        loop = geo.Loop(lambda z: np.broadcast_to([0.1, 0.1, 0.1], np.shape(z) + (3,)).copy(), 3,
+                        lambda z: np.zeros(np.shape(z) + (3,)))
         hol = tg.loop_holonomy(eg_pair_3d, loop, mid_cfg)
         assert lc.frob(hol.matrix - np.eye(2)) <= 1e-12
 
@@ -152,8 +153,10 @@ class TestLoopPathTwoMorphism:
         assert lc.frob(tv.h_part.matrix - np.eye(2)) <= 1e-7
 
     def test_loop_path_without_partials_is_refused(self, cylinder_loop_path):
+        with pytest.raises(TypeError, match="required positional argument"):
+            geo.Bigon(cylinder_loop_path.point, 3)
         with pytest.raises(TypeError, match="exact partials"):
-            tg.loop_path_bigon(geo.Bigon(cylinder_loop_path.point, 3))
+            tg.loop_path_bigon(cylinder_loop_path.point)
 
     def test_target_matching(self, eg_pair_3d, cylinder_loop_path, tight_cfg):
         tv = tg.loop_path_two_morphism(eg_pair_3d, cylinder_loop_path, tight_cfg)

@@ -34,7 +34,6 @@ from .extraction import (
     extract_one_form,
     extract_transformation,
     extract_two_form,
-    residual_prop1,
     residual_prop2,
     residual_prop3,
 )
@@ -110,15 +109,15 @@ from .transgression import (
     transgression_consistency,
 )
 from .transport import (
+    DerivativeTwoFunctor,
     IntegratorConfig,
-    derivative_2functor,
+    TwoFunctor,
     modification_whisker,
     path_transport,
     stokes_check,
     surface_driver,
     surface_transport,
     transformation_transport,
-    two_functor,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -346,7 +346,7 @@ def _cmd_check_fc(exp: Experiment) -> dict:
 
 def _cmd_roundtrip(exp: Experiment) -> dict:
     pair = exp.pair()
-    functor = tp.two_functor(pair, exp.integrator)
+    functor = tp.TwoFunctor(pair, exp.integrator)
     box = np.asarray(pair.box, dtype=float)
     inner = np.stack([box[:, 0] + 0.25 * (box[:, 1] - box[:, 0]),
                       box[:, 0] + 0.75 * (box[:, 1] - box[:, 0])], axis=-1)
@@ -370,10 +370,7 @@ def _cmd_roundtrip(exp: Experiment) -> dict:
 
 
 def _cmd_stokes(exp: Experiment) -> dict:
-    gamma = exp.geometry_path()
-    if not float(np.max(np.abs(gamma.end() - gamma.start()))) <= 1e-10:
-        raise ConfigError("stokes needs a closed geometry.path", "/geometry/path")
-    sigma = geo.contraction_bigon(gamma)
+    sigma = exp._geometry("path", lambda e: geo.contraction_bigon(geo.path_from_expressions(e)))
     report = tp.stokes_check(exp.A, sigma, exp.integrator)
     return {
         "lhs": _matrix_json(report.lhs.matrix),

@@ -17,17 +17,22 @@ Evaluation environments may bind variables to scalars or numpy arrays.
 The parser folds every constant subexpression into one number, and
 `simplify` folds by the same rule, so a divisor that folds to 0 is an
 ExpressionError, whether parsed or met only in a derivative.
+
+A `Table` is the one evaluator of a table of entries: every form
+component, path, loop, chart, loop path and exponent family is one, over
+the variables its map takes.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import DomainError, ExpressionError
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _VAR_RE = re.compile(r"^(s|t|z|u|x[0-9]+)$")
@@ -42,8 +47,9 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def free_vars(self) -> set:
-        raise NotImplementedError
+    def leaves(self) -> list:
+        """The `Num` and `Var` nodes of the tree, left to right."""
+        return [self]
 
     def __str__(self):
         raise NotImplementedError
@@ -58,9 +64,6 @@ class Num(Expr):
 
     def diff(self, var):
         return Num(0.0)
-
-    def free_vars(self):
-        return set()
 
     def __str__(self):
         if isinstance(self.value, complex):
@@ -80,9 +83,6 @@ class Var(Expr):
 
     def diff(self, var):
         return Num(1.0 if var == self.name else 0.0)
-
-    def free_vars(self):
-        return {self.name}
 
     def __str__(self):
         return self.name
@@ -115,8 +115,8 @@ class Bin(Expr):
         num = Bin("-", Bin("*", da, self.b), Bin("*", self.a, db))
         return Bin("/", num, Pow(self.b, 2))
 
-    def free_vars(self):
-        return self.a.free_vars() | self.b.free_vars()
+    def leaves(self):
+        return self.a.leaves() + self.b.leaves()
 
     def __str__(self):
         return f"({self.a} {self.op} {self.b})"
@@ -132,8 +132,8 @@ class Neg(Expr):
     def diff(self, var):
         return Neg(self.a.diff(var))
 
-    def free_vars(self):
-        return self.a.free_vars()
+    def leaves(self):
+        return self.a.leaves()
 
     def __str__(self):
         return f"(-{self.a})"
@@ -153,8 +153,8 @@ class Pow(Expr):
             return Num(0.0)
         return Bin("*", Num(float(n)), Bin("*", Pow(self.base, n - 1), self.base.diff(var)))
 
-    def free_vars(self):
-        return self.base.free_vars()
+    def leaves(self):
+        return self.base.leaves()
 
     def __str__(self):
         return f"({self.base}^{self.exponent})"
@@ -178,8 +178,8 @@ class Call(Expr):
             outer = Call("exp", self.arg)
         return Bin("*", outer, inner)
 
-    def free_vars(self):
-        return self.arg.free_vars()
+    def leaves(self):
+        return self.arg.leaves()
 
     def __str__(self):
         return f"{self.fn}({self.arg})"
@@ -310,6 +310,8 @@ def parse(text) -> Expr:
         return text
     if isinstance(text, (int, float, complex)):
         return Num(text)
+    if not isinstance(text, str):  # such as a row of a ragged table
+        raise ExpressionError(f"expected an expression, got {text!r}")
     return _Parser(_tokenize(text), text).parse()
 
 
@@ -397,3 +399,58 @@ def _is_const(e: Expr, value) -> bool:
 
 def derivative(e: Expr, var: str) -> Expr:
     return simplify(e.diff(var))
+
+
+class Table:
+    """An object array `entries` of parsed expressions, of shape (), (n,)
+    or (d, d), over `variables`, which `eval` binds positionally.  Building
+    it refuses a free variable outside `variables` and, when `real`, any
+    use of i, so a bad entry fails where its map is made."""
+
+    def __init__(self, entries, variables, real: bool = False):
+        self.variables = tuple(variables)
+        self.entries = np.array(entries, dtype=object)
+        flat = self.entries.reshape(-1)
+        names = set(self.variables)
+        for k, text in enumerate(flat):
+            flat[k] = e = parse(text)
+            leaves = e.leaves()
+            extra = sorted({v.name for v in leaves if isinstance(v, Var)} - names)
+            if extra:
+                raise DomainError(f"free variables {extra} in {str(text)!r} outside "
+                                  f"({', '.join(self.variables)})")
+            if real and any(isinstance(v, Num) and isinstance(v.value, complex) for v in leaves):
+                raise DomainError(f"the imaginary unit i in the real entry {str(text)!r}")
+        self._dtype = float if real else complex
+        self._cells = [((Ellipsis, *index), e) for index, e in
+                       zip(itertools.product(*map(range, self.entries.shape)), flat)]
+        # a table of numbers has one value, built here
+        self._value = None
+        if all(isinstance(e, Num) for e in flat):
+            self._value = np.array([e.value for e in flat], self._dtype).reshape(self.entries.shape)
+            self._value.flags.writeable = False
+
+    def eval(self, *args) -> np.ndarray:
+        """Values at `args`, one per variable, broadcast together: shape
+        (..., *entries.shape), float when real and complex otherwise.  A
+        table of numbers returns its one read-only value, broadcast as a
+        view over a stack."""
+        args = [np.asarray(a, dtype=float) for a in args]
+        shape = args[0].shape if args else ()
+        for a in args:
+            if a.shape != shape:  # cheaper, when they agree, than np.broadcast
+                shape = np.broadcast(*args).shape
+                break
+        if self._value is not None:
+            return (np.broadcast_to(self._value, shape + self.entries.shape) if shape
+                    else self._value)
+        env = dict(zip(self.variables, args))
+        out = np.empty(shape + self.entries.shape, self._dtype)
+        for cell, e in self._cells:
+            out[cell] = e.evaluate(env)
+        return out
+
+    def partial(self, var: str) -> "Table":
+        """The table of exact partials in `var`."""
+        return Table(np.frompyfunc(lambda e: derivative(e, var), 1, 1)(self.entries),
+                     self.variables, real=self._dtype is float)

@@ -131,12 +131,6 @@ def extract_transformation(g_map: GroupValuedMap, rho_h, h_descriptor,
     )
 
 
-def residual_prop1(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                   box=None, n_samples: int = 64, seed: int = 0) -> float:
-    """Max sampled defect of dA + [A ^ A] = t_* B."""
-    return fm.fake_curvature_residual(cm, a, b, box, n_samples, seed).max_residual
-
-
 @dataclass(frozen=True)
 class MorphismResiduals:
     connection_eq: float

@@ -36,7 +36,7 @@ import numpy as np
 from . import expressions as xp
 from . import higher_group as hg
 from . import lie_core as lc
-from .errors import DomainError, FakeCurvatureError
+from .errors import FakeCurvatureError
 from .higher_group import CrossedModule
 from .lie_core import AlgebraElement, GroupDescriptor, GroupElement
 from .sampling import halton_box
@@ -45,54 +45,42 @@ _DEFAULT_FD = 1e-4
 
 
 class ExpressionMatrixField:
-    """Matrix-valued function of position with scalar-expression entries."""
+    """Matrix-valued function of position: a (d, d) complex `xp.Table`
+    over x1..xn, given as `entries` or built from them."""
 
     is_symbolic = True
 
     def __init__(self, entries, dim: int, ambient_dim: int):
-        self.entries = tuple(tuple(xp.parse(e) for e in row) for row in entries)
         self.dim = int(dim)
         self.ambient_dim = int(ambient_dim)
-        if len(self.entries) != dim or any(len(r) != dim for r in self.entries):
+        self.table = (entries if isinstance(entries, xp.Table)
+                      else xp.Table(entries, _coordinates(ambient_dim)))
+        self.entries = self.table.entries
+        if self.entries.shape != (dim, dim):
             raise ValueError("entry table is not square of the declared dim")
-        names = {f"x{k + 1}" for k in range(ambient_dim)}
-        for row in self.entries:
-            for e in row:
-                extra = e.free_vars() - names
-                if extra:
-                    raise DomainError(f"free variables {sorted(extra)} outside ambient x1..x{ambient_dim}")
-
         self._partials = {}
-        # a field whose entries are all numbers has one value, built here
-        self._constant = None
-        if all(isinstance(e, xp.Num) for row in self.entries for e in row):
-            self._constant = np.array([[e.value for e in row] for row in self.entries],
-                                      dtype=complex)
-            self._constant.flags.writeable = False
-
-    def _env(self, x):
-        x = np.asarray(x, dtype=float)
-        return {f"x{k + 1}": x[..., k] for k in range(self.ambient_dim)}, x.shape[:-1]
 
     def eval(self, x) -> np.ndarray:
-        """Values at stacked points x (..., n), shape (..., d, d).  A constant
-        field returns a read-only broadcast view of its one matrix."""
-        if self._constant is not None:
-            return np.broadcast_to(self._constant, np.shape(x)[:-1] + self._constant.shape)
-        env, base = self._env(x)
-        out = np.empty(base + (self.dim, self.dim), dtype=complex)
-        for r in range(self.dim):
-            for c in range(self.dim):
-                out[..., r, c] = self.entries[r][c].evaluate(env)
-        return out
+        """Values at stacked points x (..., n), shape (..., d, d); a field
+        of numbers returns a read-only broadcast view of its one matrix."""
+        return _at(self.table, x)
 
     def partial(self, axis: int) -> "ExpressionMatrixField":
         # exact; cached per axis
         if axis not in self._partials:
-            var = f"x{axis + 1}"
-            rows = [[xp.derivative(e, var) for e in row] for row in self.entries]
-            self._partials[axis] = ExpressionMatrixField(rows, self.dim, self.ambient_dim)
+            self._partials[axis] = ExpressionMatrixField(
+                self.table.partial(f"x{axis + 1}"), self.dim, self.ambient_dim)
         return self._partials[axis]
+
+
+def _coordinates(ambient_dim: int) -> list:
+    return [f"x{k + 1}" for k in range(ambient_dim)]
+
+
+def _at(table: xp.Table, x) -> np.ndarray:
+    """`table`, over x1..xn, at stacked points x (..., n)."""
+    x = np.asarray(x, dtype=float)
+    return table.eval(*[x[..., k] for k in range(len(table.variables))])
 
 
 class CallableMatrixField:
@@ -151,11 +139,6 @@ def _frame_sum(terms, shapes, d: int) -> np.ndarray:
     if out is None:
         return np.zeros(np.broadcast_shapes(*shapes, *skipped) + (d, d), dtype=complex)
     return out
-
-
-def _zero_field(dim: int, ambient_dim: int) -> ExpressionMatrixField:
-    zeros = [[0.0] * dim for _ in range(dim)]
-    return ExpressionMatrixField(zeros, dim, ambient_dim)
 
 
 def _sym_scale(field: ExpressionMatrixField, factor) -> ExpressionMatrixField:
@@ -259,28 +242,23 @@ class TwoFormField:
         return AlgebraElement(self.descriptor, self.matrices_at(x, v1, v2), validate=False)
 
 
-def _as_entry_table(matrix_table):
-    return [[e for e in row] for row in matrix_table]
-
-
 def one_form_from_expressions(descriptor: GroupDescriptor, tables, ambient_dim: int) -> OneFormField:
     """tables: one d x d matrix of expression strings per coordinate."""
     d = descriptor.matrix_dim
-    comps = [ExpressionMatrixField(_as_entry_table(t), d, ambient_dim) for t in tables]
+    comps = [ExpressionMatrixField(t, d, ambient_dim) for t in tables]
     return OneFormField(descriptor, comps, ambient_dim)
 
 
 def zero_one_form(descriptor: GroupDescriptor, ambient_dim: int) -> OneFormField:
     d = descriptor.matrix_dim
-    return OneFormField(descriptor, [_zero_field(d, ambient_dim) for _ in range(ambient_dim)],
-                        ambient_dim)
+    return one_form_from_expressions(descriptor, [np.zeros((d, d))] * ambient_dim, ambient_dim)
 
 
 def two_form_from_expressions(descriptor: GroupDescriptor, tables: dict, ambient_dim: int) -> TwoFormField:
     """tables: {(i, j): d x d matrix of expression strings} with 0-based i < j."""
     d = descriptor.matrix_dim
     comps = {
-        key: ExpressionMatrixField(_as_entry_table(t), d, ambient_dim)
+        key: ExpressionMatrixField(t, d, ambient_dim)
         for key, t in tables.items()
     }
     return TwoFormField(descriptor, comps, ambient_dim)
@@ -316,7 +294,8 @@ def add_one_forms(a: OneFormField, b: OneFormField, factor: float = 1.0) -> OneF
 
 
 def add_two_forms(a: TwoFormField, b: TwoFormField, factor: float = 1.0) -> TwoFormField:
-    zero = _zero_field(a.descriptor.matrix_dim, a.ambient_dim)
+    d = a.descriptor.matrix_dim
+    zero = ExpressionMatrixField(np.zeros((d, d)), d, a.ambient_dim)
     comps = {key: _add_fields(a.components.get(key, zero), b.components.get(key, zero), factor)
              for key in set(a.components) | set(b.components)}
     return TwoFormField(a.descriptor, comps, a.ambient_dim)
@@ -523,23 +502,18 @@ def constant_group_map(g: GroupElement, ambient_dim: int) -> GroupValuedMap:
 
 def exp_scalar_family(descriptor: GroupDescriptor, scalar_expr, direction: AlgebraElement,
                       ambient_dim: int) -> GroupValuedMap:
-    """g(x) = exp(f(x) X0) for a scalar expression f.  The exponent family
-    commutes with itself, so the Maurer-Cartan pullback is exactly
+    """g(x) = exp(f(x) X0) for a real scalar expression f.  The exponent
+    family commutes with itself, so the Maurer-Cartan pullback is exactly
     (d_i f)(x) X0, with no exponential and no inverse."""
-    f = xp.parse(scalar_expr)
-    partials = [xp.derivative(f, f"x{k + 1}") for k in range(ambient_dim)]
+    f = xp.Table(scalar_expr, _coordinates(ambient_dim), real=True)
+    partials = [f.partial(v) for v in f.variables]
     x0 = direction.matrix
 
-    def _vals(expr, x):
-        env = {f"x{k + 1}": x[..., k] for k in range(ambient_dim)}
-        # a constant partial such as d(0.6*x1)/dx1 evaluates to one number
-        return np.broadcast_to(expr.evaluate(env), x.shape[:-1])
-
     def ev(x):
-        return lc.expm(_vals(f, x)[..., None, None] * x0)
+        return lc.expm(_at(f, x)[..., None, None] * x0)
 
     def mc(i, x):
-        return _vals(partials[i], x)[..., None, None] * x0
+        return _at(partials[i], x)[..., None, None] * x0
 
     return GroupValuedMap(descriptor, ev, mc)
 

@@ -11,12 +11,14 @@ partials as required arguments, and every constructor here supplies them by
 the chain rule; nothing falls back to a difference quotient.  Sitting
 instants are realized by a mollifier-based profile that is genuinely flat
 near the parameter boundary, so compositions stay smooth.  Polynomial
-smoothsteps are only finitely flat and are not offered.
+smoothsteps are only finitely flat and are not offered.  A map built
+from expressions is a real `xp.Table` in t (a path), z (a loop), (s, t) (a
+chart) or (z, t) (a loop path).
 
 Every constructor that uses the profile builds a core map and hands it to
 `_profiled`, the one place where the profile is applied: to a path or loop
 in its parameter, to a bigon core in its first slot and to a loop path in
-its time slot.  The chain rules behind it also serve `reparameterize` and
+its time slot, by the chain rules of `reparameterize` and
 `Bigon.reparameterized`.
 """
 
@@ -84,25 +86,6 @@ def _halves(u, first, second):
                     second(np.clip(2.0 * u - 1.0, 0.0, 1.0)))
 
 
-def _expression_map(component_exprs, variables):
-    """Evaluators of one real expression per coordinate, taking the
-    `variables` positionally and broadcasting: (n, map, [partial in each
-    variable])."""
-    exprs = [xp.parse(e) for e in component_exprs]
-
-    def evaluator(items):
-        def ev(*args):
-            args = [np.asarray(a, dtype=float) for a in args]
-            shape = np.broadcast_shapes(*(a.shape for a in args))
-            env = dict(zip(variables, args))
-            return np.stack([np.broadcast_to(np.real(e.evaluate(env)), shape)
-                             for e in items], axis=-1).astype(float)
-        return ev
-
-    return len(exprs), evaluator(exprs), [
-        evaluator([xp.derivative(e, v) for e in exprs]) for v in variables]
-
-
 class Path:
     """Smooth map [0,1] -> R^n.  `eval_fn` must broadcast over parameter
     arrays and return shape (..., n); `deriv_fn`, required, is its exact
@@ -152,12 +135,11 @@ def line_path(a, b, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
     return _profiled(core, profile)
 
 
-def path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
-                          var: str = "t") -> Path:
-    """Path from one expression per coordinate in the variable `var`,
-    reparameterized by the sitting profile."""
-    n, ev, (dv,) = _expression_map(component_exprs, (var,))
-    return _profiled(Path(ev, n, dv), profile)
+def path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
+    """Path from one expression per coordinate in t, reparameterized by the
+    sitting profile."""
+    table = xp.Table(component_exprs, ("t",), real=True)
+    return _profiled(Path(table.eval, len(table.entries), table.partial("t").eval), profile)
 
 
 def path_compose(gamma1: Path, gamma2: Path, tol: float = 1e-10) -> Path:
@@ -179,11 +161,20 @@ def path_reverse(gamma: Path) -> Path:
     return Path(ev, gamma.ambient_dim, dv)
 
 
-def reparameterize(gamma: Path, beta, beta_deriv=None) -> Path:
-    """Precompose with an orientation-preserving diffeomorphism of [0,1]:
-    a SmoothingProfile, which supplies its own derivative, or a plain
-    callable `beta` together with its derivative `beta_deriv`."""
-    return _path_chain(gamma, beta, beta_deriv)
+def reparameterize(gamma, beta, beta_deriv=None) -> Path:
+    """The path t -> gamma(beta(t)) of a path or loop gamma, with velocity
+    gamma'(beta(t)) beta'(t), for an orientation-preserving diffeomorphism
+    beta of [0,1]: a SmoothingProfile, which supplies its own derivative,
+    or a plain callable together with its derivative `beta_deriv`."""
+    if isinstance(beta, SmoothingProfile):
+        beta_deriv = beta.derivative
+    elif beta_deriv is None:
+        raise TypeError("a reparameterization other than a SmoothingProfile needs beta_deriv")
+
+    def dv(t):
+        t = np.asarray(t, dtype=float)
+        return gamma.velocity(beta(t)) * np.asarray(beta_deriv(t))[..., None]
+    return Path(lambda t: gamma.point(beta(np.asarray(t, dtype=float))), gamma.ambient_dim, dv)
 
 
 def sup_distance(p: Path, q: Path, n_nodes: int = 64) -> float:
@@ -223,30 +214,41 @@ class Loop:
         return self.point(0.0)
 
 
+# the fixed sample of a loop, or of a path, on which closure is judged
+_SEAM_SAMPLE = np.linspace(0.0, 1.0, 17)
+
+
+def _seam_gap(values):
+    """(gap, closes) for `values`, a map sampled on `_SEAM_SAMPLE` along
+    the first axis: the largest |difference| between its values at 0 and
+    1, and whether it is within 1e-10 of the largest finite |value| on the
+    sample (at least 1; a pole inside must not make any gap small).  A NaN
+    or a pole at either end does not close."""
+    gap = float(np.max(np.abs(values[0] - values[-1])))
+    scale = float(np.max(np.abs(values), initial=1.0, where=np.isfinite(values)))
+    return gap, gap <= 1e-10 * scale
+
+
 def _check_closed(ev, dz, *times):
-    """Raise unless the unwrapped map `ev` takes the same values at z = 0
-    and z = 1 within 1e-10, and its exact z-partial `dz` the same values
-    within 1e-10 of the largest |dz| there (at least 1), at each of `times`
-    in a time slot.  A pole there leaves a non-finite gap, which fails
-    too."""
-    ends = np.reshape([0.0, 1.0], (2,) + (1,) * len(times))
+    """Raise unless the unwrapped map `ev`, and its exact z-partial `dz`,
+    each close by the rule of `_seam_gap`, at each of `times` in a time
+    slot."""
+    zs = np.reshape(_SEAM_SAMPLE, _SEAM_SAMPLE.shape + (1,) * len(times))
     with np.errstate(all="ignore"):
-        start, end = ev(ends, *times)
-        gap = float(np.max(np.abs(start - end)))
-        if not gap <= 1e-10:
+        gap, closes = _seam_gap(ev(zs, *times))
+        if not closes:
             raise CompositionError(f"loop does not close: z = 0 and z = 1 differ by {gap:.3e}")
-        start, end = dz(ends, *times)
-        gap = float(np.max(np.abs(start - end)))
-        scale = max(1.0, float(np.max(np.abs([start, end]))))
-    if not gap / scale <= 1e-10:
+        gap, closes = _seam_gap(dz(zs, *times))
+    if not closes:
         raise CompositionError(f"loop does not close smoothly: its z-partials at z = 0 and "
                                f"z = 1 differ by {gap:.3e}")
 
 
-def loop_from_expressions(component_exprs, var: str = "z") -> Loop:
-    n, ev, (dv,) = _expression_map(component_exprs, (var,))
-    _check_closed(ev, dv)
-    return Loop(ev, n, dv)
+def loop_from_expressions(component_exprs) -> Loop:
+    table = xp.Table(component_exprs, ("z",), real=True)
+    dz = table.partial("z").eval
+    _check_closed(table.eval, dz)
+    return Loop(table.eval, len(table.entries), dz)
 
 
 def loop_to_path(tau: Loop, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
@@ -292,9 +294,22 @@ class Bigon:
         return self._edge(1.0)
 
     def reparameterized(self, beta_s=None, beta_t=None) -> "Bigon":
-        """Precompose each parameter with a SmoothingProfile, which brings
-        its derivative; a slot left None stays as it is."""
-        return _bigon_chain(self, beta_s, beta_t)
+        """The bigon (s, t) -> self(beta_s(s), beta_t(t)), each beta a
+        SmoothingProfile, which supplies its own derivative; a slot left
+        None is not moved and passes its partial through exactly."""
+        bs = (lambda u: u) if beta_s is None else beta_s
+        bt = (lambda u: u) if beta_t is None else beta_t
+
+        def chain(partial, beta, slot):
+            if beta is None:
+                return lambda s, t: partial(bs(s), bt(t))
+            if not isinstance(beta, SmoothingProfile):
+                raise TypeError("a bigon is reparameterized by a SmoothingProfile or None per slot")
+            return lambda s, t: (partial(bs(s), bt(t))
+                                 * np.asarray(beta.derivative((s, t)[slot]))[..., None])
+
+        return Bigon(lambda s, t: self.point(bs(s), bt(t)), self.ambient_dim,
+                     chain(self.ds, beta_s, 0), chain(self.dt, beta_t, 1))
 
 
 def affine_chart(x, v1, v2) -> Bigon:
@@ -316,24 +331,26 @@ def identity_chart() -> Bigon:
     return affine_chart(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def chart_from_expressions(component_exprs, vars=("s", "t")) -> Bigon:
-    n, ev, partials = _expression_map(component_exprs, vars)
-    return Bigon(ev, n, *partials)
+def chart_from_expressions(component_exprs) -> Bigon:
+    table = xp.Table(component_exprs, ("s", "t"), real=True)
+    return Bigon(table.eval, len(table.entries), table.partial("s").eval, table.partial("t").eval)
 
 
-def loop_path_from_expressions(component_exprs, profile: SmoothingProfile = DEFAULT_PROFILE,
-                               time_var: str = "t", angle_var: str = "z") -> Bigon:
-    """Loop path from expressions in the angle and time variables: the
+def loop_path_from_expressions(component_exprs,
+                               profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
+    """Loop path from expressions in the angle z and the time t: the
     two-slot map (z, t) -> R^n, taking z modulo 1, with the sitting profile
     in its time slot.  Its source edge t -> (0, t) is the base path; like a
     chart, it is not constant on boundary strips."""
-    n, ev, (dz, dt) = _expression_map(component_exprs, (angle_var, time_var))
+    table = xp.Table(component_exprs, ("z", "t"), real=True)
+    ev, dz, dt = table.eval, table.partial("z").eval, table.partial("t").eval
     _check_closed(ev, dz, np.linspace(0.0, 1.0, 9))
 
     def wrapped(fn):
         return lambda z, t: fn(z % 1.0, t)
 
-    return _profiled(Bigon(wrapped(ev), n, wrapped(dz), wrapped(dt)), profile, slot=1)
+    return _profiled(Bigon(wrapped(ev), len(table.entries), wrapped(dz), wrapped(dt)), profile,
+                     slot=1)
 
 
 def identity_bigon(gamma: Path) -> Bigon:
@@ -455,11 +472,14 @@ def standard_bigon(chart, s: float, t: float,
 def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) -> Bigon:
     """Radial contraction of a closed loop to its base point: the bigon
     (s, t) -> x0 + beta(s) (gamma(t) - x0) from the constant path to gamma.
-    The loop must be star-shaped about its base point within the field's
-    domain for the sweep to stay inside."""
-    x0 = np.asarray(gamma.start(), dtype=float)
-    if not float(np.max(np.abs(gamma.end() - x0))) <= 1e-10:
+    gamma must close by the rule of `_seam_gap`, and be star-shaped about
+    its base point within the field's domain for the sweep to stay
+    inside."""
+    with np.errstate(all="ignore"):
+        closes = _seam_gap(gamma.point(_SEAM_SAMPLE))[1]
+    if not closes:
         raise CompositionError("contraction_bigon needs a closed loop")
+    x0 = np.asarray(gamma.start(), dtype=float)
     core = Bigon(lambda u, t: x0 + u[..., None] * (gamma.point(t) - x0), gamma.ambient_dim,
                  lambda u, t: gamma.point(t) - x0, lambda u, t: u[..., None] * gamma.velocity(t))
     return _profiled(core, profile)
@@ -478,45 +498,11 @@ def bigon_boundary_defect(sigma: Bigon, width: float, n_nodes: int = 12) -> floa
     return float(np.max([np.max(np.abs(g)) for g in gaps]))
 
 
-def _path_chain(core, beta, beta_deriv=None) -> Path:
-    """The path t -> core(beta(t)) of a path or loop core, with velocity
-    core'(beta(t)) beta'(t).  A SmoothingProfile supplies its own beta';
-    any other beta needs `beta_deriv`."""
-    if isinstance(beta, SmoothingProfile):
-        beta_deriv = beta.derivative
-    elif beta_deriv is None:
-        raise TypeError("a reparameterization other than a SmoothingProfile needs beta_deriv")
-
-    def dv(t):
-        t = np.asarray(t, dtype=float)
-        return core.velocity(beta(t)) * np.asarray(beta_deriv(t))[..., None]
-    return Path(lambda t: core.point(beta(np.asarray(t, dtype=float))), core.ambient_dim, dv)
-
-
-def _bigon_chain(core: Bigon, beta_s=None, beta_t=None) -> Bigon:
-    """The bigon (s, t) -> core(beta_s(s), beta_t(t)), each beta a
-    SmoothingProfile, which supplies its own derivative; a slot left None
-    is not moved and passes its partial through exactly."""
-    bs = (lambda u: u) if beta_s is None else beta_s
-    bt = (lambda u: u) if beta_t is None else beta_t
-
-    def chain(partial, beta, slot):
-        if beta is None:
-            return lambda s, t: partial(bs(s), bt(t))
-        if not isinstance(beta, SmoothingProfile):
-            raise TypeError("a bigon is reparameterized by a SmoothingProfile or None per slot")
-        return lambda s, t: (partial(bs(s), bt(t))
-                             * np.asarray(beta.derivative((s, t)[slot]))[..., None])
-
-    return Bigon(lambda s, t: core.point(bs(s), bt(t)), core.ambient_dim,
-                 chain(core.ds, beta_s, 0), chain(core.dt, beta_t, 1))
-
-
 def _profiled(core, profile: SmoothingProfile, slot: int = 0):
     """Run a core map through the sitting profile: a path or loop core in
     its parameter, a bigon core in its slot `slot`."""
     if isinstance(core, Bigon):
         if slot:
-            return _bigon_chain(core, None, profile)
-        return _bigon_chain(core, profile, None)
-    return _path_chain(core, profile)
+            return core.reparameterized(None, profile)
+        return core.reparameterized(profile, None)
+    return reparameterize(core, profile)

@@ -277,10 +277,6 @@ class TwoFunctor:
     __call__ = on_bigon
 
 
-def two_functor(pair: ConnectionPair, cfg: IntegratorConfig = DEFAULT_CONFIG) -> TwoFunctor:
-    return TwoFunctor(pair, cfg)
-
-
 class DerivativeTwoFunctor:
     """The canonical lift of path transport to the inner 2-group: the value
     on a bigon is the unique filler h = F(target) F(source)^{-1}."""
@@ -300,11 +296,6 @@ class DerivativeTwoFunctor:
         return TwoMorphismValue(self.cm, f0, h, f1, match_tolerance=1e-6)
 
     __call__ = on_bigon
-
-
-def derivative_2functor(a_form: OneFormField,
-                        cfg: IntegratorConfig = DEFAULT_CONFIG) -> DerivativeTwoFunctor:
-    return DerivativeTwoFunctor(a_form, cfg)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def test_criterion_03_main_theorem_round_trip():
     worst = 0.0
     n_samples = (4, 3, 3, 3, 3)  # 16 (x, v1, v2) samples in total
     for pair, n in zip(pairs, n_samples):
-        functor = tp.two_functor(pair, cfg)
+        functor = tp.TwoFunctor(pair, cfg)
         for _ in range(n):
             x = rng.uniform(0.25, 0.75, 2)
             v1 = rng.standard_normal(2)

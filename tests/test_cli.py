@@ -437,6 +437,32 @@ class TestMainEntry:
         cfg["geometry"] = {"path": [c.replace("z", "t") for c in curve]}
         assert cli.run("holonomy", cfg)["pass"] is True
 
+    @pytest.mark.parametrize("name, key, k, entry", [
+        ("holonomy_su2", "path", 0, "s"),
+        ("surface_eg_su2", "bigon", 1, "x1 + t"),
+        ("holonomy_su2", "path", 0, "t + 0.5*i"),
+        ("stokes_su2", "path", 1, "0.5 + 0.35*sin(2*pi*t) + 0.1*i"),
+        ("transgress_bu1", "loop", 1, "0.6*sin(2*pi*z) + 0.1*i"),
+        ("transgress_bu1", "variation", 2, "0.3*i"),
+        ("transgress_bu1", "loop_path", 0, "0.6*cos(2*pi*u)"),
+    ], ids=["path_in_s", "bigon_in_x1", "complex_path", "complex_stokes_path",
+            "complex_loop", "complex_variation", "loop_path_in_u"])
+    def test_geometry_is_checked_where_it_is_built(self, tmp_path, capsys, name, key, k, entry):
+        # a variable the map does not take, or the imaginary unit in a real
+        # map, is an error at the map's own pointer
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        cfg["geometry"][key][k] = entry
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main([cfg["command"], "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err.startswith(f"error: /geometry/{key}: ")
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
     def test_console_invocation(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(surface_cfg()))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higher_holonomy import expressions as xp
-from higher_holonomy.errors import ExpressionError
+from higher_holonomy.errors import DomainError, ExpressionError
 
 
 def ev(text, **env):
@@ -67,7 +67,8 @@ class TestParsing:
             xp.parse(text)
 
     def test_free_vars(self):
-        assert xp.parse("sin(x1)*t + z").free_vars() == {"x1", "t", "z"}
+        leaves = xp.parse("sin(x1)*t + 2*z^2").leaves()
+        assert [str(leaf) for leaf in leaves] == ["x1", "t", "2.0", "z"]
 
 
 class TestEvaluation:
@@ -120,3 +121,64 @@ class TestDifferentiation:
     def test_simplify_folds_constants(self):
         e = xp.simplify(xp.parse("0*x1 + 1*(2 + 3)"))
         assert isinstance(e, xp.Num) and e.value == 5
+
+
+class TestTable:
+    """`Table` against the per-entry `Expr.evaluate` it replaces."""
+
+    REAL = ["s*t + sin(s)", "t^2 - 3", "exp(-s)*cos(2*t)", "s/(1 + t^2)"]
+    COMPLEX = ["i*s + t", "(0.5 - i)*t^3", "exp(s)*i", "2"]
+    S = np.random.default_rng(5).uniform(-1.0, 1.0, (7, 5))
+    T = np.random.default_rng(6).uniform(-1.0, 1.0, 5)
+
+    @staticmethod
+    def shaped(entries, shape):
+        return np.reshape(np.array(entries[:int(np.prod(shape))], dtype=object), shape).tolist()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_eval_is_the_per_entry_oracle(self, shape, real):
+        entries = self.shaped(self.REAL if real else self.COMPLEX, shape)
+        table = xp.Table(entries, ("s", "t"), real=real)
+        got = table.eval(self.S, self.T)
+        assert got.shape == (7, 5) + shape
+        assert got.dtype == (float if real else complex)
+        env = {"s": self.S, "t": self.T}
+        want = np.empty((7, 5) + shape, dtype=got.dtype)
+        for index in np.ndindex(shape):
+            text = np.array(entries, dtype=object)[index]
+            want[(..., *index)] = xp.parse(text).evaluate(env)
+        assert np.array_equal(got, want)
+        for var in ("s", "t"):
+            partial = table.partial(var)
+            for index in np.ndindex(shape):
+                d = xp.derivative(xp.parse(np.array(entries, dtype=object)[index]), var)
+                assert str(partial.entries[index]) == str(d)
+                assert np.array_equal(partial.eval(self.S, self.T)[(..., *index)],
+                                      np.broadcast_to(d.evaluate(env), (7, 5)))
+
+    @pytest.mark.parametrize("entries, value", [
+        ("-2", -2.0), (["1", "0.5"], [1.0, 0.5]),
+        ([["1", "-2"], ["i*(0.5)", "0"]], [[1.0, -2.0], [0.5j, 0.0]]),
+    ])
+    def test_table_of_numbers_is_one_read_only_value(self, entries, value):
+        table = xp.Table(entries, ("s", "t"))
+        vals = table.eval(self.S, self.T)
+        assert vals.strides[:2] == (0, 0) and not vals.flags.writeable
+        assert np.array_equal(vals, np.broadcast_to(value, vals.shape))
+        # one value, built with the table, backs every evaluation
+        assert np.shares_memory(vals, table.eval(0.5, 0.25))
+
+    def test_free_variable_is_refused_by_name(self):
+        with pytest.raises(DomainError, match=r"free variables \['s'\] in 's \+ t' outside \(t\)"):
+            xp.Table(["t", "s + t"], ("t",))
+
+    def test_ragged_table_is_an_expression_error(self):
+        with pytest.raises(ExpressionError, match="expected an expression"):
+            xp.Table([["1", "x1"], ["x1"]], ("x1",))
+
+    @pytest.mark.parametrize("text", ["t + 0.5*i", "i*i", "t*(i - i)"])
+    def test_real_table_refuses_the_imaginary_unit(self, text):
+        with pytest.raises(DomainError, match="imaginary unit"):
+            xp.Table(["t", text], ("t",), real=True)
+        assert xp.Table(["t", text], ("t",)).eval(0.5).dtype == complex

@@ -45,6 +45,13 @@ class TestOneForm:
         with pytest.raises(DomainError):
             fm.one_form_from_expressions(U1, [[["i*x3"]]], 1)
 
+    def test_exponent_family_is_real(self):
+        x0 = lc.AlgebraElement(SU2, 0.5j * np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(DomainError, match="imaginary unit"):
+            fm.exp_scalar_family(SU2, "0.5*x1 + i*x2", x0, 2)
+        with pytest.raises(DomainError, match="free variables"):
+            fm.exp_scalar_family(SU2, "0.5*t", x0, 2)
+
 
 class TestTwoForm:
     @pytest.fixture

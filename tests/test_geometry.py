@@ -388,6 +388,13 @@ class TestLoops:
             with pytest.raises(CompositionError, match="differ by inf"):
                 geo.loop_from_expressions(["cos(2*pi*z)", "z/(1 - z)"])
 
+    def test_pole_inside_the_loop_does_not_excuse_an_open_seam(self):
+        # the bound scales with the largest finite value on the loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CompositionError, match="differ by 4.000e-01"):
+                geo.loop_from_expressions(["cos(2*pi*z) + 0.3*z", "0.1/(z - 0.5)"])
+
     def test_kinked_loop_is_refused(self):
         # the values close; the z-partial of the x2 entry reads 1.5*pi at
         # z = 0 and 0.9*pi at z = 1
@@ -401,6 +408,38 @@ class TestLoops:
         # between z = 0 and z = 1 by rounding alone
         loop = geo.loop_from_expressions(["1e5*sin(2*pi*z + 0.3)", "cos(2*pi*z)"])
         assert loop.velocity(0.0)[0] == pytest.approx(2e5 * np.pi * np.cos(0.3), rel=1e-15)
+
+    @pytest.mark.parametrize("entries", [["1e6*cos(2*pi*z)", "1e6*sin(2*pi*z)"],
+                                         ["1e6*cos(2*pi*z)", "sin(2*pi*z)"]])
+    def test_closure_is_relative_to_the_size_of_the_loop(self, entries):
+        # sin(2*pi) rounds to -2.4e-16: a value gap of 2.4e-10 and a z-partial
+        # gap of 1.5e-9, each far below 1e-10 of the largest such value
+        loop = geo.loop_from_expressions(entries)
+        assert np.allclose(loop.point(1.0), loop.base_point(), rtol=0.0, atol=1e-9)
+
+
+class TestExpressionMaps:
+    """A map built from expressions is a real table over its own variables."""
+
+    @pytest.mark.parametrize("build, entries", [
+        (geo.path_from_expressions, ["t", "s"]),
+        (geo.loop_from_expressions, ["cos(2*pi*z)", "t"]),
+        (geo.chart_from_expressions, ["s", "z"]),
+        (geo.loop_path_from_expressions, ["cos(2*pi*z)", "s*t"]),
+    ])
+    def test_builders_take_only_their_own_variables(self, build, entries):
+        with pytest.raises(DomainError, match="free variables"):
+            build(entries)
+
+    @pytest.mark.parametrize("build, entries", [
+        (geo.path_from_expressions, ["t", "t + 0.5*i"]),
+        (geo.loop_from_expressions, ["cos(2*pi*z)", "i*sin(2*pi*z)"]),
+        (geo.chart_from_expressions, ["s", "t*i*i"]),
+        (geo.loop_path_from_expressions, ["cos(2*pi*z)", "t + i"]),
+    ])
+    def test_builders_are_real(self, build, entries):
+        with pytest.raises(DomainError, match="imaginary unit"):
+            build(entries)
 
 
 class TestLoopPaths:
@@ -445,6 +484,12 @@ class TestContraction:
             geo.contraction_bigon(geo.line_path([0.0, 0.0], [1.0, 0.0]))
         with pytest.raises(CompositionError):
             geo.contraction_bigon(geo.line_path([0.0, 0.0], [np.nan, 0.0]))
+
+    def test_closure_is_relative_to_the_size_of_the_loop(self):
+        # its ends differ by 2.4e-10, by the rounding of 1e6*sin(2*pi)
+        p = geo.path_from_expressions(["0.5 + 1e6*sin(2*pi*t)", "0.5 + 1e6*cos(2*pi*t)"])
+        sig = geo.contraction_bigon(p)
+        assert np.array_equal(sig.point(0.0, 0.5), p.start())
 
     def test_sweeps_from_base_to_loop(self):
         loop = geo.loop_from_expressions(["0.5 + 0.3*cos(2*pi*z)", "0.5 + 0.3*sin(2*pi*z)"])

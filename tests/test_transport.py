@@ -228,13 +228,13 @@ class TestSurfaceTransport:
 class TestTwoFunctorLaws:
     def test_identity_bigon_is_identity(self, eg_su2_pair, mid_cfg):
         gamma = geo.path_from_expressions(["t", "0.3*t*(1-t)"])
-        f = tp.two_functor(eg_su2_pair, mid_cfg)
+        f = tp.TwoFunctor(eg_su2_pair, mid_cfg)
         tv = f.on_bigon(geo.identity_bigon(gamma))
         assert lc.frob(tv.h_part.matrix - np.eye(2)) <= 1e-8
 
     def test_vertical_law(self, eg_su2_pair, mid_cfg):
         p0, p1, p2 = parabola_paths([0.0, 0.4, 0.8])
-        f = tp.two_functor(eg_su2_pair, mid_cfg)
+        f = tp.TwoFunctor(eg_su2_pair, mid_cfg)
         k1 = f.on_bigon(geo.bigon_between(p0, p1))
         k2 = f.on_bigon(geo.bigon_between(p1, p2))
         whole = f.on_bigon(geo.bigon_vcompose(
@@ -245,7 +245,7 @@ class TestTwoFunctorLaws:
     def test_horizontal_law(self, eg_su2_pair, mid_cfg):
         p0, p1 = parabola_paths([0.0, 0.5])
         q0, q1 = parabola_paths([0.0, 0.3], x_offset=1.0)
-        f = tp.two_functor(eg_su2_pair, mid_cfg)
+        f = tp.TwoFunctor(eg_su2_pair, mid_cfg)
         k1 = f.on_bigon(geo.bigon_between(p0, p1))
         k2 = f.on_bigon(geo.bigon_between(q0, q1))
         whole = f.on_bigon(geo.bigon_hcompose(
@@ -265,7 +265,7 @@ class TestTwoFunctorLaws:
         cm = replace(eg_su2_pair.cm, t=counting_t)
         pair = fm.ConnectionPair(cm, eg_su2_pair.A, eg_su2_pair.B)
         sig = geo.bigon_between(*parabola_paths([0.0, 0.5]))
-        tv = tp.two_functor(pair, fast_cfg).on_bigon(sig)
+        tv = tp.TwoFunctor(pair, fast_cfg).on_bigon(sig)
         assert len(calls) == 1
         direct = tp.surface_transport(pair, sig, fast_cfg)
         assert type(direct) is hg.TwoMorphismValue
@@ -277,7 +277,7 @@ class TestThinHomotopyInvariance:
     def test_bigon_reparameterizations(self, eg_su2_pair, tight_cfg):
         p0, p1 = parabola_paths([0.0, 0.6])
         sig = geo.bigon_between(p0, p1)
-        f = tp.two_functor(eg_su2_pair, tight_cfg)
+        f = tp.TwoFunctor(eg_su2_pair, tight_cfg)
         base = f.on_bigon(sig).h_part.matrix
         reparams = [
             (geo.SmoothingProfile(0.2), None),
@@ -290,7 +290,7 @@ class TestThinHomotopyInvariance:
 
     def test_profile_swap(self, eg_su2_pair, tight_cfg):
         p0, p1 = parabola_paths([0.0, 0.6])
-        f = tp.two_functor(eg_su2_pair, tight_cfg)
+        f = tp.TwoFunctor(eg_su2_pair, tight_cfg)
         k_a = f.on_bigon(geo.bigon_between(p0, p1, geo.SmoothingProfile(0.1)))
         k_b = f.on_bigon(geo.bigon_between(p0, p1, geo.SmoothingProfile(0.2)))
         assert lc.frob(k_a.h_part.matrix - k_b.h_part.matrix) <= 1e-6
@@ -308,7 +308,7 @@ class TestThinHomotopyInvariance:
 class TestDerivativeTwoFunctor:
     def test_zero_form_identity_filler(self, mid_cfg):
         a = fm.zero_one_form(SU2, 2)
-        df = tp.derivative_2functor(a, mid_cfg)
+        df = tp.DerivativeTwoFunctor(a, mid_cfg)
         p0, p1 = parabola_paths([0.0, 0.5])
         tv = df.on_bigon(geo.bigon_between(p0, p1))
         assert np.allclose(tv.h_part.matrix, np.eye(2))
@@ -318,7 +318,7 @@ class TestDerivativeTwoFunctor:
             ["0.5 + 0.3*cos(2*pi*z)", "0.5 + 0.3*sin(2*pi*z)"])
         gamma = geo.loop_to_path(circle)
         sig = geo.contraction_bigon(gamma)
-        df = tp.derivative_2functor(su2_one_form, mid_cfg)
+        df = tp.DerivativeTwoFunctor(su2_one_form, mid_cfg)
         tv = df.on_bigon(sig)
         hol = tp.path_transport(su2_one_form, gamma, mid_cfg)
         assert lc.frob(tv.h_part.matrix - hol.matrix) <= 1e-9
@@ -327,7 +327,7 @@ class TestDerivativeTwoFunctor:
             self, su2_one_form, eg_su2_pair, mid_cfg):
         p0, p1 = parabola_paths([0.0, 0.7])
         sig = geo.bigon_between(p0, p1)
-        df = tp.derivative_2functor(su2_one_form, mid_cfg)
+        df = tp.DerivativeTwoFunctor(su2_one_form, mid_cfg)
         direct = df.on_bigon(sig).h_part.matrix
         via_surface = tp.surface_transport(eg_su2_pair, sig, mid_cfg).h_part.matrix
         assert lc.frob(direct - via_surface) <= 1e-6

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -368,6 +369,57 @@ class TestSU2Retraction:
             q = lc.retract(lc.su(2), m)
         assert not np.all(np.isfinite(q))
 
+    @pytest.mark.parametrize("kind", ["normal", "zeros", "signed_zeros", "real", "group",
+                                      "identity"])
+    @pytest.mark.parametrize("lead", [(), (1,), (1, 1), (lc._SU2_STACKED_MIN_MATRICES - 1,),
+                                      (lc._SU2_STACKED_MIN_MATRICES,)], ids=str)
+    def test_short_path_is_the_stacked_formula_to_the_bit(self, kind, lead):
+        # Python complex arithmetic and numpy round alike only while a real
+        # times a complex is done as a complex product (CPython 3.13 and
+        # before); the signs of zeros show the difference, e.g. for
+        # 0.5 * (m00 + conj m11) with Im m00 = -0.0, Im m11 = +0.0 and a
+        # positive real part, so each case draws 32 stacks.  The reference
+        # is the numpy formula on a stack, also for a single matrix
+        rng = np.random.default_rng(24)
+        for _ in range(32):
+            m = _complex_stack(rng, lead + (2, 2))
+            if kind in ("zeros", "signed_zeros"):
+                parts = m.view(float)
+                zero = rng.random(parts.shape) < 0.4
+                zero[..., 0, 0] = False  # Re m00 keeps the quaternion part off 0
+                sign = rng.standard_normal(parts.shape) if kind == "signed_zeros" else 1.0
+                parts[zero] = np.copysign(0.0, sign)[zero] if kind == "signed_zeros" else 0.0
+            elif kind == "real":
+                m = m.real.astype(complex)
+            elif kind == "group":
+                m = _random_group_stack(lc.su(2), rng, lead).astype(complex)
+            elif kind == "identity":
+                m = np.broadcast_to(np.eye(2, dtype=complex), m.shape).copy()
+            want = lc._su2_retract_stacked(m.reshape(-1, 2, 2)).reshape(m.shape)
+            for got in (lc._su2_retract_short(m), lc.retract(lc.su(2), m)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                for part in ("real", "imag"):
+                    assert np.array_equal(np.signbit(getattr(got, part)),
+                                          np.signbit(getattr(want, part)))
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, -1.0]), np.full((2, 2), np.inf),
+                                     np.array([[np.nan, 0.0], [0.0, 1.0]])],
+                             ids=["zero_part", "inf", "nan"])
+    @pytest.mark.parametrize("lead", [(), (1,), (2,)], ids=str)
+    def test_short_stack_without_a_finite_scale_is_the_stacked_formula(self, bad, lead):
+        m = np.broadcast_to(np.eye(2, dtype=complex), lead + (2, 2)).copy()
+        m[(0,) * len(lead)] = bad
+        assert lc._su2_retract_short(m) is None
+        want, want_warnings = _recording_warnings(lc._su2_retract_stacked, m)
+        got, got_warnings = _recording_warnings(partial(lc.retract, lc.su(2)), m)
+        assert not np.all(np.isfinite(want))
+        assert got_warnings == want_warnings
+        assert bool(want_warnings) != np.any(np.isnan(bad))  # NaN in, NaN out, silently
+        for part in ("real", "imag"):
+            assert np.array_equal(np.isnan(getattr(got, part)), np.isnan(getattr(want, part)))
+            assert np.array_equal(getattr(got, part), getattr(want, part), equal_nan=True)
+
     def test_rk4_raises_on_a_zero_quaternion_part(self):
         # with am = a1 = 0 one step's transport is 1 - (h/6) a0 = diag(1, -1)
         h = 0.5
@@ -376,6 +428,14 @@ class TestSU2Retraction:
         # that a0 is not in su(2), so the sweep refuses it before any step
         with pytest.raises(MembershipError):
             tp._rk4_sweep(a, h, lc.su(2), "a", "")[:, -1]
+
+
+def _recording_warnings(f, *args):
+    """f(*args) and the (category, message) of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
 
 
 def _complex_stack(rng, shape):
@@ -535,3 +595,11 @@ class TestAlgebraDefect:
         lc.require_algebra(lc.su(2), bad[:1], "A")
         with pytest.raises(MembershipError, match="^A leaves the algebra of SU"):
             lc.require_algebra(lc.su(2), bad, "A")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=str)
+    @pytest.mark.parametrize("desc", [lc.u1(), lc.su(2), lc.su(3), lc.gl(2)], ids=str)
+    def test_require_algebra_says_a_non_finite_stack_is_not_finite(self, desc, value):
+        m = np.zeros((3, desc.matrix_dim, desc.matrix_dim), dtype=complex)
+        m[1, 0, -1] = value
+        with pytest.raises(MembershipError, match="^A along the path is not finite$"):
+            lc.require_algebra(desc, m, "A", " along the path")

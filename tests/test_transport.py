@@ -749,15 +749,17 @@ class TestPropagatorSweep:
 
         monkeypatch.setattr(lc, "retract", counting)
         n = 12
-        tp._rk4_sweep(_coefficient_lines(lc.su(2), 5, n), 1.0 / n, lc.su(2), "a", "")
-        assert calls == [(5, 2, 2)] * n
+        for m in (1, 2, 5):  # one and two lines are the holonomy and morphism sweeps
+            calls.clear()
+            tp._rk4_sweep(_coefficient_lines(lc.su(2), m, n), 1.0 / n, lc.su(2), "a", "")
+            assert calls == [(m, 2, 2)] * n
 
     @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
     def test_nan_coefficient_raises(self, desc):
         # a non-finite line is outside every algebra: no step is taken
         a = _coefficient_lines(desc, 2, 8)
         a[1, 5, 0, 0] = np.nan
-        with pytest.raises(MembershipError, match="^a on line 2 leaves the algebra"):
+        with pytest.raises(MembershipError, match="^a on line 2 is not finite$"):
             tp._rk4_sweep(a, 1.0 / 8, desc, "a", " on line 2")
 
     def test_overflow_raises(self):

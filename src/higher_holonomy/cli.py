@@ -33,7 +33,7 @@ from . import lie_core as lc
 from . import transgression as tg
 from . import transport as tp
 from .errors import (ConfigError, ExpressionError, FakeCurvatureError, HolonomyError,
-                     MembershipError)
+                     MembershipError, NumericalError)
 from .sampling import MAX_DIM, halton_box
 
 COMMANDS = ("holonomy", "surface", "check-cm", "check-fc", "roundtrip",
@@ -215,14 +215,15 @@ def _parse_two_form(tables, desc, ambient_dim, pointer):
 
 @contextlib.contextmanager
 def _pair_gates_located():
-    """An algebra-gate MembershipError on A or B, as a ConfigError there;
-    a fake-curvature rejection, as a ConfigError at B, the 2-form that
-    dA + [A ^ A] = t_* B fixes; an ExpressionError, which past parsing
-    only differentiating A can raise (a divisor that folds to 0 in dA), as
-    a ConfigError at A."""
+    """An algebra-gate MembershipError on A or B, or a NumericalError from
+    a transport of A or of the outer surface ODE that B drives, as a
+    ConfigError there; a fake-curvature rejection, as a ConfigError at B,
+    the 2-form that dA + [A ^ A] = t_* B fixes; an ExpressionError, which
+    past parsing only differentiating A can raise (a divisor that folds to
+    0 in dA), as a ConfigError at A."""
     try:
         yield
-    except MembershipError as exc:
+    except (MembershipError, NumericalError) as exc:
         if exc.form is None:
             raise
         raise ConfigError(str(exc), f"/{exc.form}") from exc

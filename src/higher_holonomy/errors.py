@@ -3,15 +3,18 @@
 
 class HolonomyError(Exception):
     """Base class for all package errors; `report`, when set, is the check
-    report behind the failure."""
+    report behind the failure, and `form`, when set, names the connection
+    form ("A" or "B") at fault."""
 
-    def __init__(self, message="", report=None):
+    def __init__(self, message="", report=None, form=None):
         super().__init__(message)
         self.report = report
+        self.form = form
 
 
 class NumericalError(HolonomyError):
-    """Non-finite values, singular matrices, or integrator blowup."""
+    """Non-finite values, singular matrices, or integrator blowup; `form`,
+    if set, names the connection form whose transport overflowed."""
 
 
 class DomainError(HolonomyError):
@@ -30,12 +33,8 @@ class TargetMatchingError(CompositionError):
 
 
 class MembershipError(HolonomyError):
-    """A matrix fails its group or algebra membership test; `form` names the
-    connection form ("A" or "B") whose values left their algebra, if any."""
-
-    def __init__(self, message, form=None):
-        super().__init__(message)
-        self.form = form
+    """A matrix fails its group or algebra membership test; `form`, if set,
+    names the connection form whose values left their algebra."""
 
 
 class FakeCurvatureError(HolonomyError):

@@ -22,11 +22,14 @@ here:
   reproduces the inverse H-part of surface transport over the swept
   cylinder bigon.
 
-The loop-space ODE needs phi_F at every time of the loop path.  All those
-loops are evaluated on one (time, angle) grid, and their partial arcs come
-from one stacked RK4 sweep around the loop, one line per loop: the arc
-from z to 1 is W(z) = u(1) u(z)^{-1}, with u the transport from angle 0.
-A single loop, as `transgressed_phi` takes it, is the one-line case.
+phi_F is the fiber integral of surface transport (`transport._fiber_integral`)
+over the loop path with its two slots swapped, so that its lines are the
+loops, and with the arc running on to angle 1.  The loop-space ODE needs
+phi_F at every time of the loop path: all those loops are evaluated on
+one (time, angle) grid, and their partial arcs come from one stacked RK4
+sweep around the loop, one line per loop: the arc from z to 1 is
+W(z) = u(1) u(z)^{-1}, with u the transport from angle 0.  A single loop,
+as `transgressed_phi` takes it, is the one-line case.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import higher_group as hg
 from . import lie_core as lc
 from .forms import ConnectionPair
 from .geometry import (
@@ -51,9 +53,9 @@ from .lie_core import AlgebraElement, GroupElement
 from .transport import (
     DEFAULT_CONFIG,
     IntegratorConfig,
-    _rk4_sweep,
+    _fiber_integral,
     _semidirect_transports,
-    _simpson_weights,
+    half_step_grid,
     path_transport,
     surface_transport,
 )
@@ -88,20 +90,12 @@ def transgressed_A(pair: ConnectionPair, tangent: LoopTangent) -> AlgebraElement
 def _phi_values(pair: ConnectionPair, lp: Bigon, times: np.ndarray,
                 nq: int) -> np.ndarray:
     """phi_F at the loops lp(., t) in the variations d_t lp(., t), for every
-    t of `times`: shape (m, dh, dh) for m times.  The loop path is evaluated
-    on the whole (t, z) grid at once, and the arc transports of all m loops
-    come from one stacked sweep of m lines around the loop."""
-    desc = pair.A.descriptor
-    t, z = np.meshgrid(np.asarray(times, dtype=float), np.linspace(0.0, 1.0, 2 * nq + 1),
-                       indexing="ij")
-    x = lp.point(z, t)
-    v = lp.ds(z, t)
-    amats = pair.A.matrices_at(x, v)
-    u = _rk4_sweep(amats, 1.0 / nq, desc, "A", " along the loops")
-    arcs = u[:, -1:] @ lc.retracted_inverse(desc, u)
-    bvals = pair.B.matrices_at(x[:, ::2], lp.dt(z[:, ::2], t[:, ::2]), v[:, ::2])
-    integrand = hg.alpha_g_star_matrices(pair.cm, arcs, bvals)
-    return np.einsum("t,mtij->mij", _simpson_weights(nq), integrand)
+    t of `times`: shape (m, dh, dh) for m times, by one fiber integral
+    over the slot-swapped loop path (see the module docstring)."""
+    swapped = Bigon(lambda t, z: lp.point(z, t), lp.ambient_dim,
+                    lambda t, z: lp.dt(z, t), lambda t, z: lp.ds(z, t))
+    return _fiber_integral(pair.cm, pair.A, pair.B.matrices_at, swapped,
+                           np.asarray(times, dtype=float), nq, to_end=True)
 
 
 def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
@@ -110,10 +104,8 @@ def transgressed_phi(pair: ConnectionPair, tangent: LoopTangent,
 
         phi_F(tau, dtau) = oint (alpha_{W(z)})_* B(dtau(z), tau'(z)) dz
 
-    with W(z) the transport along the remaining arc from z to 1.  This is
-    the one-loop case of the stacked computation that
-    `transgression_consistency` runs at every time of a loop path: the
-    partial arcs come from one accumulating sweep around the loop.
+    with W(z) the transport along the remaining arc from z to 1: the
+    one-loop case of `_phi_values`.
     """
     tau = tangent.base
     lp = Bigon(lambda z, t: tau.point(z), tau.ambient_dim,
@@ -155,14 +147,11 @@ def transgression_consistency(pair: ConnectionPair, lp: Bigon,
     form route runs first, so an A leaving its algebra along the loops is
     reported there; phi_F is built from B and is checked under its name.
     """
-    n = cfg.n_steps_surface_s
-    tt = np.linspace(0.0, 1.0, 2 * n + 1)
+    tt = half_step_grid(cfg.n_steps_surface_s)
     base = lp.source_path()
-    xb = base.point(tt)
-    vb = base.velocity(tt)
-    a_vals = pair.A.matrices_at(xb, vb)
+    a_vals = pair.A.matrices_at(base.point(tt), base.velocity(tt))
     phi_vals = _phi_values(pair, lp, tt, cfg.n_quad_t)
-    h_mat = _semidirect_transports(pair.cm, phi_vals[None], a_vals, n, ("B", "A"),
+    h_mat = _semidirect_transports(pair.cm, phi_vals[None], a_vals, ("B", "A"),
                                    " along the loop path")[0]
 
     tv = loop_path_two_morphism(pair, lp, cfg)

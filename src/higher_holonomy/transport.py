@@ -30,17 +30,21 @@ h-valued driver
 
     D(s) = - integral_0^1 (alpha_{F_A(gamma_{s,t})^{-1}})_* B(d_s Sigma, d_t Sigma) dt,
 
-where gamma_{s,t} is the t-leg of Sigma at parameter s, by composite
-Simpson quadrature; the outer group ODE df/ds = -D(s) f(s) then gives
+where gamma_{s,t} is the t-leg of Sigma at parameter s; the outer group
+ODE df/ds = -D(s) f(s) then gives
 
     k(Sigma) = alpha(F_A(source path), f(1)^{-1}),
 
 and the value on Sigma is the 2-morphism (F_A(source), k, F_A(target)), a
 `TwoMorphismValue` whose construction is the one check of target matching
 t(k) F_A(source) = F_A(target).
-For each outer node the whole family of inner transports is produced by a
-single ODE sweep in t, so total work is O(n_s * n_t).  The driver is
-evaluated at the genuine half-step s-values the scheme requires.
+The driver is minus `_fiber_integral`: one sweep in t along every line
+t -> Sigma(s, t) at once, so total work is O(n_s * n_t), then composite
+Simpson quadrature of (alpha_W)_* B(d_s, d_t) along each line, with W the
+arc from t back to 0.  Transgression's phi_F is the same integral over a
+loop path with its two slots swapped and W the arc on to the end.  Every
+sweep samples its lines on `half_step_grid`, and the driver is evaluated
+at the genuine half-step s-values the outer scheme requires.
 """
 
 from __future__ import annotations
@@ -123,7 +127,13 @@ def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
 _SMALL_MATMUL_MIN_LINES = 64
 
 
-def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str):
+def half_step_grid(n: int) -> np.ndarray:
+    """The 2n+1 parameters in [0, 1] at which every line of an n-step sweep
+    is sampled: step endpoints at even indices, midpoints at odd ones."""
+    return np.linspace(0.0, 1.0, 2 * n + 1)
+
+
+def _rk4_sweep(a, desc: GroupDescriptor, form: str, where: str):
     """Integrate u' = -a(t) u, u(0) = 1, across a stack of coefficient lines
     by classical RK4 with a retraction onto the group of `desc` after every
     step.
@@ -131,32 +141,37 @@ def _rk4_sweep(a, h: float, desc: GroupDescriptor, form: str, where: str):
     Every line is checked against the algebra of `desc` first; the
     MembershipError names `form`, whose values the lines are, and `where`.
 
-    `a` has shape (m, 2n+1, d, d) with values at step endpoints and
-    midpoints.  The transport along the path is the ordered product of the
-    transports of its steps, so every step's RK4 transport P_k is built
-    first, in a few batched passes over all lines (`_rk4_propagators`),
-    and the step loop only forms u_{k+1} = retract(P_k u_k), by
-    `small_matmul` on wide stacks of 2x2 lines.  Returns u at
-    the n+1 nodes, shape (m, n+1, d, d); a non-finite final value raises
-    NumericalError.
+    `a` has shape (m, 2n+1, d, d), values on `half_step_grid(n)`.  The
+    transport along the path is the ordered product of the transports of
+    its steps, so every step's RK4 transport P_k is built first, in a few
+    batched passes over all lines (`_rk4_propagators`), and the step loop
+    only forms u_{k+1} = retract(P_k u_k), by `small_matmul` on wide
+    stacks of 2x2 lines.  Returns u at the n+1 nodes, shape (m, n+1, d, d).
+    An overflow is not signalled step by step: a non-finite final value,
+    or a retraction that fails on the way, raises NumericalError, which
+    names `form` and `where`.
     """
-    lc.require_algebra(desc, a, form, where)
-    p = _rk4_propagators(np.asarray(a, dtype=complex), h)
-    n, m, d, _ = p.shape
-    wide = d == 2 and m >= _SMALL_MATMUL_MIN_LINES
-    u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
-    out = np.empty((m, n + 1, d, d), dtype=complex)
-    out[:, 0] = u
-    for k in range(n):
-        u = lc.retract(desc, lc.small_matmul(p[k], u) if wide else p[k] @ u)
-        out[:, k + 1] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        lc.require_algebra(desc, a, form, where)
+        p = _rk4_propagators(np.asarray(a, dtype=complex), 1.0 / (np.shape(a)[1] // 2))
+        n, m, d, _ = p.shape
+        wide = d == 2 and m >= _SMALL_MATMUL_MIN_LINES
+        u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
+        out = np.empty((m, n + 1, d, d), dtype=complex)
+        out[:, 0] = u
+        try:
+            for k in range(n):
+                u = lc.retract(desc, lc.small_matmul(p[k], u) if wide else p[k] @ u)
+                out[:, k + 1] = u
+        except NumericalError as exc:  # a polar retraction of a blown-up step
+            raise NumericalError(f"{form}{where}: {exc}", form=form) from exc
     if not np.all(np.isfinite(u)):
-        raise NumericalError("transport ODE produced non-finite values")
+        raise NumericalError(f"{form}{where} has a non-finite transport", form=form)
     return out
 
 
 def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarray,
-                           n: int, forms: tuple[str, str], where: str) -> np.ndarray:
+                           forms: tuple[str, str], where: str) -> np.ndarray:
     """h(1) for dh = -phi h - (alpha_h)_*(A'), h(0) = 1, for every line of
     phi values `phis` (m, 2n+1, d, d) against one line of A' values on the
     same half-step grid, as U_{phi + s_* A'} U_{s_* A'}^{-1} (see the
@@ -169,18 +184,16 @@ def _semidirect_transports(cm: CrossedModule, phis: np.ndarray, a_vals: np.ndarr
     lc.require_algebra(cm.G, a_vals, a_form, where)
     sa = cm.s_star(a_vals)
     lines = np.concatenate([phis + sa, sa[None]])
-    u = _rk4_sweep(lines, 1.0 / n, cm.H, phi_form, where)[:, -1]
+    u = _rk4_sweep(lines, cm.H, phi_form, where)[:, -1]
     return u[:-1] @ lc.retracted_inverse(cm.H, u[-1])
 
 
 def transport_nodes(a_form: OneFormField, gamma: Path, n_steps: int) -> np.ndarray:
     """Transport along gamma, returning the solution at the n_steps+1
     uniform nodes (used for partial-arc transports)."""
-    tt = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    x = gamma.point(tt)
-    v = gamma.velocity(tt)
-    a = a_form.matrices_at(x, v)[None]
-    return _rk4_sweep(a, 1.0 / n_steps, a_form.descriptor, "A", " along the path")[0]
+    tt = half_step_grid(n_steps)
+    a = a_form.matrices_at(gamma.point(tt), gamma.velocity(tt))[None]
+    return _rk4_sweep(a, a_form.descriptor, "A", " along the path")[0]
 
 
 def path_transport(a_form: OneFormField, gamma: Path,
@@ -190,46 +203,34 @@ def path_transport(a_form: OneFormField, gamma: Path,
     return GroupElement(a_form.descriptor, nodes[-1], validate=False)
 
 
-def _inner_transports(a_form: OneFormField, sigma: Bigon, s_values: np.ndarray,
-                      nt: int):
-    """One ODE sweep in t per s-line, batched: returns positions, t-velocities
-    and transports F_A(gamma_{s,t}) at the nt+1 Simpson nodes."""
-    tt = np.linspace(0.0, 1.0, 2 * nt + 1)
-    s_grid = s_values[:, None]
-    t_grid = tt[None, :]
-    x = sigma.point(s_grid, t_grid)
-    vt = sigma.dt(s_grid, t_grid)
-    amats = a_form.matrices_at(x, vt)
-    u = _rk4_sweep(amats, 1.0 / nt, a_form.descriptor, "A", " over the bigon")
-    return x[:, ::2], vt[:, ::2], u
-
-
-def _simpson_weights(nt: int) -> np.ndarray:
-    w = np.ones(nt + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * nt)
-
-
-def _surface_driver_values(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
-                           s_values: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """Driver values D(s) at `s_values`; `b_at(x, v1, v2)` evaluates the
-    h-valued 2-form on stacked points."""
-    nt = cfg.n_quad_t
-    x, vt, u = _inner_transports(a_form, sigma, s_values, nt)
-    tt_nodes = np.linspace(0.0, 1.0, nt + 1)
-    vs = sigma.ds(s_values[:, None], tt_nodes[None, :])
-    bmats = b_at(x, vs, vt)
-    integrand = hg.alpha_g_star_matrices(cm, lc.retracted_inverse(a_form.descriptor, u), bmats)
-    w = _simpson_weights(nt)
-    return -np.einsum("t,mtij->mij", w, integrand)
+def _fiber_integral(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
+                    s_values: np.ndarray, nt: int, to_end: bool = False) -> np.ndarray:
+    """integral_0^1 (alpha_W)_* B(d_s sigma, d_t sigma) dt along every line
+    t -> sigma(s, t), s in `s_values`, by composite Simpson on nt steps:
+    shape (m, dh, dh).  `b_at(x, v1, v2)` evaluates the h-valued 2-form on
+    stacked points.  One sweep transports along all lines at once, u(t) =
+    F_A(sigma(s, [0, t])), and W is the arc from t back to 0, u(t)^{-1},
+    for the surface driver, or on to 1, u(1) u(t)^{-1}, with `to_end`
+    for phi_F."""
+    s, t = s_values[:, None], half_step_grid(nt)[None, :]
+    x, vt = sigma.point(s, t), sigma.dt(s, t)
+    where = " along the loops" if to_end else " over the bigon"
+    u = _rk4_sweep(a_form.matrices_at(x, vt), a_form.descriptor, "A", where)
+    arcs = lc.retracted_inverse(a_form.descriptor, u)
+    if to_end:
+        arcs = u[:, -1:] @ arcs
+    bmats = b_at(x[:, ::2], sigma.ds(s, t[:, ::2]), vt[:, ::2])
+    w = np.ones(nt + 1)  # composite Simpson weights
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    integrand = hg.alpha_g_star_matrices(cm, arcs, bmats)
+    return np.einsum("t,mtij->mij", w / (3.0 * nt), integrand)
 
 
 def surface_driver(pair: ConnectionPair, sigma: Bigon, s: float,
                    cfg: IntegratorConfig = DEFAULT_CONFIG) -> AlgebraElement:
     """The h-valued driver 1-form of the outer surface ODE, evaluated at s."""
-    val = _surface_driver_values(pair.cm, pair.A, pair.B.matrices_at, sigma,
-                                 np.asarray([float(s)]), cfg)[0]
+    val = -_fiber_integral(pair.cm, pair.A, pair.B.matrices_at, sigma,
+                           np.asarray([float(s)]), cfg.n_quad_t)[0]
     return AlgebraElement(pair.cm.H, val, validate=False)
 
 
@@ -238,11 +239,10 @@ def _surface(cm: CrossedModule, a_form: OneFormField, b_at, sigma: Bigon,
     """Surface transport of sigma under (A, B) in `cm`, with B given by its
     evaluator `b_at(x, v1, v2)`, as the 2-morphism (F_A(source), k,
     F_A(target)) checked to match within `hard_limit`."""
-    ns = cfg.n_steps_surface_s
-    s_values = np.linspace(0.0, 1.0, 2 * ns + 1)
-    drivers = _surface_driver_values(cm, a_form, b_at, sigma, s_values, cfg)
+    s_values = half_step_grid(cfg.n_steps_surface_s)
+    drivers = -_fiber_integral(cm, a_form, b_at, sigma, s_values, cfg.n_quad_t)
     # outer ODE f' = -D(s) f on the half-step grid of driver values
-    f_end = _rk4_sweep(drivers[None], 1.0 / ns, cm.H, "B", " over the bigon")[0, -1]
+    f_end = _rk4_sweep(drivers[None], cm.H, "B", " over the bigon")[0, -1]
 
     g_source = path_transport(a_form, sigma.source_path(), cfg)
     g_target = path_transport(a_form, sigma.target_path(), cfg)
@@ -312,12 +312,12 @@ def _transformation_lines(cm: CrossedModule, maps, a_prime: OneFormField, gamma:
     half-step grid of an n-step sweep and one semidirect sweep.  Returns
     A'(gamma') there, the h matrices (m, d, d) and (g(x), g(y)) per map.
     Raises MembershipError when a g(x), g(y) leaves the group G."""
-    tt = np.linspace(0.0, 1.0, 2 * n + 1)
+    tt = half_step_grid(n)
     x = gamma.point(tt)
     v = gamma.velocity(tt)
     phis = np.stack([phi.matrices_at(x, v) for _, phi in maps])
     a_vals = a_prime.matrices_at(x, v)
-    h = _semidirect_transports(cm, phis, a_vals, n, ("phi", "A'"), " along the path")
+    h = _semidirect_transports(cm, phis, a_vals, ("phi", "A'"), " along the path")
     ends = [tuple(GroupElement(g_map.descriptor, g_map.matrix(p))
                   for p in (gamma.start(), gamma.end())) for g_map, _ in maps]
     return a_vals, h, ends
@@ -334,13 +334,12 @@ def transformation_transport(cm: CrossedModule, g_map: GroupValuedMap,
     F'(gamma) g(x) = t(h^{-1}) g(y) F(gamma) is computed and checked.
     Raises MembershipError when g(x) or g(y) leaves the group G.
     """
-    n = cfg.n_steps_path
     a_vals, h, [(g_start, g_end)] = _transformation_lines(cm, [(g_map, phi)], a_prime,
-                                                           gamma, n)
+                                                           gamma, cfg.n_steps_path)
     residual = None
     if a_source is not None:
         f_src = path_transport(a_source, gamma, cfg)
-        f_tgt = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path")[0, -1]
+        f_tgt = _rk4_sweep(a_vals[None], cm.G, "A'", " along the path")[0, -1]
         lhs = f_tgt @ g_start.matrix
         rhs_m = cm.t(np.linalg.inv(h[0])) @ g_end.matrix @ f_src.matrix
         residual = lc.frob(lhs - rhs_m) / max(1.0, lc.frob(rhs_m))
@@ -370,10 +369,9 @@ def modification_whisker(cm: CrossedModule, a_map, a_prime: OneFormField,
 
     # A' is sampled once: h(gamma) and h'(gamma) come from one semidirect
     # sweep, and F'(gamma) is swept from the same values
-    n = cfg.n_steps_path
     a_vals, (h1, h2), _ = _transformation_lines(cm, [(g_map, phi), (g2_map, phi2)],
-                                                a_prime, gamma, n)
-    f_prime = _rk4_sweep(a_vals[None], 1.0 / n, cm.G, "A'", " along the path")[0, -1]
+                                                a_prime, gamma, cfg.n_steps_path)
+    f_prime = _rk4_sweep(a_vals[None], cm.G, "A'", " along the path")[0, -1]
 
     lhs = cm.alpha(f_prime, a_map.matrix(gamma.start())) @ np.linalg.inv(h1)
     rhs = np.linalg.inv(h2) @ a_map.matrix(gamma.end())

@@ -10,7 +10,11 @@ an arbitrary right-hand side, as the reference for the package's batched
 propagator sweep and for transformation transport through it.
 `per_loop_phi` is not independent at all: it runs the package's one-loop
 transgression once per time, as the reference for its stacked sweep over
-all the loops of a loop path.  Nor is `three_transport_whisker`: it
+all the loops of a loop path.  `eg_phi_by_arcs` shares only the
+package's one-line path transport: it transports every remaining arc
+z -> 1 of a loop on its own and integrates by Gauss-Legendre, as the
+reference for phi_F in the inner 2-group, where the arcs of the package
+come from one sweep around the loop.  Nor is `three_transport_whisker`: it
 composes the modification-axiom defect from two transformation
 transports and one path transport, as the reference for the one sweep of
 `transport.modification_whisker`.  The dense frame contractions
@@ -188,6 +192,22 @@ def per_loop_phi(pair, lp, times, cfg):
         loop = geo.Loop(at(lp.point, t), lp.ambient_dim, at(lp.ds, t))
         out.append(tg.transgressed_phi(pair, tg.LoopTangent(loop, at(lp.dt, t)), cfg).matrix)
     return np.stack(out)
+
+
+def eg_phi_by_arcs(pair, tangent, n, cfg):
+    """phi_F = oint Ad_{W(z)} B(dtau(z), tau'(z)) dz for a pair in the inner
+    2-group eg:G, by n-node Gauss-Legendre in z, with W(z) the path
+    transport of A along the sub-arc z -> 1 of the loop, at `cfg`."""
+    loop = tangent.base
+
+    def integrand(z):
+        arc = geo.Path(lambda t: loop.point(z + (1.0 - z) * t), loop.ambient_dim,
+                       lambda t: (1.0 - z) * loop.velocity(z + (1.0 - z) * t))
+        w = tp.path_transport(pair.A, arc, cfg).matrix
+        b = pair.B.matrices_at(loop.point(z), tangent.vector(z), loop.velocity(z))
+        return w @ b @ np.linalg.inv(w)
+
+    return line_integral(integrand, n)
 
 
 def three_transport_whisker(cm, a_map, a_prime, g_map, phi, gamma, cfg, g2_map, phi2):

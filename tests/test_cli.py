@@ -345,6 +345,31 @@ class TestMainEntry:
         assert out.err == "error: /A: overflow in 'i*exp(1000)'\n"
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("warnings_are_errors", [True, False])
+    @pytest.mark.parametrize("name, key, values, message", [
+        # a finite A in su(2) whose RK4 transport overflows
+        ("holonomy_su2", "A", ("1e200*i*x2", "-1e200*i*x2"),
+         "/A: A along the path has a non-finite transport"),
+        # a finite B whose driver overflows the outer surface ODE
+        ("surface_bu1", "B", ("1e200*i",), "/B: B over the bigon has a non-finite transport"),
+    ])
+    def test_transport_overflow_is_located(self, tmp_path, capsys, warnings_are_errors,
+                                           name, key, values, message):
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        entries = cfg["A"][0] if key == "A" else cfg["B"]["1,2"]
+        for k, text in enumerate(values):
+            entries[k][k] = text
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error" if warnings_are_errors else "always", RuntimeWarning)
+            rc = cli.main([cfg["command"], "--config", str(cfg_path)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+        assert caught == []
+
     def test_pair_that_is_not_fake_flat_is_located_at_b(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "surface_eg_su2.json").read_text())
         del cfg["B"]

@@ -421,13 +421,14 @@ class TestSU2Retraction:
             assert np.array_equal(getattr(got, part), getattr(want, part), equal_nan=True)
 
     def test_rk4_raises_on_a_zero_quaternion_part(self):
-        # with am = a1 = 0 one step's transport is 1 - (h/6) a0 = diag(1, -1)
-        h = 0.5
+        # 3 samples are one step, h = 1; with am = a1 = 0 its transport is
+        # 1 - (h/6) a0 = diag(1, -1)
+        h = 1.0
         a = np.zeros((1, 3, 2, 2), dtype=complex)
         a[0, 0] = np.diag([0.0, 12.0 / h])
         # that a0 is not in su(2), so the sweep refuses it before any step
         with pytest.raises(MembershipError):
-            tp._rk4_sweep(a, h, lc.su(2), "a", "")[:, -1]
+            tp._rk4_sweep(a, lc.su(2), "a", "")[:, -1]
 
 
 def _recording_warnings(f, *args):

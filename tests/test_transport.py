@@ -722,7 +722,7 @@ class TestPropagatorSweep:
         h = 1.0 / n
         a = _coefficient_lines(desc, m, n)
         a_before = a.copy()
-        got = tp._rk4_sweep(a, h, desc, "a", "")
+        got = tp._rk4_sweep(a, desc, "a", "")
         assert np.array_equal(a, a_before)
         if not keep_nodes:  # the final values, which most callers read
             got = got[:, -1]
@@ -735,7 +735,7 @@ class TestPropagatorSweep:
 
     @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
     def test_retracted_inverse_inverts_the_nodes(self, desc):
-        u = tp._rk4_sweep(_coefficient_lines(desc, 3, 8), 1.0 / 8, desc, "a", "")
+        u = tp._rk4_sweep(_coefficient_lines(desc, 3, 8), desc, "a", "")
         eye = np.eye(desc.matrix_dim)
         assert np.max(np.abs(lc.retracted_inverse(desc, u) @ u - eye)) <= 1e-13
 
@@ -751,7 +751,7 @@ class TestPropagatorSweep:
         n = 12
         for m in (1, 2, 5):  # one and two lines are the holonomy and morphism sweeps
             calls.clear()
-            tp._rk4_sweep(_coefficient_lines(lc.su(2), m, n), 1.0 / n, lc.su(2), "a", "")
+            tp._rk4_sweep(_coefficient_lines(lc.su(2), m, n), lc.su(2), "a", "")
             assert calls == [(m, 2, 2)] * n
 
     @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
@@ -760,11 +760,18 @@ class TestPropagatorSweep:
         a = _coefficient_lines(desc, 2, 8)
         a[1, 5, 0, 0] = np.nan
         with pytest.raises(MembershipError, match="^a on line 2 is not finite$"):
-            tp._rk4_sweep(a, 1.0 / 8, desc, "a", " on line 2")
+            tp._rk4_sweep(a, desc, "a", " on line 2")
 
-    def test_overflow_raises(self):
-        # finite GL(2, C) lines, in the algebra, whose transport overflows
-        a = np.full((1, 17, 2, 2), 1e200, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
-                tp._rk4_sweep(a, 1.0 / 8, lc.gl(2, "complex"), "a", "")
+    @pytest.mark.parametrize("desc", _SWEEP_GROUPS, ids=_SWEEP_IDS)
+    def test_overflow_raises(self, desc):
+        # constant lines of 1e200 times an exact algebra element, so that
+        # the gate passes them and the transport overflows: whether the
+        # final value is non-finite or a polar retraction fails first, the
+        # error names the form, and no RuntimeWarning escapes
+        d = desc.matrix_dim
+        gen = lc.project_to_algebra(desc, np.triu(np.ones((d, d)), 1)
+                                    + 1j * np.diag(np.arange(1.0, d + 1)))
+        a = np.broadcast_to(1e200 * gen, (2, 17, d, d))
+        with pytest.raises(NumericalError, match="^a on line 2") as err:
+            tp._rk4_sweep(a, desc, "a", " on line 2")
+        assert err.value.form == "a"

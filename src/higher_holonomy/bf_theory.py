@@ -10,6 +10,11 @@ stands in for a compact oriented 4-manifold; no boundary terms are
 considered).  The 4-form <beta ^ beta> is expanded in coordinate 2-plane
 components with the standard shuffle signs.  Grid-point evaluations are
 independent; the reduction is numpy's deterministic pairwise sum.
+
+Beta is assembled on the axes of the grid, a `sampling.ProductGrid`, each
+term only along the coordinates it depends on (see `forms`); each plane's
+beta is then spread once over all n^4 cells, in the C order of the stacked
+cell centers, so the pairing and the sum see the values they would there.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import DomainError
 from .forms import OneFormField, TwoFormField, add_one_forms, add_two_forms
 from .higher_group import CrossedModule
 from .lie_core import AlgebraElement
+from .sampling import ProductGrid
 
 # step of the central difference along each perturbation direction
 _CRITICALITY_EPSILON = 1e-3
@@ -66,10 +72,10 @@ class GridSpec:
         if self.n < 2:
             raise ValueError("grid must have at least 2 cells per axis")
 
-    def cell_centers(self) -> np.ndarray:
+    def centers(self) -> ProductGrid:
+        """The n^4 cell centers, n per axis."""
         axis = (np.arange(self.n) + 0.5) / self.n
-        grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return ProductGrid((axis,) * 4)
 
     def cell_volume(self) -> float:
         r = 1.0 / self.n
@@ -79,18 +85,18 @@ class GridSpec:
         return GridSpec(max(2, self.n // 2))
 
 
-def _plane_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                      xs: np.ndarray):
+def _plane_components(cm: CrossedModule, a: OneFormField, b: TwoFormField, xs):
     """Yield ((i, j), F_A, t_* B) for every coordinate 2-plane, i < j, at
-    stacked points, one plane at a time."""
+    stacked points or on a `ProductGrid`, one plane at a time."""
     for (i, j), f in fm.coordinate_curvatures(a, xs):
         yield (i, j), f, hg.t_star_matrix(cm, b.component_matrix(i, j, xs))
 
 
 def _beta_components(cm: CrossedModule, a: OneFormField, b: TwoFormField,
-                     xs: np.ndarray) -> dict:
-    """beta = F_A - t_* B on all coordinate 2-planes at stacked points."""
-    return {pl: f - tb for pl, f, tb in _plane_components(cm, a, b, xs)}
+                     grid: ProductGrid) -> dict:
+    """beta = F_A - t_* B on all coordinate 2-planes, each a stack over
+    every point of the grid."""
+    return {pl: grid.flat(f - tb) for pl, f, tb in _plane_components(cm, a, b, grid)}
 
 
 def beta_field(cm: CrossedModule, a: OneFormField, b: TwoFormField, x,
@@ -99,7 +105,7 @@ def beta_field(cm: CrossedModule, a: OneFormField, b: TwoFormField, x,
     need not be fake-flat; this is the quantity whose vanishing
     characterizes critical points."""
     x = np.asarray(x, dtype=float)
-    comps = _beta_components(cm, a, b, x[None])
+    comps = {pl: f - tb for pl, f, tb in _plane_components(cm, a, b, x[None])}
     wanted = planes if planes is not None else sorted(comps)
     return {
         pl: AlgebraElement(cm.G, comps[pl][0], validate=False) for pl in wanted
@@ -124,8 +130,7 @@ def bf_action(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     """S(A, B) = 1/2 integral <beta ^ beta> by the midpoint rule."""
     if a.ambient_dim != 4:
         raise DomainError("BF action requires ambient dimension 4")
-    xs = grid.cell_centers()
-    beta = _beta_components(cm, a, b, xs)
+    beta = _beta_components(cm, a, b, grid.centers())
     integrand = 0.5 * _wedge_pair_integrand(pairing, beta, beta)
     return float(np.sum(integrand) * grid.cell_volume())
 
@@ -134,8 +139,7 @@ def beta_sup_norm(cm: CrossedModule, a: OneFormField, b: TwoFormField,
                   grid: GridSpec = GridSpec()) -> float:
     """Largest Frobenius norm of beta over the grid's cell centers and the
     coordinate planes; inf when a value is not finite."""
-    xs = grid.cell_centers()
-    beta = _beta_components(cm, a, b, xs)
+    beta = _beta_components(cm, a, b, grid.centers())
     return max((lc.max_frob(mat) for mat in beta.values()), default=0.0)
 
 
@@ -157,8 +161,9 @@ def action_decomposition(cm: CrossedModule, a: OneFormField, b: TwoFormField,
     the cosmological term; the three sum to S on the same grid exactly up
     to floating point."""
     f_comp, tb_comp = {}, {}
-    for pl, f, tb in _plane_components(cm, a, b, grid.cell_centers()):
-        f_comp[pl], tb_comp[pl] = f, tb
+    centers = grid.centers()
+    for pl, f, tb in _plane_components(cm, a, b, centers):
+        f_comp[pl], tb_comp[pl] = centers.flat(f), centers.flat(tb)
     vol = grid.cell_volume()
     ym = 0.5 * float(np.sum(_wedge_pair_integrand(pairing, f_comp, f_comp)) * vol)
     cross = -float(np.sum(_wedge_pair_integrand(pairing, tb_comp, f_comp)) * vol)

@@ -403,24 +403,33 @@ def derivative(e: Expr, var: str) -> Expr:
 
 class Table:
     """An object array `entries` of parsed expressions, of shape (), (n,)
-    or (d, d), over `variables`, which `eval` binds positionally.  Building
-    it refuses a free variable outside `variables` and, when `real`, any
-    use of i, so a bad entry fails where its map is made."""
+    or (d, d), over `variables`, which `eval` binds positionally.
+    `free_variables` are those of `variables` that some entry uses, in
+    their order; the others may be bound to anything that broadcasts.
+    Building it refuses a free variable outside `variables` and, when
+    `real`, any use of i, so a bad entry fails where its map is made."""
 
     def __init__(self, entries, variables, real: bool = False):
         self.variables = tuple(variables)
         self.entries = np.array(entries, dtype=object)
         flat = self.entries.reshape(-1)
         names = set(self.variables)
+        free = set()
         for k, text in enumerate(flat):
             flat[k] = e = parse(text)
-            leaves = e.leaves()
-            extra = sorted({v.name for v in leaves if isinstance(v, Var)} - names)
-            if extra:
-                raise DomainError(f"free variables {extra} in {str(text)!r} outside "
-                                  f"({', '.join(self.variables)})")
-            if real and any(isinstance(v, Num) and isinstance(v.value, complex) for v in leaves):
+            used, imaginary = set(), False
+            for leaf in e.leaves():  # one walk for both refusals
+                if isinstance(leaf, Var):
+                    used.add(leaf.name)
+                elif isinstance(leaf.value, complex):
+                    imaginary = True
+            if not used <= names:
+                raise DomainError(f"free variables {sorted(used - names)} in {str(text)!r} "
+                                  f"outside ({', '.join(self.variables)})")
+            if real and imaginary:
                 raise DomainError(f"the imaginary unit i in the real entry {str(text)!r}")
+            free |= used
+        self.free_variables = tuple(v for v in self.variables if v in free)
         self._dtype = float if real else complex
         self._cells = [((Ellipsis, *index), e) for index, e in
                        zip(itertools.product(*map(range, self.entries.shape)), flat)]

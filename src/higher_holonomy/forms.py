@@ -11,6 +11,13 @@ entries are all numbers (such as every partial of a linear field)
 evaluates to a read-only broadcast view of one matrix, so no consumer may
 write into a field's values.
 
+A field's `eval`, `component_matrix` and `coordinate_curvatures` also take
+a `sampling.ProductGrid`: an expression field binds only its free variables
+to their axes, so its values have the broadcast shape of the axes it uses,
+and a callable gets the grid's flat points, its values viewed on the grid's
+shape.  Curvatures and brackets take the broadcast shape of their operands.
+Each value is the one the same arithmetic gives at the stacked points.
+
 Every evaluator on vectors is one frame contraction (`_frame_sum`) with one
 rule: a component or plane whose frame coefficient is identically zero is
 not evaluated, so a pole or NaN there is not seen.  The gates of
@@ -39,7 +46,7 @@ from . import lie_core as lc
 from .errors import FakeCurvatureError
 from .higher_group import CrossedModule
 from .lie_core import AlgebraElement, GroupDescriptor, GroupElement
-from .sampling import halton_box
+from .sampling import ProductGrid, halton_box
 
 _DEFAULT_FD = 1e-4
 
@@ -61,8 +68,10 @@ class ExpressionMatrixField:
         self._partials = {}
 
     def eval(self, x) -> np.ndarray:
-        """Values at stacked points x (..., n), shape (..., d, d); a field
-        of numbers returns a read-only broadcast view of its one matrix."""
+        """Values at stacked points x (..., n), shape (..., d, d), or on a
+        `ProductGrid`, at the broadcast shape of the axes the entries use;
+        a field of numbers returns a read-only broadcast view of its one
+        matrix."""
         return _at(self.table, x)
 
     def partial(self, axis: int) -> "ExpressionMatrixField":
@@ -78,16 +87,36 @@ def _coordinates(ambient_dim: int) -> list:
 
 
 def _at(table: xp.Table, x) -> np.ndarray:
-    """`table`, over x1..xn, at stacked points x (..., n)."""
+    """`table`, over x1..xn, at stacked points x (..., n) or on a
+    `ProductGrid`, whose axes bind the table's free variables."""
+    if isinstance(x, ProductGrid):
+        free = table.free_variables
+        return table.eval(*[axis if v in free else x.unit
+                            for v, axis in zip(table.variables, x.axes)])
     x = np.asarray(x, dtype=float)
     return table.eval(*[x[..., k] for k in range(len(table.variables))])
+
+
+def _as_points(x):
+    """A `ProductGrid` as it is; anything else as a float array of stacked
+    points."""
+    return x if isinstance(x, ProductGrid) else np.asarray(x, dtype=float)
+
+
+def _lead_shape(x) -> tuple:
+    """The leading shape every value at x broadcasts with: that of stacked
+    points, and size 1 per axis on a `ProductGrid`."""
+    return x.unit.shape if isinstance(x, ProductGrid) else x.shape[:-1]
 
 
 class CallableMatrixField:
     """Matrix-valued function given as a black-box callable.
 
     `fn` receives a stacked array of points (..., n) and must return
-    (..., d, d); set vectorized=False to have points looped one at a time.
+    (..., d, d), or one (d, d) matrix for any stack; set vectorized=False
+    to have points looped one at a time.  On a `ProductGrid` it receives
+    the grid's flat points, and a stack it returns is viewed on the grid's
+    shape.
     """
 
     is_symbolic = False
@@ -101,13 +130,17 @@ class CallableMatrixField:
         self.fd_step = fd_step
 
     def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        grid = x if isinstance(x, ProductGrid) else None
+        x = grid.points if grid is not None else np.asarray(x, dtype=float)
         if self.vectorized:
-            return np.asarray(self.fn(x), dtype=complex)
-        base = x.shape[:-1]
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.stack([np.asarray(self.fn(p), dtype=complex) for p in flat])
-        return out.reshape(base + (self.dim, self.dim))
+            out = np.asarray(self.fn(x), dtype=complex)
+        else:
+            flat = x.reshape(-1, x.shape[-1])
+            out = np.stack([np.asarray(self.fn(p), dtype=complex) for p in flat])
+            out = out.reshape(x.shape[:-1] + (self.dim, self.dim))
+        if grid is not None and out.ndim > 2:
+            out = out.reshape(grid.grid_shape + out.shape[-2:])
+        return out
 
     def partial(self, axis: int) -> "CallableMatrixField":
         h = self.fd_step
@@ -220,11 +253,11 @@ class TwoFormField:
         return all(c.is_symbolic for c in self.components.values())
 
     def component_matrix(self, i: int, j: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _as_points(x)
         fld = self.components.get((min(i, j), max(i, j)))  # (i, i) is never stored
         if fld is None:
             d = self.descriptor.matrix_dim
-            return np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+            return np.zeros(_lead_shape(x) + (d, d), dtype=complex)
         return fld.eval(x) if i < j else -fld.eval(x)
 
     def matrices_at(self, x, v1, v2) -> np.ndarray:
@@ -355,26 +388,28 @@ def _add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
             entry -= yx
 
 
-def _plane_curvature(a: OneFormField, xs: np.ndarray, i: int, j: int,
+def _plane_curvature(a: OneFormField, xs, i: int, j: int,
                      a_i: np.ndarray, a_j: np.ndarray) -> np.ndarray:
-    """K_ij = d_i A_j - d_j A_i + [A_i, A_j] at stacked points xs, the
-    curvature on the unit frame (e_i, e_j), from the values a_i, a_j of
-    A_i and A_j there; a fresh array of the full stacked shape.  The two
-    partials are broadcast into it, so a constant partial (one matrix for
-    the whole stack) costs no full-size evaluation."""
+    """K_ij = d_i A_j - d_j A_i + [A_i, A_j] at stacked points or on a
+    `ProductGrid` xs, the curvature on the unit frame (e_i, e_j), from the
+    values a_i, a_j of A_i and A_j there; a fresh array of the broadcast
+    shape of xs (`_lead_shape`) and the four operands, so a constant
+    partial costs no full-size evaluation."""
     d = a.descriptor.matrix_dim
-    k = np.empty(xs.shape[:-1] + (d, d), dtype=complex)
-    np.subtract(a.components[j].partial(i).eval(xs), a.components[i].partial(j).eval(xs),
-                out=k)
+    di_aj = a.components[j].partial(i).eval(xs)
+    dj_ai = a.components[i].partial(j).eval(xs)
+    k = np.empty(np.broadcast_shapes(_lead_shape(xs), di_aj.shape[:-2], dj_ai.shape[:-2],
+                                     a_i.shape[:-2], a_j.shape[:-2]) + (d, d), dtype=complex)
+    np.subtract(di_aj, dj_ai, out=k)
     _add_commutator(k, a_i, a_j)
     return k
 
 
 def coordinate_curvatures(a: OneFormField, xs):
     """Yield ((i, j), K_ij) for every coordinate plane i < j at stacked
-    points xs (..., n).  Each component of A, and each partial d_i A_j
-    (i != j), is evaluated once per call."""
-    xs = np.asarray(xs, dtype=float)
+    points xs (..., n) or on a `ProductGrid`.  Each component of A, and
+    each partial d_i A_j (i != j), is evaluated once per call."""
+    xs = _as_points(xs)
     comps = [c.eval(xs) for c in a.components]
     for i in range(a.ambient_dim):
         for j in range(i + 1, a.ambient_dim):

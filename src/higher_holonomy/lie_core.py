@@ -139,10 +139,24 @@ def max_frob(m: np.ndarray) -> float:
 
 def algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
     """Distance-like residual of the algebra membership predicate; 0 on the
-    algebra.  For a stack (..., n, n) it is the largest over the stack."""
+    algebra.  For a stack (..., n, n) it is the largest over the stack; inf
+    when an entry is not finite.  A finite stack whose defect overflows to
+    inf (its entries are squared) is measured again on m / max|m|, and that
+    defect is scaled back; every defect that does not overflow is computed
+    as it stands."""
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         return math.inf
+    with np.errstate(over="ignore"):
+        d = _finite_algebra_defect(desc, m)
+    if d == math.inf:
+        big = float(np.max(np.abs(m)))
+        d = _finite_algebra_defect(desc, m / big) * big
+    return d
+
+
+def _finite_algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
+    """`algebra_defect` of a finite stack, as it stands."""
     if desc.family == U1:
         d = np.abs(m[..., 0, 0].real)
     elif desc.family == SU and desc.matrix_dim == 2:

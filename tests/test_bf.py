@@ -320,6 +320,100 @@ class TestBetaAssembly:
             assert np.array_equal(p.eval(x0), val)
 
 
+def _polynomial_pair():
+    a = fm.one_form_from_expressions(
+        SU2, [su2_matrix_table("0.4*x2", "0", "0"), su2_matrix_table("0", "0.3*x1", "0"),
+              su2_matrix_table("0.2*x4", "0", "0.1*x3"), su2_matrix_table("0", "0", "0.15*x2")],
+        4)
+    spoil = fm.two_form_from_expressions(SU2, {(0, 1): su2_matrix_table("1", "0", "x3"),
+                                               (2, 3): su2_matrix_table("x1", "0.5", "0")}, 4)
+    return a, fm.add_two_forms(fm.symbolic_curvature(a), spoil, 0.3)
+
+
+def _transcendental_pair():
+    a = fm.one_form_from_expressions(
+        SU2, [su2_matrix_table("0.4*cos(x1)", "0", "0.1*x2*exp(x4)"),
+              su2_matrix_table("0", "0.3*sin(x3)", "0"),
+              su2_matrix_table("0.2*exp(x4)", "0.1*cos(x2)*sin(x1)", "0"),
+              su2_matrix_table("0", "0", "0.15*x2^2")], 4)
+    b = fm.two_form_from_expressions(
+        SU2, {(0, 1): su2_matrix_table("0.5*sin(x3)*exp(x4)", "0.2", "cos(x1)"),
+              (1, 3): su2_matrix_table("0", "0.3*x2*sin(x2)", "0.1"),
+              (2, 3): su2_matrix_table("exp(x1)", "0", "0.2*x4")}, 4)
+    return a, b
+
+
+def _missing_planes_pair():
+    # B on two of the six planes; the other four take zeros
+    a, _ = _polynomial_pair()
+    b = fm.two_form_from_expressions(
+        SU2, {(0, 2): su2_matrix_table("0.3*x1*x4", "0", "0.1"),
+              (1, 2): su2_matrix_table("0", "0.2*cos(x3)", "0")}, 4)
+    return a, b
+
+
+def _mixed_pair():
+    # two callable components, which see the stacked points, next to two
+    # expression components, which see the axes
+    rng = np.random.default_rng(21)
+    m0, m2 = (lc.random_algebra(SU2, rng).matrix for _ in range(2))
+    exprs = fm.one_form_from_expressions(
+        SU2, [su2_matrix_table("0", "0", "0"), su2_matrix_table("0.3*x4", "0.1*sin(x1)", "0"),
+              su2_matrix_table("0", "0", "0"), su2_matrix_table("0", "0", "0.2*x2*x3")], 4)
+    a = fm.OneFormField(SU2, [
+        fm.CallableMatrixField(lambda x: np.sin(x[..., 1, None, None]) * m0, 2, 4),
+        exprs.components[1],
+        fm.CallableMatrixField(lambda x: (x[..., 0] * x[..., 3])[..., None, None] * m2, 2, 4),
+        exprs.components[3]], 4)
+    return a, _transcendental_pair()[1]
+
+
+ASSEMBLY_PAIRS = {"polynomial": _polynomial_pair, "transcendental": _transcendental_pair,
+                  "missing_planes": _missing_planes_pair, "mixed_callable": _mixed_pair}
+
+
+class TestProductGridAssembly:
+    """beta, the action, its sup norm and its decomposition on the grid's
+    axes equal, bit for bit, their assembly at the n^4 stacked cell
+    centers."""
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_centers_are_the_stacked_cell_centers(self, n):
+        centers = bf.GridSpec(n).centers()
+        axis = (np.arange(n) + 0.5) / n
+        stacked = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, axis,
+                                                          indexing="ij")], axis=-1)
+        assert np.shape(centers) == centers.shape == stacked.shape == (n ** 4, 4)
+        assert np.array_equal(centers.points, stacked)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_PAIRS))
+    def test_equals_the_stacked_points(self, case, n):
+        a, b = ASSEMBLY_PAIRS[case]()
+        cm, grid, pairing = hg.make_eg(SU2), bf.GridSpec(n), bf.PairingSpec()
+        f_ref, tb_ref = {}, {}
+        for pl, f, tb in bf._plane_components(cm, a, b, grid.centers().points):
+            f_ref[pl], tb_ref[pl] = f, tb
+        beta_ref = {pl: f_ref[pl] - tb_ref[pl] for pl in f_ref}
+        beta = bf._beta_components(cm, a, b, grid.centers())
+        assert sorted(beta) == PLANES
+        for pl in PLANES:
+            assert beta[pl].shape == (n ** 4, 2, 2)
+            assert np.array_equal(beta[pl], beta_ref[pl])
+        vol = grid.cell_volume()
+        s_ref = float(np.sum(0.5 * bf._wedge_pair_integrand(pairing, beta_ref, beta_ref)) * vol)
+        assert bf.bf_action(cm, a, b, pairing, grid) == s_ref
+        assert s_ref != 0.0
+        assert bf.beta_sup_norm(cm, a, b, grid) == max(lc.max_frob(m) for m in beta_ref.values())
+        dec = bf.action_decomposition(cm, a, b, pairing, grid)
+        assert dec.yang_mills == 0.5 * float(
+            np.sum(bf._wedge_pair_integrand(pairing, f_ref, f_ref)) * vol)
+        assert dec.bf_term == -float(
+            np.sum(bf._wedge_pair_integrand(pairing, tb_ref, f_ref)) * vol)
+        assert dec.cosmological == 0.5 * float(
+            np.sum(bf._wedge_pair_integrand(pairing, tb_ref, tb_ref)) * vol)
+
+
 class TestWedgeIntegrand:
     @pytest.mark.parametrize("kind", ["neg_trace", "trace"])
     def test_square_pairs_three_shuffles(self, kind):

@@ -173,6 +173,17 @@ class TestTable:
         with pytest.raises(DomainError, match=r"free variables \['s'\] in 's \+ t' outside \(t\)"):
             xp.Table(["t", "s + t"], ("t",))
 
+    def test_free_variables_are_those_the_entries_use(self):
+        table = xp.Table([["x2", "0"], ["sin(x4)*x2", "i"]], ("x1", "x2", "x3", "x4"))
+        assert table.free_variables == ("x2", "x4")
+        assert table.partial("x4").free_variables == ("x2", "x4")
+        assert table.partial("x1").free_variables == ()
+        assert xp.Table("2*pi", ("s", "t")).free_variables == ()
+
+    def test_a_foreign_variable_is_refused_before_the_imaginary_unit(self):
+        with pytest.raises(DomainError, match="free variables"):
+            xp.Table(["t", "s + i"], ("t",), real=True)
+
     def test_ragged_table_is_an_expression_error(self):
         with pytest.raises(ExpressionError, match="expected an expression"):
             xp.Table([["1", "x1"], ["x1"]], ("x1",))

@@ -7,6 +7,7 @@ from higher_holonomy import forms as fm
 from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy.errors import DomainError, FakeCurvatureError, MembershipError
+from higher_holonomy.sampling import ProductGrid
 
 from .conftest import SU2, U1, su2_matrix_table
 from .oracles import dense_one_form, dense_pair_contraction
@@ -190,6 +191,82 @@ class TestCoordinateCurvatures:
         ref = fm.exterior_derivative_one_form(a, xs, v1, v2) + a1 @ a2 - a2 @ a1
         k = fm.curvature_matrices_at(a, xs, v1, v2)
         assert np.linalg.norm(k - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _product_grid(sizes, seed):
+    """Axes of unequal, seeded lengths, so that a mix-up of axes shows."""
+    rng = np.random.default_rng(seed)
+    return ProductGrid([np.sort(rng.uniform(0.0, 1.0, m)) for m in sizes])
+
+
+class TestProductGrid:
+    """Fields on a product grid take, bit for bit, their values at its
+    stacked points; `flat` spreads them over the points in order."""
+
+    def test_points_are_the_tensor_product_in_c_order(self):
+        grid = _product_grid((2, 3, 4, 5), 30)
+        mesh = np.meshgrid(*[ax.ravel() for ax in grid.axes], indexing="ij")
+        assert grid.shape == np.shape(grid) == (120, 4)
+        assert grid.grid_shape == (2, 3, 4, 5)
+        assert np.array_equal(grid.points, np.stack([g.ravel() for g in mesh], axis=-1))
+
+    @pytest.mark.parametrize("entries, shape", [
+        (su2_matrix_table("0.4*x2", "0", "0"), (1, 3, 1, 1)),
+        (su2_matrix_table("x1*x4", "0.5", "0"), (2, 1, 1, 5)),
+        (su2_matrix_table("sin(x3)*exp(x4)", "cos(x1)", "x2^2 - exp(x1)/3"), (2, 3, 4, 5)),
+        (su2_matrix_table("0.5", "0.25", "0"), (1, 1, 1, 1)),
+    ])
+    def test_expression_field_uses_only_its_free_axes(self, entries, shape):
+        grid = _product_grid((2, 3, 4, 5), 31)
+        fld = fm.ExpressionMatrixField(entries, 2, 4)
+        vals = fld.eval(grid)
+        assert vals.shape == shape + (2, 2)
+        assert np.array_equal(grid.flat(vals), fld.eval(grid.points))
+        for axis in range(4):
+            part = fld.partial(axis)
+            assert np.array_equal(grid.flat(part.eval(grid)), part.eval(grid.points))
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_callable_field_sees_the_flat_points(self, vectorized):
+        grid = _product_grid((2, 3, 2), 32)
+        seen = []
+
+        def fn(x):
+            seen.append(x.shape)
+            out = np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
+            out[..., 0, 0] = 1j * np.exp(x[..., 0])
+            out[..., 0, 1] = x[..., 1] * x[..., 2]
+            out[..., 1, 0] = np.sin(x[..., 2])
+            return out
+
+        fld = fm.CallableMatrixField(fn, 2, 3, vectorized=vectorized)
+        vals = fld.eval(grid)
+        assert seen[0] == ((12, 3) if vectorized else (3,))
+        assert vals.shape == (2, 3, 2, 2, 2)
+        assert np.array_equal(grid.flat(vals), fld.eval(grid.points))
+        part = fld.partial(1)
+        assert np.array_equal(grid.flat(part.eval(grid)), part.eval(grid.points))
+
+    def test_callable_may_return_one_matrix(self):
+        grid = _product_grid((2, 3), 33)
+        m = np.array([[1j, 2.0], [-2.0, -1j]])
+        assert np.array_equal(fm.CallableMatrixField(lambda x: m, 2, 2).eval(grid), m)
+
+    @pytest.mark.parametrize("form", sorted(CURVATURE_FORMS))
+    def test_coordinate_curvatures_equal_the_stacked_points(self, form):
+        a = CURVATURE_FORMS[form]()
+        grid = _product_grid((3, 2, 4, 5)[:a.ambient_dim], 34)
+        at_points = dict(fm.coordinate_curvatures(a, grid.points))
+        for plane, k in fm.coordinate_curvatures(a, grid):
+            assert np.array_equal(grid.flat(k), at_points[plane])
+
+    def test_a_missing_plane_is_one_zero_matrix(self):
+        grid = _product_grid((2, 3, 4), 35)
+        b = fm.two_form_from_expressions(SU2, {(0, 2): su2_matrix_table("x2", "0", "0")}, 3)
+        assert b.component_matrix(0, 1, grid).shape == (1, 1, 1, 2, 2)
+        for i, j in ((0, 1), (0, 2), (2, 0), (1, 2)):
+            assert np.array_equal(grid.flat(b.component_matrix(i, j, grid)),
+                                  b.component_matrix(i, j, grid.points))
 
 
 def _frame(rng, shape, zero_columns):

@@ -591,6 +591,25 @@ class TestAlgebraDefect:
             got = lc.algebra_defect(lc.su(2), m)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("desc", [lc.su(2), lc.su(3), lc.so(3)], ids=str)
+    def test_a_finite_stack_whose_squares_overflow_keeps_a_rounding_size_defect(self, desc):
+        # in the algebra up to rounding, scaled to 1e200: the squares of its
+        # entries overflow, its defect does not, and a real defect at that
+        # scale is still refused with a finite value
+        rng = np.random.default_rng(14)
+        shape = (2, 17, desc.matrix_dim, desc.matrix_dim)
+        near = lc.project_to_algebra(desc, _complex_stack(rng, shape))
+        noise = _complex_stack(rng, shape)
+        m = 1e200 * (near + 1e-16 * noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = lc.algebra_defect(desc, m)
+            lc.require_algebra(desc, m, "A")
+            lc.require_algebra(desc, 1e200 * near, "A")
+            with pytest.raises(MembershipError, match=r"defect \d\.\d{3}e\+19\d\)$"):
+                lc.require_algebra(desc, 1e200 * (near + 1e-6 * noise), "A")
+        assert 0.0 < d <= 1e-14 * np.max(np.abs(m))
+
     def test_require_algebra_names_the_form(self):
         bad = np.stack([np.zeros((2, 2)), np.diag([1.0, -1.0])])
         lc.require_algebra(lc.su(2), bad[:1], "A")

@@ -91,8 +91,6 @@ from .lie_core import (
     AlgebraElement,
     GroupDescriptor,
     GroupElement,
-    adjoint,
-    bracket,
     exp_map,
     gl,
     so,

@@ -508,11 +508,11 @@ def main(argv=None) -> int:
                                  "n_steps_surface_s": args.steps,
                                  "n_quad_t": args.steps + args.steps % 2}
         report = run(args.command, cfg, config_bytes)
+        text = dump_json(report) + "\n"  # a non-finite value is a ConfigError
     except HolonomyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
-    text = dump_json(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -17,6 +17,8 @@ to their axes, so its values have the broadcast shape of the axes it uses,
 and a callable gets the grid's flat points, its values viewed on the grid's
 shape.  Curvatures and brackets take the broadcast shape of their operands.
 Each value is the one the same arithmetic gives at the stacked points.
+The bracket of a curvature is `lie_core.add_commutator`: this module picks
+no kernel by matrix size.
 
 Every evaluator on vectors is one frame contraction (`_frame_sum`) with one
 rule: a component or plane whose frame coefficient is identically zero is
@@ -346,48 +348,6 @@ def exterior_derivative_one_form(a: OneFormField, x, v1, v2) -> np.ndarray:
                       (x.shape[:-1], v1.shape[:-1], v2.shape[:-1]), a.descriptor.matrix_dim)
 
 
-def _add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """out += x y - y x in place over stacks of small square matrices whose
-    leading shapes broadcast to that of `out`.  2x2 matrices take the
-    closed form
-
-        [x, y]_00 = x_01 y_10 - y_01 x_10 = -[x, y]_11,
-        [x, y]_01 = (x_00 - x_11) y_01 - (y_00 - y_11) x_01,
-        [x, y]_10 = (y_00 - y_11) x_10 - (x_00 - x_11) y_10,
-
-    whose operand order makes [x, x] exactly 0.  On a stack of 20,736 2x2
-    complex matrices (one core of a Xeon host) it costs about 65 ns per
-    matrix, against about 120 ns for the entry loop that other sizes take
-    and about 1 us for `out += x @ y; out -= y @ x`.  The entry loop adds
-    the row-column sum of x y, then subtracts that of y x, as that pair of
-    statements does."""
-    d = out.shape[-1]
-    if d == 2:
-        dx = x[..., 0, 0] - x[..., 1, 1]
-        dy = y[..., 0, 0] - y[..., 1, 1]
-        c = x[..., 0, 1] * y[..., 1, 0]
-        c -= y[..., 0, 1] * x[..., 1, 0]
-        out[..., 0, 0] += c
-        out[..., 1, 1] -= c
-        c = dx * y[..., 0, 1]
-        c -= dy * x[..., 0, 1]
-        out[..., 0, 1] += c
-        c = dy * x[..., 1, 0]
-        c -= dx * y[..., 1, 0]
-        out[..., 1, 0] += c
-        return
-    for r in range(d):
-        for c in range(d):
-            xy = x[..., r, 0] * y[..., 0, c]
-            yx = y[..., r, 0] * x[..., 0, c]
-            for k in range(1, d):
-                xy += x[..., r, k] * y[..., k, c]
-                yx += y[..., r, k] * x[..., k, c]
-            entry = out[..., r, c]
-            entry += xy
-            entry -= yx
-
-
 def _plane_curvature(a: OneFormField, xs, i: int, j: int,
                      a_i: np.ndarray, a_j: np.ndarray) -> np.ndarray:
     """K_ij = d_i A_j - d_j A_i + [A_i, A_j] at stacked points or on a
@@ -401,7 +361,7 @@ def _plane_curvature(a: OneFormField, xs, i: int, j: int,
     k = np.empty(np.broadcast_shapes(_lead_shape(xs), di_aj.shape[:-2], dj_ai.shape[:-2],
                                      a_i.shape[:-2], a_j.shape[:-2]) + (d, d), dtype=complex)
     np.subtract(di_aj, dj_ai, out=k)
-    _add_commutator(k, a_i, a_j)
+    lc.add_commutator(k, a_i, a_j)
     return k
 
 
@@ -607,7 +567,7 @@ def _fc_scan(cm: CrossedModule, a: OneFormField, xs, b_planes: dict,
     best = (0.0, xs[0], (0, 1) if n > 1 else ())
     for (i, j), k in coordinate_curvatures(a, xs):
         tb = hg.t_star_matrix(cm, b_planes[(i, j)])
-        res = lc._frobs(k - tb)
+        res = lc.frobs(k - tb)
         bad = ~np.isfinite(res)
         if bad.any():
             return FakeCurvatureReport(math.inf, xs[int(np.argmax(bad))], (i, j),

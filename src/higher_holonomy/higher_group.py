@@ -141,9 +141,8 @@ def alpha_g_star_matrices(cm: CrossedModule, g_mats: np.ndarray, y_mats: np.ndar
 
 def alpha_action_diff(cm: CrossedModule, x_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
     """Derivative of g -> alpha(g, h) at g = 1 in direction X (at h):
-    s_*(X) h - h s_*(X)."""
-    s = cm.s_star(x_mat)
-    return s @ h_mat - h_mat @ s
+    s_*(X) h - h s_*(X), which is `CrossedModule.alpha_star`."""
+    return cm.alpha_star(x_mat, h_mat)
 
 
 def alpha_conjugate_star(cm: CrossedModule, a_mats: np.ndarray, x_mats: np.ndarray) -> np.ndarray:

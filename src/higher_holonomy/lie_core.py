@@ -79,8 +79,9 @@ def unipotent(n: int, field: str = "real") -> GroupDescriptor:
 
 
 def frob(m) -> float:
-    """Frobenius norm, tolerant of scalars and stacks."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
+    """Frobenius norm of all entries together, tolerant of scalars and
+    stacks; finite entries read inf only past the largest float (`_norm`)."""
+    return float(_norm(np.asarray(m), None))
 
 
 def _as_matrix(desc: GroupDescriptor, matrix) -> np.ndarray:
@@ -104,18 +105,18 @@ def group_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
         d = np.abs(_modulus(m[..., 0, 0]) - 1.0)
     elif desc.family in (SU, SO):
         unitary = np.swapaxes(m.conj(), -2, -1) @ m - np.eye(desc.matrix_dim)
-        d = np.maximum(_frobs(unitary), _modulus(np.linalg.det(m) - 1.0))
+        d = np.maximum(frobs(unitary), _modulus(np.linalg.det(m) - 1.0))
         if desc.family == SO:
-            d = np.maximum(d, _frobs(m.imag))
+            d = np.maximum(d, frobs(m.imag))
     elif desc.family == UT:
         diag = np.diagonal(m, axis1=-2, axis2=-1) - 1.0
-        d = np.maximum(_frobs(np.tril(m, -1)), np.sqrt(np.sum(np.abs(diag) ** 2, axis=-1)))
+        d = np.maximum(frobs(np.tril(m, -1)), np.sqrt(np.sum(np.abs(diag) ** 2, axis=-1)))
         if desc.field == "real":
-            d = np.maximum(d, _frobs(m.imag))
+            d = np.maximum(d, frobs(m.imag))
     elif np.any(np.abs(np.linalg.det(m)) < 1e-12):  # GL: invertible
         return math.inf
     else:
-        d = _frobs(m.imag) if desc.field == "real" else np.zeros(m.shape[:-2])
+        d = frobs(m.imag) if desc.field == "real" else np.zeros(m.shape[:-2])
     return float(np.max(d, initial=0.0))
 
 
@@ -125,15 +126,33 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _frobs(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (..., n, n)."""
-    return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+def _norm(m: np.ndarray, axis):
+    """sqrt(sum |m|^2) over `axis`.  Where that overflows to inf on finite
+    entries (they are squared), it is measured again on m / max|m| over
+    `axis` and scaled back, so it reads inf only past the largest float.
+    Every value that does not overflow is computed as it stands, and the
+    entries are looked at again only when the sum of all values is not
+    finite (`np.any` would cost twice as much on a small stack)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(np.sum(np.abs(m) ** 2, axis=axis))
+        if math.isfinite(r.sum()):
+            return r
+        big = np.max(np.abs(m), axis=axis, keepdims=True)
+        again = np.sqrt(np.sum(np.abs(m / big) ** 2, axis=axis)) * np.squeeze(big, axis)
+    return np.where((r == math.inf) & ~np.isnan(again), again, r)[()]
+
+
+def frobs(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n); a finite
+    matrix reads inf only past the largest float (`_norm`), and one with a
+    NaN entry reads NaN."""
+    return _norm(m, (-2, -1))
 
 
 def max_frob(m: np.ndarray) -> float:
     """Largest Frobenius norm over a stack (..., n, n), 0 for an empty one;
     inf when any entry is not finite, so that no check passes on NaN."""
-    r = float(np.max(_frobs(m), initial=0.0))
+    r = float(np.max(frobs(m), initial=0.0))
     return r if math.isfinite(r) else math.inf
 
 
@@ -167,16 +186,16 @@ def _finite_algebra_defect(desc: GroupDescriptor, m: np.ndarray) -> float:
         return math.sqrt(float(np.max(d2, initial=0.0)))
     elif desc.family == SU:
         tr = np.trace(m, axis1=-2, axis2=-1)
-        d = np.maximum(_frobs(m + np.swapaxes(m.conj(), -2, -1)), np.hypot(tr.real, tr.imag))
+        d = np.maximum(frobs(m + np.swapaxes(m.conj(), -2, -1)), np.hypot(tr.real, tr.imag))
     elif desc.family == SO:
-        d = np.maximum(_frobs(m + np.swapaxes(m.conj(), -2, -1)), _frobs(m.imag))
+        d = np.maximum(frobs(m + np.swapaxes(m.conj(), -2, -1)), frobs(m.imag))
     elif desc.family == UT:
         diag = np.diagonal(m, axis1=-2, axis2=-1)
-        d = np.maximum(_frobs(np.tril(m, -1)), np.sqrt(np.sum(np.abs(diag) ** 2, axis=-1)))
+        d = np.maximum(frobs(np.tril(m, -1)), np.sqrt(np.sum(np.abs(diag) ** 2, axis=-1)))
         if desc.field == "real":
-            d = np.maximum(d, _frobs(m.imag))
+            d = np.maximum(d, frobs(m.imag))
     elif desc.field == "real":
-        d = _frobs(m.imag)
+        d = frobs(m.imag)
     else:
         d = np.zeros(m.shape[:-2])
     return float(np.max(d, initial=0.0))
@@ -272,10 +291,6 @@ def identity(desc: GroupDescriptor) -> GroupElement:
     return GroupElement(desc, np.eye(desc.matrix_dim), validate=False)
 
 
-def zero(desc: GroupDescriptor) -> AlgebraElement:
-    return AlgebraElement(desc, np.zeros((desc.matrix_dim, desc.matrix_dim)), validate=False)
-
-
 def _expm2(m: np.ndarray) -> np.ndarray:
     """exp of a stack of 2x2 matrices by Cayley-Hamilton.  With tau = tr/2
     and N = m - tau 1, N^2 = s^2 1 for s^2 = d^2 + m01 m10, d = (m00 - m11)/2,
@@ -319,7 +334,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         return np.exp(m)
     if m.shape[-1] == 2:
         return _expm2(m)
-    twice_norm = 2.0 * _frobs(m)
+    twice_norm = 2.0 * frobs(m)
     if not np.all(np.isfinite(twice_norm)):
         raise NumericalError("non-finite entries in exponential argument")
     # 2 norm = f 2^e with 1/2 <= f < 1, so norm / 2^s <= 1/2 from s = e, or
@@ -370,30 +385,14 @@ def gmul(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(a.descriptor, a.matrix @ b.matrix, validate=False)
 
 
-def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    """Adjoint action g x g^{-1}."""
-    try:
-        inv = np.linalg.inv(g.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular group element in adjoint") from exc
-    return AlgebraElement(x.descriptor, g.matrix @ x.matrix @ inv, validate=False)
-
-
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Commutator [x, y] = xy - yx."""
-    return AlgebraElement(
-        x.descriptor, x.matrix @ y.matrix - y.matrix @ x.matrix, validate=False
-    )
-
-
 def small_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ y over stacks of small square matrices whose leading shapes
-    broadcast, entry by entry, in the manner of the entry loop of
-    `forms._add_commutator`.  On a stack of 32,896 2x2 complex matrices
-    (one core of a Xeon host) this costs about 60 ns per matrix, against
-    about 350 ns for `x @ y`.  Each column of the product is formed before
-    it is written, so `out` may be `y` itself (an in-place left
-    multiplication) when `y` has the full broadcast shape."""
+    broadcast, entry by entry, each a row-column sum in order of k.  On a
+    stack of 32,896 2x2 complex matrices (one core of a Xeon host) this
+    costs about 60 ns per matrix, against about 350 ns for `x @ y`.  Each
+    column of the product is formed before it is written, so `out` may be
+    `y` itself (an in-place left multiplication) when `y` has the full
+    broadcast shape."""
     d = x.shape[-1]
     if out is None:
         out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
@@ -407,6 +406,45 @@ def small_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) ->
         for r in range(d):
             out[..., r, c] = col[r]
     return out
+
+
+def line_product(lines: int, d: int):
+    """The product for a stack of `lines` d x d matrices times another,
+    chosen once for a sweep's step loop: `small_matmul` from
+    `_SMALL_MATMUL_MIN_LINES` lines of 2x2, `np.matmul` (which `@` calls)
+    otherwise."""
+    return small_matmul if d == 2 and lines >= _SMALL_MATMUL_MIN_LINES else np.matmul
+
+
+def add_commutator(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """out += x y - y x in place over stacks of small square matrices whose
+    leading shapes broadcast to that of `out`.  2x2 matrices take the
+    closed form
+
+        [x, y]_00 = x_01 y_10 - y_01 x_10 = -[x, y]_11,
+        [x, y]_01 = (x_00 - x_11) y_01 - (y_00 - y_11) x_01,
+        [x, y]_10 = (y_00 - y_11) x_10 - (x_00 - x_11) y_10,
+
+    whose operand order makes [x, x] exactly 0.  On a stack of 20,736 2x2
+    complex matrices (one core of a Xeon host) it costs about 65 ns per
+    matrix, against about 120 ns by `small_matmul`, which other sizes
+    take, and about 1 us for `out += x @ y; out -= y @ x`."""
+    if out.shape[-1] != 2:
+        out += small_matmul(x, y)
+        out -= small_matmul(y, x)
+        return
+    dx = x[..., 0, 0] - x[..., 1, 1]
+    dy = y[..., 0, 0] - y[..., 1, 1]
+    c = x[..., 0, 1] * y[..., 1, 0]
+    c -= y[..., 0, 1] * x[..., 1, 0]
+    out[..., 0, 0] += c
+    out[..., 1, 1] -= c
+    c = dx * y[..., 0, 1]
+    c -= dy * x[..., 0, 1]
+    out[..., 0, 1] += c
+    c = dy * x[..., 1, 0]
+    c -= dx * y[..., 1, 0]
+    out[..., 1, 0] += c
 
 
 def conjugate(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -455,6 +493,12 @@ def polar_retract(m: np.ndarray) -> np.ndarray:
 # formula, two 3.4 us, eight 10 us, and the two break even at about 10.
 _SU2_STACKED_MIN_MATRICES = 10
 
+# Width from which `line_product` multiplies stacks of 2x2 lines by
+# `small_matmul` instead of `@`: on one core of a Xeon host `@` costs about
+# 18 us on 64 lines and 33 us on 129, `small_matmul` about 14 us on either;
+# on one line `@` is about eight times faster.
+_SMALL_MATMUL_MIN_LINES = 64
+
 
 def _su2_retract(m: np.ndarray) -> np.ndarray:
     """Nearest SU(2) matrix, in the Frobenius norm, to each matrix of a
@@ -479,7 +523,7 @@ def _su2_retract(m: np.ndarray) -> np.ndarray:
         q = _su2_retract_short(m)
         if q is not None:
             return q
-    return _su2_retract_stacked(m)
+    return _su2_retract_stacked(m.reshape(-1, 2, 2)).reshape(m.shape)
 
 
 def _su2_retract_short(m: np.ndarray) -> np.ndarray | None:

@@ -120,13 +120,6 @@ def _rk4_propagators(a: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
-# Width from which a sweep of 2x2 lines forms u_{k+1} = P_k u_k with
-# `lc.small_matmul` instead of `@`: on one core of a Xeon host `@` costs
-# about 18 us on 64 lines and 33 us on 129, `small_matmul` about 14 us on
-# either; on one line `@` is about eight times faster.
-_SMALL_MATMUL_MIN_LINES = 64
-
-
 def half_step_grid(n: int) -> np.ndarray:
     """The 2n+1 parameters in [0, 1] at which every line of an n-step sweep
     is sampled: step endpoints at even indices, midpoints at odd ones."""
@@ -145,9 +138,9 @@ def _rk4_sweep(a, desc: GroupDescriptor, form: str, where: str):
     transport along the path is the ordered product of the transports of
     its steps, so every step's RK4 transport P_k is built first, in a few
     batched passes over all lines (`_rk4_propagators`), and the step loop
-    only forms u_{k+1} = retract(P_k u_k), by `small_matmul` on wide
-    stacks of 2x2 lines.  Returns u at the n+1 nodes, shape (m, n+1, d, d).
-    An overflow is not signalled step by step: a non-finite final value,
+    only forms u_{k+1} = retract(P_k u_k), by the product `lc.line_product`
+    picks once for the stack's width.  Returns u at the n+1 nodes, shape
+    (m, n+1, d, d).  An overflow is not signalled step by step: a non-finite final value,
     or a retraction that fails on the way, raises NumericalError, which
     names `form` and `where`.
     """
@@ -155,13 +148,13 @@ def _rk4_sweep(a, desc: GroupDescriptor, form: str, where: str):
         lc.require_algebra(desc, a, form, where)
         p = _rk4_propagators(np.asarray(a, dtype=complex), 1.0 / (np.shape(a)[1] // 2))
         n, m, d, _ = p.shape
-        wide = d == 2 and m >= _SMALL_MATMUL_MIN_LINES
+        product = lc.line_product(m, d)
         u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
         out = np.empty((m, n + 1, d, d), dtype=complex)
         out[:, 0] = u
         try:
             for k in range(n):
-                u = lc.retract(desc, lc.small_matmul(p[k], u) if wide else p[k] @ u)
+                u = lc.retract(desc, product(p[k], u))
                 out[:, k + 1] = u
         except NumericalError as exc:  # a polar retraction of a blown-up step
             raise NumericalError(f"{form}{where}: {exc}", form=form) from exc

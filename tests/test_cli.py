@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from higher_holonomy import cli
 from higher_holonomy.errors import ConfigError
 
+from .test_expected_reports import config_path
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_INTEGRATOR = {"n_steps_path": 64, "n_steps_surface_s": 32, "n_quad_t": 32}
@@ -244,6 +246,21 @@ class TestMainEntry:
         rc = cli.main(["surface", "--config", str(cfg_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+    @pytest.mark.parametrize("action", ["error", "default"], ids=["W_error", "no_flag"])
+    def test_bf_at_scale_1e200_has_no_traceback(self, tmp_path, capsys, action):
+        # beta of scale 1e200 has a finite norm, though its squared entries
+        # overflow; on two planes the action is inf, which has no JSON number
+        for name in ("bf_beta_1e200", "bf_report_1e200"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                rc = cli.main(["bf", "--config", str(config_path(name, tmp_path))])
+            out = capsys.readouterr()
+            if name == "bf_beta_1e200":
+                assert (rc, out.err) == (0, "")
+                assert json.loads(out.out)["result"]["beta_sup"] == pytest.approx(2 ** 0.5 * 1e200)
+            else:
+                assert (rc, out.out, out.err) == (2, "", "error: non-finite value inf in report\n")
 
     def test_check_fc_with_a_pole_fails_with_a_report(self, tmp_path, capsys):
         # the first Halton sample has x1 = 0.5, where A is not finite

@@ -377,41 +377,6 @@ class TestFrameContraction:
         assert np.array_equal(g.mc_pullback(np.zeros(2), np.zeros((3, 2))), np.zeros((3, 2, 2)))
 
 
-def _random_stack(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestCommutator:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_adds_the_matrix_commutator(self, d):
-        rng = np.random.default_rng(d)
-        start = _random_stack(rng, (5, d, d))
-        x, y = _random_stack(rng, (2, 5, d, d))
-        out = start.copy()
-        fm._add_commutator(out, x, y)
-        ref = start + (x @ y - y @ x)
-        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_matrix_against_a_stack(self, d):
-        rng = np.random.default_rng(10 + d)
-        one = _random_stack(rng, (d, d))
-        stack = _random_stack(rng, (4, 3, d, d))
-        for x, y in ((one, stack), (stack, one)):
-            out = np.zeros((4, 3, d, d), dtype=complex)
-            fm._add_commutator(out, x, y)
-            ref = x @ y - y @ x
-            # 1x1 matrices commute, so the bound is on the products' size
-            bound = 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
-            assert np.linalg.norm(out - ref) <= bound
-
-    def test_self_commutator_is_exactly_zero_for_2x2(self):
-        x = _random_stack(np.random.default_rng(7), (200, 2, 2))
-        out = np.zeros_like(x)
-        fm._add_commutator(out, x, x)
-        assert not np.any(out)
-
-
 class TestConstantField:
     # every entry parses to a number
     ENTRIES = [["0.5", "1.5"], ["i", "0.25"]]

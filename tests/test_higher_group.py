@@ -223,12 +223,12 @@ class TestInducedMaps:
         der = (aut_su2.alpha(gp.matrix, zel.matrix)
                - aut_su2.alpha(gm.matrix, zel.matrix)) / (2 * s)
         # derivative of conj action at exp(uZ), pulled to the algebra at u
-        oracle = 1e-3 * lc.bracket(y, z).matrix
+        oracle = 1e-3 * (y.matrix @ z.matrix - z.matrix @ y.matrix)
         assert np.allclose(der, oracle, atol=1e-9)
 
     def test_alpha_star_zero_first_slot(self, eg_su2):
         y = lc.random_algebra(SU2, np.random.default_rng(3))
-        out = hg.alpha_star(eg_su2, lc.zero(SU2), y)
+        out = hg.alpha_star(eg_su2, lc.AlgebraElement(SU2, np.zeros((2, 2))), y)
         assert lc.frob(out.matrix) == 0.0
 
     def test_alpha_star_b_abelian_trivial(self, bu1):
@@ -240,7 +240,8 @@ class TestInducedMaps:
         rng = np.random.default_rng(6)
         x = lc.random_algebra(SU2, rng)
         y = lc.random_algebra(SU2, rng)
-        assert np.allclose(hg.alpha_star(eg_su2, x, y).matrix, lc.bracket(x, y).matrix)
+        assert np.allclose(hg.alpha_star(eg_su2, x, y).matrix,
+                           x.matrix @ y.matrix - y.matrix @ x.matrix)
 
     def test_alpha_g_star_identity_and_conjugation(self, eg_su2, bu1):
         rng = np.random.default_rng(8)
@@ -249,7 +250,7 @@ class TestInducedMaps:
             hg.alpha_g_star(eg_su2, lc.identity(SU2), y).matrix, y.matrix)
         g = lc.random_group(SU2, rng)
         assert np.allclose(
-            hg.alpha_g_star(eg_su2, g, y).matrix, lc.adjoint(g, y).matrix)
+            hg.alpha_g_star(eg_su2, g, y).matrix, g.matrix @ y.matrix @ np.linalg.inv(g.matrix))
         yu = lc.random_algebra(U1, rng)
         assert np.allclose(
             hg.alpha_g_star(bu1, lc.identity(bu1.G), yu).matrix, yu.matrix)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
 from higher_holonomy.errors import MembershipError, NumericalError
@@ -39,7 +38,7 @@ class TestDescriptors:
 class TestExpMap:
     def test_zero_gives_identity(self):
         for d in (lc.su(2), lc.so(3), lc.u1(), lc.unipotent(3)):
-            g = lc.exp_map(lc.zero(d))
+            g = lc.exp_map(lc.AlgebraElement(d, np.zeros((d.matrix_dim, d.matrix_dim))))
             assert np.allclose(g.matrix, np.eye(d.matrix_dim))
 
     def test_u1_half_turn(self):
@@ -224,58 +223,58 @@ class TestStackedSampling:
         assert np.array_equal(lc.group_from_normals(desc, z), np.stack(singles))
 
 
-class TestAdjointAndBracket:
+def _commutator(x, y):
+    """[x, y] of two matrices (or stacks) by `lc.add_commutator` into zeros."""
+    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    lc.add_commutator(out, x, y)
+    return out
+
+
+class TestConjugateAndCommutator:
     def test_identity_fixes(self):
-        rng = np.random.default_rng(0)
-        x = lc.random_algebra(lc.su(2), rng)
-        assert np.allclose(lc.adjoint(lc.identity(lc.su(2)), x).matrix, x.matrix)
+        x = lc.random_algebra(lc.su(2), np.random.default_rng(0)).matrix
+        assert np.allclose(lc.conjugate(np.eye(2), x), x)
 
     def test_abelian_conjugation_trivial(self):
         rng = np.random.default_rng(1)
-        g = lc.random_group(lc.u1(), rng)
-        x = lc.random_algebra(lc.u1(), rng)
-        assert np.allclose(lc.adjoint(g, x).matrix, x.matrix)
+        g = lc.random_group(lc.u1(), rng).matrix
+        x = lc.random_algebra(lc.u1(), rng).matrix
+        assert np.allclose(lc.conjugate(g, x), x)
 
-    def test_adjoint_matches_triple_product(self):
-        rng = np.random.default_rng(2)
-        g = lc.random_group(lc.su(2), rng)
-        x = lc.random_algebra(lc.su(2), rng)
-        oracle = g.matrix @ x.matrix @ np.linalg.inv(g.matrix)
-        assert np.allclose(lc.adjoint(g, x).matrix, oracle)
+    @pytest.mark.parametrize("desc", [lc.u1(), lc.su(2), lc.su(3), lc.so(3)], ids=str)
+    def test_self_commutator_is_exactly_zero(self, desc):
+        # the 2x2 closed form by its operand order, other sizes because
+        # both products are the same bits
+        x = lc.algebra_from_normals(desc, np.random.default_rng(4).standard_normal(
+            (200, 2, desc.matrix_dim, desc.matrix_dim)))
+        assert not np.any(_commutator(x, x))
 
-    def test_bracket_self_vanishes(self):
-        rng = np.random.default_rng(4)
-        x = lc.random_algebra(lc.su(2), rng)
-        assert lc.frob(lc.bracket(x, x).matrix) == 0.0
-
-    def test_bracket_matches_matrix_arithmetic(self):
+    def test_commutator_matches_matrix_arithmetic(self):
         sigma1 = 0.5j * np.array([[0, 1], [1, 0]])
         sigma2 = 0.5j * np.array([[0, -1j], [1j, 0]])
-        x = lc.AlgebraElement(lc.su(2), sigma1)
-        y = lc.AlgebraElement(lc.su(2), sigma2)
         oracle = sigma1 @ sigma2 - sigma2 @ sigma1
-        assert np.allclose(lc.bracket(x, y).matrix, oracle)
+        assert np.allclose(_commutator(sigma1, sigma2), oracle)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_bracket_antisymmetry(self, seed):
+    def test_commutator_antisymmetry(self, seed):
         rng = np.random.default_rng(seed)
-        x = lc.random_algebra(lc.su(2), rng)
-        y = lc.random_algebra(lc.su(2), rng)
-        lhs = lc.bracket(x, y).matrix
-        rhs = -lc.bracket(y, x).matrix
+        x = lc.random_algebra(lc.su(2), rng).matrix
+        y = lc.random_algebra(lc.su(2), rng).matrix
+        lhs = _commutator(x, y)
+        rhs = -_commutator(y, x)
         scale = max(lc.frob(lhs), 1e-30)
         assert lc.frob(lhs - rhs) / scale <= 1e-14
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_exp_adjoint_compatibility(self, seed):
+    def test_exp_conjugate_compatibility(self, seed):
         # exp(Ad_g X) = g exp(X) g^{-1}
         rng = np.random.default_rng(seed)
-        g = lc.random_group(lc.su(2), rng)
-        x = lc.random_algebra(lc.su(2), rng)
-        lhs = lc.exp_map(lc.adjoint(g, x)).matrix
-        rhs = g.matrix @ lc.exp_map(x).matrix @ np.linalg.inv(g.matrix)
+        g = lc.random_group(lc.su(2), rng).matrix
+        x = lc.random_algebra(lc.su(2), rng).matrix
+        lhs = lc.expm(lc.conjugate(g, x))
+        rhs = g @ lc.expm(x) @ np.linalg.inv(g)
         assert lc.frob(lhs - rhs) / max(lc.frob(rhs), 1.0) <= 1e-9
 
 
@@ -369,40 +368,6 @@ class TestSU2Retraction:
             q = lc.retract(lc.su(2), m)
         assert not np.all(np.isfinite(q))
 
-    @pytest.mark.parametrize("kind", ["normal", "zeros", "signed_zeros", "real", "group",
-                                      "identity"])
-    @pytest.mark.parametrize("lead", [(), (1,), (1, 1), (lc._SU2_STACKED_MIN_MATRICES - 1,),
-                                      (lc._SU2_STACKED_MIN_MATRICES,)], ids=str)
-    def test_short_path_is_the_stacked_formula_to_the_bit(self, kind, lead):
-        # Python complex arithmetic and numpy round alike only while a real
-        # times a complex is done as a complex product (CPython 3.13 and
-        # before); the signs of zeros show the difference, e.g. for
-        # 0.5 * (m00 + conj m11) with Im m00 = -0.0, Im m11 = +0.0 and a
-        # positive real part, so each case draws 32 stacks.  The reference
-        # is the numpy formula on a stack, also for a single matrix
-        rng = np.random.default_rng(24)
-        for _ in range(32):
-            m = _complex_stack(rng, lead + (2, 2))
-            if kind in ("zeros", "signed_zeros"):
-                parts = m.view(float)
-                zero = rng.random(parts.shape) < 0.4
-                zero[..., 0, 0] = False  # Re m00 keeps the quaternion part off 0
-                sign = rng.standard_normal(parts.shape) if kind == "signed_zeros" else 1.0
-                parts[zero] = np.copysign(0.0, sign)[zero] if kind == "signed_zeros" else 0.0
-            elif kind == "real":
-                m = m.real.astype(complex)
-            elif kind == "group":
-                m = _random_group_stack(lc.su(2), rng, lead).astype(complex)
-            elif kind == "identity":
-                m = np.broadcast_to(np.eye(2, dtype=complex), m.shape).copy()
-            want = lc._su2_retract_stacked(m.reshape(-1, 2, 2)).reshape(m.shape)
-            for got in (lc._su2_retract_short(m), lc.retract(lc.su(2), m)):
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
-                for part in ("real", "imag"):
-                    assert np.array_equal(np.signbit(getattr(got, part)),
-                                          np.signbit(getattr(want, part)))
-
     @pytest.mark.parametrize("bad", [np.diag([1.0, -1.0]), np.full((2, 2), np.inf),
                                      np.array([[np.nan, 0.0], [0.0, 1.0]])],
                              ids=["zero_part", "inf", "nan"])
@@ -411,7 +376,8 @@ class TestSU2Retraction:
         m = np.broadcast_to(np.eye(2, dtype=complex), lead + (2, 2)).copy()
         m[(0,) * len(lead)] = bad
         assert lc._su2_retract_short(m) is None
-        want, want_warnings = _recording_warnings(lc._su2_retract_stacked, m)
+        want, want_warnings = _recording_warnings(
+            lambda a: lc._su2_retract_stacked(a.reshape(-1, 2, 2)).reshape(a.shape), m)
         got, got_warnings = _recording_warnings(partial(lc.retract, lc.su(2)), m)
         assert not np.all(np.isfinite(want))
         assert got_warnings == want_warnings
@@ -443,49 +409,7 @@ def _complex_stack(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestSmallMatmul:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("x_lead, y_lead", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),
-                                                ((), (5,)), ((3, 4), (4,)), ((3, 1), (1, 4))],
-                             ids=str)
-    def test_equals_matmul(self, d, x_lead, y_lead):
-        rng = np.random.default_rng(31)
-        x = _complex_stack(rng, x_lead + (d, d))
-        y = _complex_stack(rng, y_lead + (d, d))
-        want = x @ y
-        got = lc.small_matmul(x, y)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_in_place_on_the_right_factor(self, d):
-        rng = np.random.default_rng(32)
-        x = _complex_stack(rng, (4, d, d))
-        y = _complex_stack(rng, (3, 4, d, d))
-        want = x @ y
-        out = lc.small_matmul(x, y, out=y)
-        assert out is y
-        assert np.max(np.abs(y - want)) <= 1e-14
-
-
 class TestConjugate:
-    @pytest.mark.parametrize("desc", [lc.gl(2, "complex"), lc.su(2), lc.su(3), lc.u1()],
-                             ids=str)
-    @pytest.mark.parametrize("g_lead, y_lead", [((), ()), ((5,), (5,)), ((3, 4), (3, 4)),
-                                                ((), (5,)), ((3, 4), (4,))], ids=str)
-    def test_equals_g_y_inverse_g(self, desc, g_lead, y_lead):
-        rng = np.random.default_rng(33)
-        n = desc.matrix_dim
-        if desc.family == lc.GL:
-            g = _complex_stack(rng, g_lead + (n, n))
-        else:
-            g = _random_group_stack(desc, rng, g_lead)
-        y = _complex_stack(rng, y_lead + (n, n))
-        want = g @ y @ np.linalg.inv(g)
-        got = hg.alpha_g_star_matrices(hg.make_eg(desc), g, y)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_singular_raises_without_a_warning(self, n):
         # a 1x1 g is singular only when it is zero
@@ -507,14 +431,6 @@ class TestConjugate:
 
 
 class TestRetractedInverse:
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 1, 1), (129, 65, 1, 1)], ids=str)
-    def test_1x1_gl_matches_linalg_inv(self, shape):
-        u = _complex_stack(np.random.default_rng(34), shape)
-        got = lc.retracted_inverse(lc.gl(1, "complex"), u)
-        want = np.linalg.inv(u)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
-
     def test_1x1_identity_is_exact(self):
         # b_u1 transports on GL(1) stay exactly 1
         u = np.ones((5, 3, 1, 1), dtype=complex)
@@ -526,6 +442,214 @@ class TestRetractedInverse:
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
                 lc.retracted_inverse(lc.gl(1, "complex"), u)
+
+
+# The kernel test: every fast path of lie_core against the generic numpy
+# formula, on six groups, at stack widths on both sides of each width
+# threshold (9 and 10 matrices for `_SU2_STACKED_MIN_MATRICES`, 63 and 64
+# lines for `_SMALL_MATMUL_MIN_LINES`), each on unit-size operands, on
+# operands scaled by 1e200 and on stacks with a NaN and an inf entry.
+_KERNEL_GROUPS = [lc.u1(), lc.su(2), lc.su(3), lc.so(3), lc.gl(2, "complex"), lc.unipotent(3)]
+_KERNEL_LEADS = [(), (1, 1), (lc._SU2_STACKED_MIN_MATRICES - 1,),
+                 (lc._SU2_STACKED_MIN_MATRICES,), (lc._SMALL_MATMUL_MIN_LINES - 1,),
+                 (lc._SMALL_MATMUL_MIN_LINES,)]
+_KERNEL_CASES = ["unit", "1e200", "non_finite"]
+
+
+def _kernel_operands(desc, lead, case):
+    """Seeded operands of leading shape `lead`: g on the group, x and y in
+    the algebra and z complex normal.  Case "1e200" scales x and z by
+    1e200; case "non_finite" sets an entry of the first matrix of each to
+    NaN, and one of the last (when there are two) to inf."""
+    rng = np.random.default_rng(41)
+    n = desc.matrix_dim
+    ops = {"g": lc.group_from_normals(desc, rng.standard_normal(lead + (2, n, n))),
+           "x": lc.algebra_from_normals(desc, rng.standard_normal(lead + (2, n, n))),
+           "y": lc.algebra_from_normals(desc, rng.standard_normal(lead + (2, n, n))),
+           "z": _complex_stack(rng, lead + (n, n))}
+    if case == "1e200":
+        ops["x"] *= 1e200
+        ops["z"] *= 1e200
+    elif case == "non_finite":
+        for m in ops.values():
+            flat = m.reshape((-1, n, n))
+            flat[0, 0, -1] = np.nan
+            if len(flat) > 1:
+                flat[-1, -1, 0] = np.inf
+    return ops
+
+
+def _last(m):
+    """The last matrix of a stack, alone."""
+    return m.reshape((-1,) + m.shape[-2:])[-1]
+
+
+def _size(*ms):
+    """The product of the largest finite moduli of the stacks `ms`."""
+    return np.prod([np.max(np.abs(m[np.isfinite(m)]), initial=0.0) for m in ms])
+
+
+def _exact_scaled(f, m):
+    """f(m) computed on m / 2^k and scaled back by 2^k, exactly, so that a
+    generic formula that squares entries does not overflow at 1e200."""
+    big = np.max(np.abs(m[np.isfinite(m)]), initial=1.0)
+    scale = 2.0 ** np.floor(np.log2(big)) if big > 1e100 else 1.0
+    return f(m / scale) * scale
+
+
+def _product_kernel(desc, ops):
+    # the product `_rk4_sweep` takes for a stack of this width, and
+    # `small_matmul` itself: stacked, in place on its right factor, with
+    # one matrix broadcast against a stack, and on an outer broadcast
+    x, y = ops["z"], ops["g"]
+    lines = int(np.prod(x.shape[:-2]))
+    in_place = y.copy()
+    lc.small_matmul(x, in_place, out=in_place)
+    outer = (x[..., None, :, :], y[None])
+    bound = 1e-14 * _size(x, y)
+    return [(lc.line_product(lines, desc.matrix_dim)(x, y), x @ y, bound),
+            (lc.small_matmul(x, y), x @ y, bound), (in_place, x @ y, bound),
+            (lc.small_matmul(_last(x), y), _last(x) @ y, bound),
+            (lc.small_matmul(*outer), np.matmul(*outer), bound)]
+
+
+def _commutator_kernel(desc, ops):
+    # stacked, and one matrix against a stack on either side
+    x, y, out = ops["x"], ops["y"], ops["z"]
+    bound = 1e-14 * (_size(x, y) + _size(out))
+    cases = []
+    for xx, yy in ((x, y), (x, _last(y)), (_last(x), y)):
+        got = out.copy()
+        lc.add_commutator(got, xx, yy)
+        cases.append((got, out + (xx @ yy - yy @ xx), bound))
+    return cases
+
+
+def _conjugate_kernel(desc, ops):
+    # stacked, and one matrix against a stack on either side
+    g, y = ops["g"], ops["z"]
+    with np.errstate(all="ignore"):
+        bound = 1e-13 * _size(g, np.linalg.inv(g), y)
+    return [(lc.conjugate(gg, yy), gg @ yy @ np.linalg.inv(gg), bound)
+            for gg, yy in ((g, y), (_last(g), y), (g, _last(y)))]
+
+
+def _inverse_kernel(desc, ops):
+    # on the group, where U(1), SU(n) and SO(n) take the conjugate
+    # transpose, which keeps a matrix with a non-finite entry non-finite
+    # (`np.linalg.inv` gives 1 / inf = 0); for 1x1 also a GL(1) stack of
+    # any complex numbers, which is inverted as 1 / u
+    u = ops["g"]
+    want = np.linalg.inv(u)
+    if desc.family in (lc.U1, lc.SU, lc.SO):
+        want[~np.all(np.isfinite(u), axis=(-2, -1))] = np.nan
+    cases = [(lc.retracted_inverse(desc, u), want, 1e-14 * _size(u) * _size(want))]
+    if desc.matrix_dim == 1:
+        z = ops["z"]
+        cases.append((lc.retracted_inverse(lc.gl(1, "complex"), z), np.linalg.inv(z),
+                      1e-15 * np.abs(np.linalg.inv(z))))
+    return cases
+
+
+def _norm_kernel(desc, ops):
+    m = ops["z"]
+    frobs = _exact_scaled(lambda a: np.linalg.norm(a, axis=(-2, -1)), m)
+    frob = _exact_scaled(lambda a: np.linalg.norm(a.reshape(-1)), m)
+    largest = np.max(frobs, initial=0.0) if np.all(np.isfinite(m)) else np.inf
+    empty = m.reshape((-1,) + m.shape[-2:])[:0]
+    return [(lc.frobs(m), frobs, 1e-15 * frobs), (lc.frob(m), frob, 1e-15 * frob),
+            (lc.max_frob(m), largest, 1e-15 * largest), (lc.frobs(empty), np.zeros(0), 0.0),
+            (lc.max_frob(empty), 0.0, 0.0)]
+
+
+def _retract_kernel(desc, ops):
+    # SU(2) alone has a closed form: the short path of fewer than
+    # `_SU2_STACKED_MIN_MATRICES` matrices is the stacked numpy formula to
+    # the bit, signed zeros and warnings included.  Python complex
+    # arithmetic and numpy round alike only while a real times a complex
+    # is done as a complex product (CPython 3.13 and before); the signs of
+    # zeros show the difference, e.g. for 0.5 * (m00 + conj m11) with
+    # Im m00 = -0.0, Im m11 = +0.0 and a positive real part, so zeros of
+    # random sign are set in 8 draws
+    near = ops["g"] + 1e-3 * ops["z"]
+    rng = np.random.default_rng(42)
+    inputs = [near, near.real.astype(complex), ops["g"],
+              np.broadcast_to(np.eye(2, dtype=complex), near.shape).copy()]
+    for _ in range(8):
+        m = near.copy()
+        parts = m.view(float)
+        zero = rng.random(parts.shape) < 0.4
+        zero[..., 0, 0] = False  # Re m00 keeps the quaternion part off 0
+        parts[zero] = np.copysign(0.0, rng.standard_normal(parts.shape))[zero]
+        inputs.append(m)
+    cases = []
+    for m in inputs:
+        got, got_warnings = _recording_warnings(partial(lc.retract, desc), m)
+        want, want_warnings = _recording_warnings(
+            lambda a: lc._su2_retract_stacked(a.reshape(-1, 2, 2)).reshape(a.shape), m)
+        assert got_warnings == want_warnings
+        cases.append((got, want, None))
+    return cases
+
+
+def _defect_kernel(desc, ops):
+    # the SU(2) closed form against the generic SU defect, on the algebra,
+    # off it, and on an empty stack
+    x = ops["x"]
+    cases = []
+    for m in (x, x + 1e-3 * _size(x) * ops["g"], x.reshape(-1, 2, 2)[:0]):
+        want = _exact_scaled(su_algebra_defect, m)
+        cases.append((lc.algebra_defect(desc, m), want,
+                      1e-14 * want + 1e-15 * _size(m)))
+    return cases
+
+
+_KERNELS = {"product": (_product_kernel, _KERNEL_GROUPS),
+            "commutator": (_commutator_kernel, _KERNEL_GROUPS),
+            "conjugate": (_conjugate_kernel, _KERNEL_GROUPS),
+            "inverse": (_inverse_kernel, _KERNEL_GROUPS),
+            "norm": (_norm_kernel, _KERNEL_GROUPS),
+            "retract": (_retract_kernel, [lc.su(2)]),
+            "defect": (_defect_kernel, [lc.su(2)])}
+
+
+def _assert_agrees(got, want, bound):
+    """got has the shape of want, the same matrices (or values) are not
+    finite, and the finite ones differ by at most `bound`, or, for a None
+    bound, not at all: the same bits, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    axes = (-2, -1) if want.ndim >= 2 and want.shape[-2:] == want.shape[-1:] * 2 else ()
+    bad = ~np.all(np.isfinite(want), axis=axes)
+    assert np.array_equal(~np.all(np.isfinite(got), axis=axes), bad)
+    if bound is None:
+        assert np.array_equal(got, want, equal_nan=True)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+        return
+    with np.errstate(invalid="ignore"):
+        excess = np.abs(got - want) - bound
+    assert np.all(np.where(bad, 0.0, np.max(np.nan_to_num(excess, nan=np.inf), axis=axes,
+                                            initial=-np.inf)) <= 0.0)
+
+
+@pytest.mark.parametrize("lead", _KERNEL_LEADS, ids=str)
+@pytest.mark.parametrize("name, desc", [(name, desc) for name, (_, groups) in _KERNELS.items()
+                                        for desc in groups], ids=str)
+def test_kernel_matches_the_generic_formula(name, desc, lead):
+    kernel = _KERNELS[name][0]
+    for case in _KERNEL_CASES:
+        ops = _kernel_operands(desc, lead, case)
+        if case == "non_finite":  # NaN and inf signal as they spread
+            with np.errstate(all="ignore"):
+                results = kernel(desc, ops)
+        else:
+            results = kernel(desc, ops)
+        for k, (got, want, bound) in enumerate(results):
+            try:
+                _assert_agrees(got, want, bound)
+            except AssertionError as exc:
+                raise AssertionError(f"{case} operands, result {k}") from exc
 
 
 def _project_one(desc, m):
@@ -569,27 +693,6 @@ class TestAlgebraDefect:
         stack = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
         singles = [lc.algebra_defect(desc, m) for m in stack.reshape(-1, n, n)]
         assert lc.algebra_defect(desc, stack) == max(singles)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([(), (0,), (5,), (3, 4)]), st.integers(0, 10_000),
-           st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]), st.integers(-100, 100),
-           st.sampled_from([None, np.nan, np.inf, -np.inf, complex(np.inf, -np.inf)]))
-    def test_su2_closed_form_matches_the_generic_defect(self, lead, seed, noise, exponent,
-                                                         bad):
-        # in-algebra stacks, perturbed and scaled by 10^exponent, with at
-        # most one non-finite entry; the closed form is the generic SU
-        # defect within rounding, and inf without a warning
-        rng = np.random.default_rng(seed)
-        raw = _complex_stack(rng, lead + (2, 2))
-        m = 10.0 ** exponent * (lc.project_to_algebra(lc.su(2), raw)
-                                + noise * _complex_stack(rng, lead + (2, 2)))
-        if bad is not None and m.size:
-            m.reshape(-1)[rng.integers(m.size)] = bad
-        want = su_algebra_defect(m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = lc.algebra_defect(lc.su(2), m)
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("desc", [lc.su(2), lc.su(3), lc.so(3)], ids=str)
     def test_a_finite_stack_whose_squares_overflow_keeps_a_rounding_size_defect(self, desc):

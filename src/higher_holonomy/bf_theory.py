@@ -58,9 +58,6 @@ class PairingSpec:
         val = -tr if self.kind == "neg_trace" else tr
         return val.real
 
-    def pair_elements(self, x: AlgebraElement, y: AlgebraElement) -> float:
-        return float(self.pair(x.matrix, y.matrix))
-
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -83,6 +83,29 @@ def dump_json(obj, indent: int = 0) -> str:
     raise ConfigError(f"unserializable value of type {type(obj).__name__}")
 
 
+def _pointer_token(key) -> str:
+    """`key` as one JSON pointer reference token."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
+def _non_finite_pointer(obj, pointer: str = "") -> str:
+    """The JSON pointer of the first non-finite number in `obj`, in the
+    order `dump_json` writes it; "" when there is none."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        obj = {"re": obj.real, "im": obj.imag}
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        return "" if math.isfinite(obj) else pointer
+    items = (((_pointer_token(k), v) for k, v in obj.items()) if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    for key, value in items:
+        found = _non_finite_pointer(value, f"{pointer}/{key}")
+        if found:
+            return found
+    return ""
+
+
 def _matrix_json(m: np.ndarray):
     return [[complex(v) for v in row] for row in np.asarray(m)]
 
@@ -150,7 +173,7 @@ def validate(value, schema: dict | None = None, pointer: str = ""):
         props, extra = schema.get("properties", {}), schema.get("additionalProperties", {})
         checked = {}
         for key, item in value.items():
-            where = f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+            where = f"{pointer}/{_pointer_token(key)}"
             if props.get(key, extra) is False:
                 raise ConfigError(f"unknown key {key!r}", where)
             checked[key] = validate(item, props.get(key, extra), where)
@@ -508,7 +531,10 @@ def main(argv=None) -> int:
                                  "n_steps_surface_s": args.steps,
                                  "n_quad_t": args.steps + args.steps % 2}
         report = run(args.command, cfg, config_bytes)
-        text = dump_json(report) + "\n"  # a non-finite value is a ConfigError
+        try:
+            text = dump_json(report) + "\n"
+        except ConfigError as exc:  # a non-finite value, located only now
+            raise ConfigError(str(exc), _non_finite_pointer(report)) from None
     except HolonomyError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -220,9 +220,6 @@ class OneFormField:
     def is_symbolic(self) -> bool:
         return all(c.is_symbolic for c in self.components)
 
-    def component_matrix(self, i: int, x) -> np.ndarray:
-        return self.components[i].eval(x)
-
     def matrices_at(self, x, v) -> np.ndarray:
         """Sum_i A_i(x) v_i over stacked points x (..., n) and vectors v.
         A component whose coefficient v_i is zero at every point is not
@@ -249,10 +246,6 @@ class TwoFormField:
             if not 0 <= i < j < ambient_dim:
                 raise ValueError(f"two-form index pair {(i, j)} must satisfy 0 <= i < j < n")
             self.components[(i, j)] = fld
-
-    @property
-    def is_symbolic(self) -> bool:
-        return all(c.is_symbolic for c in self.components.values())
 
     def component_matrix(self, i: int, j: int, x) -> np.ndarray:
         x = _as_points(x)
@@ -296,21 +289,6 @@ def two_form_from_expressions(descriptor: GroupDescriptor, tables: dict, ambient
         key: ExpressionMatrixField(t, d, ambient_dim)
         for key, t in tables.items()
     }
-    return TwoFormField(descriptor, comps, ambient_dim)
-
-
-def one_form_from_callables(descriptor: GroupDescriptor, fns, ambient_dim: int,
-                            vectorized: bool = True, fd_step: float = _DEFAULT_FD) -> OneFormField:
-    d = descriptor.matrix_dim
-    comps = [CallableMatrixField(f, d, ambient_dim, vectorized, fd_step) for f in fns]
-    return OneFormField(descriptor, comps, ambient_dim)
-
-
-def two_form_from_callables(descriptor: GroupDescriptor, fns: dict, ambient_dim: int,
-                            vectorized: bool = True, fd_step: float = _DEFAULT_FD) -> TwoFormField:
-    d = descriptor.matrix_dim
-    comps = {k: CallableMatrixField(f, d, ambient_dim, vectorized, fd_step)
-             for k, f in fns.items()}
     return TwoFormField(descriptor, comps, ambient_dim)
 
 
@@ -390,10 +368,6 @@ def curvature_matrices_at(a: OneFormField, x, v1, v2) -> np.ndarray:
                         lambda i=i, j=j: _plane_curvature(a, x, i, j, comp(i), comp(j)))
                        for i in range(n) for j in range(i + 1, n)),
                       (x.shape[:-1], v1.shape[:-1], v2.shape[:-1]), a.descriptor.matrix_dim)
-
-
-def curvature_two_form(a: OneFormField, x, v1, v2) -> AlgebraElement:
-    return AlgebraElement(a.descriptor, curvature_matrices_at(a, x, v1, v2), validate=False)
 
 
 def symbolic_curvature(a: OneFormField) -> TwoFormField:
@@ -482,17 +456,6 @@ class GroupValuedMap:
         return _frame_sum(((v[..., i], lambda i=i: np.asarray(self.mc_fn(i, x), dtype=complex))
                            for i in range(x.shape[-1])),
                           (x.shape[:-1], v.shape[:-1]), self.descriptor.matrix_dim)
-
-
-def constant_group_map(g: GroupElement, ambient_dim: int) -> GroupValuedMap:
-    """The constant map x -> g; its Maurer-Cartan pullback is 0."""
-    def ev(x):
-        return np.broadcast_to(g.matrix, x.shape[:-1] + g.matrix.shape).copy()
-
-    def mc(i, x):
-        return np.zeros(x.shape[:-1] + g.matrix.shape, dtype=complex)
-
-    return GroupValuedMap(g.descriptor, ev, mc)
 
 
 def exp_scalar_family(descriptor: GroupDescriptor, scalar_expr, direction: AlgebraElement,
@@ -614,10 +577,6 @@ class ConnectionPair:
         if b.components:
             lc.require_algebra(cm.H, np.stack([b_planes[ij] for ij in b.components]), "B")
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.A.ambient_dim
-
 
 def eg_pair(a: OneFormField, box=None, **kwargs) -> ConnectionPair:
     """The canonical fake-flat pair (A, K_A) in the inner 2-group of A's
@@ -628,9 +587,9 @@ def eg_pair(a: OneFormField, box=None, **kwargs) -> ConnectionPair:
     if a.is_symbolic:
         b = symbolic_curvature(a)
     else:
-        n = a.ambient_dim
-        b = two_form_from_callables(a.descriptor, {
-            (i, j): (lambda x, i=i, j=j: _plane_curvature(
-                a, x, i, j, a.components[i].eval(x), a.components[j].eval(x)))
+        n, d = a.ambient_dim, a.descriptor.matrix_dim
+        b = TwoFormField(a.descriptor, {
+            (i, j): CallableMatrixField(lambda x, i=i, j=j: _plane_curvature(
+                a, x, i, j, a.components[i].eval(x), a.components[j].eval(x)), d, n)
             for i in range(n) for j in range(i + 1, n)}, n)
     return ConnectionPair(cm, a, b, box=box, **kwargs)

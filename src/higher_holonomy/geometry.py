@@ -111,21 +111,6 @@ class Path:
         return self.point(1.0)
 
 
-def constant_path(x, ambient_dim=None) -> Path:
-    x = np.asarray(x, dtype=float)
-    n = ambient_dim or x.shape[-1]
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(x, t.shape + (n,)).copy()
-
-    def dv(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros(t.shape + (n,))
-
-    return Path(ev, n, dv)
-
-
 def line_path(a, b, profile: SmoothingProfile = DEFAULT_PROFILE) -> Path:
     """Straight segment from a to b with sitting instants."""
     a = np.asarray(a, dtype=float)
@@ -151,16 +136,6 @@ def path_compose(gamma1: Path, gamma2: Path, tol: float = 1e-10) -> Path:
                 lambda t: 2.0 * _halves(t, gamma1.velocity, gamma2.velocity))
 
 
-def path_reverse(gamma: Path) -> Path:
-    def ev(t):
-        return gamma.point(1.0 - np.asarray(t, dtype=float))
-
-    def dv(t):
-        return -gamma.velocity(1.0 - np.asarray(t, dtype=float))
-
-    return Path(ev, gamma.ambient_dim, dv)
-
-
 def reparameterize(gamma, beta, beta_deriv=None) -> Path:
     """The path t -> gamma(beta(t)) of a path or loop gamma, with velocity
     gamma'(beta(t)) beta'(t), for an orientation-preserving diffeomorphism
@@ -182,14 +157,6 @@ def sup_distance(p: Path, q: Path, n_nodes: int = 64) -> float:
     k = np.arange(n_nodes)
     t = 0.5 * (1.0 - np.cos(np.pi * k / (n_nodes - 1)))
     return float(np.max(np.abs(p.point(t) - q.point(t))))
-
-
-def path_sitting_defect(gamma: Path, width: float, n_nodes: int = 16) -> float:
-    """Sampled violation of constancy on the sitting strips [0, width] and
-    [1 - width, 1]."""
-    strip = np.linspace(0.0, width, n_nodes)
-    return float(max(np.max(np.abs(gamma.point(strip) - gamma.start())),
-                     np.max(np.abs(gamma.point(1.0 - strip) - gamma.end()))))
 
 
 class Loop:
@@ -262,8 +229,7 @@ class Bigon:
     parameter arrays; `ds_fn` and `dt_fn`, required, are its exact
     partials.  It is a bigon when, on [0,1]^2, it runs between two paths
     with common endpoints and is constant on boundary strips; charts and
-    the cores that `_profiled` takes are not (`bigon_boundary_defect`
-    measures it for a given strip width)."""
+    the cores that `_profiled` takes are not."""
 
     def __init__(self, eval_fn, ambient_dim: int, ds_fn, dt_fn):
         self.eval_fn = eval_fn
@@ -325,10 +291,6 @@ def affine_chart(x, v1, v2) -> Bigon:
         return lambda a, b: np.broadcast_to(v, np.broadcast_shapes(a.shape, b.shape) + v.shape)
 
     return Bigon(ev, x.shape[-1], constant(v1), constant(v2))
-
-
-def identity_chart() -> Bigon:
-    return affine_chart(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def chart_from_expressions(component_exprs) -> Bigon:
@@ -483,19 +445,6 @@ def contraction_bigon(gamma: Path, profile: SmoothingProfile = DEFAULT_PROFILE) 
     core = Bigon(lambda u, t: x0 + u[..., None] * (gamma.point(t) - x0), gamma.ambient_dim,
                  lambda u, t: gamma.point(t) - x0, lambda u, t: u[..., None] * gamma.velocity(t))
     return _profiled(core, profile)
-
-
-def bigon_boundary_defect(sigma: Bigon, width: float, n_nodes: int = 12) -> float:
-    """Sampled violation of the boundary-strip conditions of a bigon on
-    strips of width `width`: constant near t = 0 and t = 1, and its source
-    and target paths near s = 0 and s = 1."""
-    full, strip = np.meshgrid(np.linspace(0.0, 1.0, n_nodes), np.linspace(0.0, width, n_nodes),
-                              indexing="ij")
-    gaps = [sigma.point(full, strip) - sigma.point(0.0, 0.0),
-            sigma.point(full, 1.0 - strip) - sigma.point(0.0, 1.0),
-            sigma.point(strip, full) - sigma.source_path().point(full),
-            sigma.point(1.0 - strip, full) - sigma.target_path().point(full)]
-    return float(np.max([np.max(np.abs(g)) for g in gaps]))
 
 
 def _profiled(core, profile: SmoothingProfile, slot: int = 0):

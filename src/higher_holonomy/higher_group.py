@@ -124,11 +124,6 @@ def t_star_matrix(cm: CrossedModule, y_mats: np.ndarray) -> np.ndarray:
     return cm.t_star(y_mats)
 
 
-def alpha_star(cm: CrossedModule, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Mixed differential of alpha at (1,1): d^2/ds du alpha(exp(sX), exp(uY))."""
-    return AlgebraElement(cm.H, cm.alpha_star(x.matrix, y.matrix), validate=False)
-
-
 def alpha_g_star(cm: CrossedModule, g: GroupElement, y: AlgebraElement) -> AlgebraElement:
     """Differential of alpha_g: H -> H at the identity applied to y."""
     return AlgebraElement(cm.H, cm.alpha_g_star(g.matrix, y.matrix), validate=False)
@@ -180,10 +175,6 @@ def two_morphism(cm: CrossedModule, source: GroupElement, h_part: GroupElement) 
     """Build a 2-morphism with its target computed from the witness."""
     target = GroupElement(cm.G, cm.t(h_part.matrix) @ source.matrix, validate=False)
     return TwoMorphismValue(cm, source, h_part, target)
-
-
-def identity_two_morphism(cm: CrossedModule, g: GroupElement) -> TwoMorphismValue:
-    return TwoMorphismValue(cm, g, lc.identity(cm.H), g)
 
 
 def vcompose(a: TwoMorphismValue, b: TwoMorphismValue, tol: float = 1e-6) -> TwoMorphismValue:

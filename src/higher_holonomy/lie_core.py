@@ -325,7 +325,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     `_expm2`); scaling-and-squaring with a truncated series for n >= 3,
     each matrix halved the fewest times that bring its Frobenius norm to
     at most 1/2, so every matrix of a stack is exponentiated exactly as it
-    would be alone.  Non-finite entries raise NumericalError.
+    would be alone.  Non-finite entries raise NumericalError, and so do
+    squarings that overflow.
     """
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -348,9 +349,12 @@ def expm(m: np.ndarray) -> np.ndarray:
     for k in range(1, _EXPM_ORDER + 1):
         term = term @ a / k
         result = result + term
-    for k in range(int(np.max(squarings, initial=0))):
-        more = squarings > k
-        result[more] = result[more] @ result[more]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(np.max(squarings, initial=0))):
+            more = squarings > k
+            result[more] = result[more] @ result[more]
+    if not np.all(np.isfinite(result)):
+        raise NumericalError("exponential overflowed in its squarings")
     return result
 
 

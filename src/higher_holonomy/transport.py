@@ -78,13 +78,6 @@ class IntegratorConfig:
         if self.n_quad_t % 2:
             raise ValueError("n_quad_t must be even (composite Simpson)")
 
-    def refined(self, factor: int = 2) -> "IntegratorConfig":
-        return IntegratorConfig(
-            self.n_steps_path * factor,
-            self.n_steps_surface_s * factor,
-            self.n_quad_t * factor,
-        )
-
 
 DEFAULT_CONFIG = IntegratorConfig()
 

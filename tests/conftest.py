@@ -1,6 +1,8 @@
-"""Shared fixtures: reference connections, crossed modules, and the frozen
-orientation constants pinned by the independent oracles."""
+"""Shared fixtures: reference connections, crossed modules, builders of
+test fields, paths and maps, and the frozen orientation constants pinned by
+the independent oracles."""
 
+import numpy as np
 import pytest
 
 from higher_holonomy import forms as fm
@@ -83,3 +85,54 @@ def parabola_paths(heights, x_offset=0.0):
 
 def random_su2_algebra(rng, scale=1.0):
     return lc.random_algebra(SU2, rng, scale)
+
+
+def one_form_from_callables(descriptor, fns, ambient_dim, **options):
+    """The one-form whose component i is the `CallableMatrixField` of
+    fns[i]; `options` (vectorized, fd_step) go to every component."""
+    d = descriptor.matrix_dim
+    return fm.OneFormField(descriptor, [fm.CallableMatrixField(f, d, ambient_dim, **options)
+                                        for f in fns], ambient_dim)
+
+
+def two_form_from_callables(descriptor, fns, ambient_dim, **options):
+    """The two-form whose component (i, j) is the `CallableMatrixField` of
+    fns[(i, j)]; `options` as for `one_form_from_callables`."""
+    d = descriptor.matrix_dim
+    return fm.TwoFormField(descriptor, {key: fm.CallableMatrixField(f, d, ambient_dim, **options)
+                                        for key, f in fns.items()}, ambient_dim)
+
+
+def constant_group_map(g):
+    """The constant map x -> g; its Maurer-Cartan pullback is 0."""
+    def ev(x):
+        return np.broadcast_to(g.matrix, x.shape[:-1] + g.matrix.shape).copy()
+
+    def mc(i, x):
+        return np.zeros(x.shape[:-1] + g.matrix.shape, dtype=complex)
+
+    return fm.GroupValuedMap(g.descriptor, ev, mc)
+
+
+def constant_path(x):
+    """The path that sits at the point x for all time."""
+    x = np.asarray(x, dtype=float)
+
+    def ev(t):
+        return np.broadcast_to(x, np.shape(t) + x.shape).copy()
+
+    def dv(t):
+        return np.zeros(np.shape(t) + x.shape)
+
+    return geo.Path(ev, x.shape[-1], dv)
+
+
+def path_reverse(gamma):
+    """The path t -> gamma(1 - t)."""
+    return geo.Path(lambda t: gamma.point(1.0 - np.asarray(t, dtype=float)), gamma.ambient_dim,
+                    lambda t: -gamma.velocity(1.0 - np.asarray(t, dtype=float)))
+
+
+def identity_chart():
+    """The chart (s, t) -> (s, t) of the plane."""
+    return geo.affine_chart(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))

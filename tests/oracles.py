@@ -27,7 +27,10 @@ reference for the closed form that `lie_core` takes on 2x2 stacks.
 drawn one matrix at a time (`per_sample_draw`, each exponentiated and
 gated alone), as the reference for the one stacked draw of
 `higher_group.verify_axioms`; `sample_g` and `sample_h` draw single
-elements the same way for the composition-law tests.
+elements the same way for the composition-law tests.  `path_sitting_defect`
+and `bigon_boundary_defect` sample how far a path or a bigon is from
+constant on its boundary strips, the sitting instants every composition
+in `geometry` rests on.
 """
 
 import math
@@ -52,6 +55,27 @@ def su_algebra_defect(m):
     herm = np.linalg.norm(m + np.swapaxes(m.conj(), -2, -1), axis=(-2, -1))
     tr = np.abs(np.trace(m, axis1=-2, axis2=-1))
     return float(np.max(np.maximum(herm, tr), initial=0.0))
+
+
+def path_sitting_defect(gamma, width, n_nodes=16):
+    """Sampled violation of constancy on the sitting strips [0, width] and
+    [1 - width, 1]."""
+    strip = np.linspace(0.0, width, n_nodes)
+    return float(max(np.max(np.abs(gamma.point(strip) - gamma.start())),
+                     np.max(np.abs(gamma.point(1.0 - strip) - gamma.end()))))
+
+
+def bigon_boundary_defect(sigma, width, n_nodes=12):
+    """Sampled violation of the boundary-strip conditions of a bigon on
+    strips of width `width`: constant near t = 0 and t = 1, and its source
+    and target paths near s = 0 and s = 1."""
+    full, strip = np.meshgrid(np.linspace(0.0, 1.0, n_nodes), np.linspace(0.0, width, n_nodes),
+                              indexing="ij")
+    gaps = [sigma.point(full, strip) - sigma.point(0.0, 0.0),
+            sigma.point(full, 1.0 - strip) - sigma.point(0.0, 1.0),
+            sigma.point(strip, full) - sigma.source_path().point(full),
+            sigma.point(1.0 - strip, full) - sigma.target_path().point(full)]
+    return float(np.max([np.max(np.abs(g)) for g in gaps]))
 
 
 def leggauss_nodes(n, a=0.0, b=1.0):

@@ -9,7 +9,7 @@ from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy.errors import DomainError
 
-from .conftest import SU2, U1, su2_matrix_table
+from .conftest import SU2, U1, one_form_from_callables, su2_matrix_table, two_form_from_callables
 
 
 @pytest.fixture(scope="module")
@@ -33,28 +33,27 @@ class TestPairing:
         rng = np.random.default_rng(0)
         p = bf.PairingSpec("neg_trace")
         for _ in range(20):
-            x = lc.random_algebra(SU2, rng)
-            val = p.pair_elements(x, x)
-            assert val > 0 or lc.frob(x.matrix) < 1e-12
+            x = lc.random_algebra(SU2, rng).matrix
+            val = p.pair(x, x)
+            assert val > 0 or lc.frob(x) < 1e-12
 
     def test_ad_invariance(self):
         rng = np.random.default_rng(1)
         p = bf.PairingSpec("neg_trace")
         for _ in range(20):
-            g = lc.random_group(SU2, rng)
-            x = lc.random_algebra(SU2, rng)
-            y = lc.random_algebra(SU2, rng)
-            lhs = p.pair_elements(*(lc.AlgebraElement(SU2, lc.conjugate(g.matrix, v.matrix))
-                                    for v in (x, y)))
-            rhs = p.pair_elements(x, y)
+            g = lc.random_group(SU2, rng).matrix
+            x = lc.random_algebra(SU2, rng).matrix
+            y = lc.random_algebra(SU2, rng).matrix
+            lhs = p.pair(lc.conjugate(g, x), lc.conjugate(g, y))
+            rhs = p.pair(x, y)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         p = bf.PairingSpec("trace")
-        x = lc.random_algebra(SU2, rng)
-        y = lc.random_algebra(SU2, rng)
-        assert p.pair_elements(x, y) == pytest.approx(p.pair_elements(y, x))
+        x = lc.random_algebra(SU2, rng).matrix
+        y = lc.random_algebra(SU2, rng).matrix
+        assert p.pair(x, y) == pytest.approx(p.pair(y, x))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -75,8 +74,8 @@ class TestBetaField:
         betas = bf.beta_field(cm, a, b0, x)
         e = np.eye(4)
         for (i, j), val in betas.items():
-            k = fm.curvature_two_form(a, x, e[i], e[j])
-            assert np.allclose(val.matrix, k.matrix)
+            k = fm.curvature_matrices_at(a, x, e[i], e[j])
+            assert np.allclose(val.matrix, k)
 
     def test_zero_a_gives_minus_tb(self, su2_4d_pair):
         cm, _, b = su2_4d_pair
@@ -251,9 +250,9 @@ class TestBetaAssembly:
                 return x[..., 0, None, None] * mat
             return fn
 
-        a = fm.one_form_from_callables(
+        a = one_form_from_callables(
             SU2, [counted(k, lc.random_algebra(SU2, rng).matrix) for k in range(4)], 4)
-        b = fm.two_form_from_callables(
+        b = two_form_from_callables(
             SU2, {pl: counted(pl, lc.random_algebra(SU2, rng).matrix)
                   for pl in PLANES}, 4)
         bf.bf_action(hg.make_eg(SU2), a, b, grid=bf.GridSpec(4))
@@ -267,7 +266,7 @@ class TestBetaAssembly:
         cm = hg.make_eg(SU2)
         b0 = fm.two_form_from_expressions(SU2, {}, 4)
         x0 = lc.random_algebra(SU2, rng).matrix
-        same = fm.one_form_from_callables(SU2, [lambda x: x0] * 4, 4)
+        same = one_form_from_callables(SU2, [lambda x: x0] * 4, 4)
         assert bf.bf_action(cm, same, b0, grid=bf.GridSpec(4)) == 0.0
         # one stacked component next to three constant (d, d) ones
         mats = [lc.random_algebra(SU2, rng).matrix for _ in range(4)]
@@ -276,7 +275,7 @@ class TestBetaAssembly:
         entries = [[[f"({v.real!r} + {v.imag!r}*i)" for v in row.tolist()] for row in m]
                    for m in mats]
         entries[0] = [[f"x2*{e}" for e in row] for row in entries[0]]
-        mixed = fm.one_form_from_callables(SU2, fns, 4)
+        mixed = one_form_from_callables(SU2, fns, 4)
         symbolic = fm.one_form_from_expressions(SU2, entries, 4)
         s = bf.bf_action(cm, mixed, b0, grid=bf.GridSpec(4))
         assert s != 0.0
@@ -289,8 +288,8 @@ class TestBetaAssembly:
         cached = {key: np.stack([lc.random_algebra(SU2, rng).matrix for _ in range(256)])
                   for key in list(range(4)) + PLANES}
         before = {key: arr.copy() for key, arr in cached.items()}
-        a = fm.one_form_from_callables(SU2, [lambda x, k=k: cached[k] for k in range(4)], 4)
-        b = fm.two_form_from_callables(
+        a = one_form_from_callables(SU2, [lambda x, k=k: cached[k] for k in range(4)], 4)
+        b = two_form_from_callables(
             SU2, {pl: (lambda x, pl=pl: cached[pl]) for pl in PLANES}, 4)
         cm = hg.make_eg(SU2)
         bf.bf_action(cm, a, b, grid=bf.GridSpec(4))

@@ -64,6 +64,13 @@ class TestDumpJson:
         with pytest.raises(ConfigError):
             cli.dump_json(float("nan"))
 
+    def test_non_finite_pointer_is_the_first_in_writing_order(self):
+        report = {"ok": 1.0, "a/b~": [np.array([2.0, np.inf]), complex(1, np.nan)],
+                  "c": np.nan}
+        assert cli._non_finite_pointer(report) == "/a~1b~0/0/1"
+        assert cli._non_finite_pointer({"z": [complex(1, np.nan)]}) == "/z/0/im"
+        assert cli._non_finite_pointer({"ok": [1.0, True, "inf"]}) == ""
+
 
 class TestConfigParsing:
     def test_group_names(self):
@@ -250,7 +257,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("action", ["error", "default"], ids=["W_error", "no_flag"])
     def test_bf_at_scale_1e200_has_no_traceback(self, tmp_path, capsys, action):
         # beta of scale 1e200 has a finite norm, though its squared entries
-        # overflow; on two planes the action is inf, which has no JSON number
+        # overflow; on two planes the action is inf, which has no JSON number,
+        # and the error names the first such value
         for name in ("bf_beta_1e200", "bf_report_1e200"):
             with warnings.catch_warnings():
                 warnings.simplefilter(action, RuntimeWarning)
@@ -260,7 +268,8 @@ class TestMainEntry:
                 assert (rc, out.err) == (0, "")
                 assert json.loads(out.out)["result"]["beta_sup"] == pytest.approx(2 ** 0.5 * 1e200)
             else:
-                assert (rc, out.out, out.err) == (2, "", "error: non-finite value inf in report\n")
+                assert (rc, out.out, out.err) == (
+                    2, "", "error: /result/S: non-finite value inf in report\n")
 
     def test_check_fc_with_a_pole_fails_with_a_report(self, tmp_path, capsys):
         # the first Halton sample has x1 = 0.5, where A is not finite

@@ -10,7 +10,7 @@ from higher_holonomy import higher_group as hg
 from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
 
-from .conftest import SU2, U1, su2_matrix_table
+from .conftest import SU2, U1, constant_group_map, one_form_from_callables, su2_matrix_table
 
 EXTRACT_CFG = tp.IntegratorConfig(n_steps_path=64, n_steps_surface_s=64, n_quad_t=64)
 
@@ -79,7 +79,8 @@ class TestExtractTwoForm:
         cm = hg.make_eg(SU2)
 
         def trivial(sigma):
-            return hg.identity_two_morphism(cm, lc.identity(SU2))
+            one = lc.identity(SU2)
+            return hg.TwoMorphismValue(cm, one, one, one)
 
         out = ex.extract_two_form(trivial, np.zeros(2), np.eye(2)[0], np.eye(2)[1])
         assert lc.frob(out.matrix) == 0.0
@@ -216,7 +217,7 @@ class TestResidualProps:
         cm = hg.make_eg(SU2)
         zero1 = fm.zero_one_form(SU2, 2)
         zero2 = fm.two_form_from_expressions(SU2, {}, 2)
-        g_map = fm.constant_group_map(lc.identity(SU2), 2)
+        g_map = constant_group_map(lc.identity(SU2))
         res = ex.residual_prop2(cm, g_map, zero1, zero1, zero2, zero1, zero2,
                                 [np.array([0.4, 0.6])])
         assert res.max_residual == 0.0
@@ -226,9 +227,9 @@ class TestResidualProps:
         cm = hg.make_eg(SU2)
         zero1 = fm.zero_one_form(SU2, 2)
         zero2 = fm.two_form_from_expressions(SU2, {}, 2)
-        nan1 = fm.one_form_from_callables(
+        nan1 = one_form_from_callables(
             SU2, [lambda x: np.full(x.shape[:-1] + (2, 2), np.nan)] * 2, 2)
-        one = fm.constant_group_map(lc.identity(SU2), 2)
+        one = constant_group_map(lc.identity(SU2))
         points = [np.array([0.4, 0.6]), np.array([0.2, 0.3])]
         r2 = ex.residual_prop2(cm, one, nan1, zero1, zero2, zero1, zero2, points)
         assert r2.connection_eq == r2.curving_eq == r2.max_residual == math.inf
@@ -302,7 +303,7 @@ class TestResidualProps:
 
 class TestExtractTransformation:
     def test_identity_transformation(self):
-        g_map = fm.constant_group_map(lc.identity(SU2), 2)
+        g_map = constant_group_map(lc.identity(SU2))
 
         def rho_h(_gamma):
             return lc.identity(SU2)
@@ -335,7 +336,7 @@ class TestExtractTransformation:
             d = gamma.end() - gamma.start()
             return lc.GroupElement(U1, [[np.exp(1j * (0.7 * d[0] + 0.2 * d[1]))]])
 
-        g_map = fm.constant_group_map(lc.identity(cmb.G), 2)
+        g_map = constant_group_map(lc.identity(cmb.G))
         ext = ex.extract_transformation(g_map, rho_h, U1, 2)
         val = ext.phi(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         assert abs(val.matrix[0, 0] - 0.7j) <= 1e-8
@@ -459,7 +460,7 @@ class TestCompositeMaps:
 class TestComposeZ2:
     def test_identity_neutral(self):
         cm = hg.make_eg(SU2)
-        ident = (fm.constant_group_map(lc.identity(SU2), 2), fm.zero_one_form(SU2, 2))
+        ident = (constant_group_map(lc.identity(SU2)), fm.zero_one_form(SU2, 2))
         phi = fm.one_form_from_expressions(
             SU2, [su2_matrix_table("0.3", "0", "0"), su2_matrix_table("0", "0.2", "0")], 2)
         g_map = fm.exp_scalar_family(
@@ -474,7 +475,7 @@ class TestComposeZ2:
         cmb = hg.make_b_abelian(U1)
         phi1 = fm.one_form_from_expressions(U1, [[["i*x1"]], [["0"]]], 2)
         phi2 = fm.one_form_from_expressions(U1, [[["i*0.5"]], [["i*x2"]]], 2)
-        gm = fm.constant_group_map(lc.identity(cmb.G), 2)
+        gm = constant_group_map(lc.identity(cmb.G))
         _, phi_out = ex.compose_z2_morphisms((gm, phi1), (gm, phi2), cmb)
         x = np.array([0.3, 0.9])
         v = np.array([1.0, 1.0])

@@ -9,7 +9,7 @@ from higher_holonomy import lie_core as lc
 from higher_holonomy.errors import DomainError, FakeCurvatureError, MembershipError
 from higher_holonomy.sampling import ProductGrid
 
-from .conftest import SU2, U1, su2_matrix_table
+from .conftest import SU2, U1, one_form_from_callables, su2_matrix_table, two_form_from_callables
 from .oracles import dense_one_form, dense_pair_contraction
 
 
@@ -85,23 +85,23 @@ class TestCurvature:
         )
         x = np.array([0.3, 0.3])
         e1, e2 = np.eye(2)
-        k = fm.curvature_two_form(a, x, e1, e2)
+        k = fm.curvature_matrices_at(a, x, e1, e2)
         a1 = a.matrices_at(x, e1)
         a2 = a.matrices_at(x, e2)
-        assert np.allclose(k.matrix, a1 @ a2 - a2 @ a1)
+        assert np.allclose(k, a1 @ a2 - a2 @ a1)
 
     def test_abelian_symbolic_d(self):
         # A = x1 dx2 on u(1): K(e1, e2) = 1 * generator
         a = fm.one_form_from_expressions(U1, [[["0"]], [["i*x1"]]], 2)
-        k = fm.curvature_two_form(a, np.array([0.7, 0.1]), np.eye(2)[0], np.eye(2)[1])
-        assert k.matrix[0, 0] == pytest.approx(1j)
+        k = fm.curvature_matrices_at(a, np.array([0.7, 0.1]), np.eye(2)[0], np.eye(2)[1])
+        assert k[0, 0] == pytest.approx(1j)
 
     def test_rank_one_form_has_no_bracket(self):
         a = fm.one_form_from_expressions(U1, [[["i*x2^2"]], [["0"]]], 2)
         x = np.array([0.2, 0.4])
-        k = fm.curvature_two_form(a, x, np.eye(2)[0], np.eye(2)[1])
+        k = fm.curvature_matrices_at(a, x, np.eye(2)[0], np.eye(2)[1])
         # dA(e1,e2) = -d/dx2 (x2^2) = -0.8
-        assert k.matrix[0, 0] == pytest.approx(-0.8j)
+        assert k[0, 0] == pytest.approx(-0.8j)
 
     def test_fd_matches_symbolic_with_second_order(self):
         # entries need nonzero third derivatives or the central difference
@@ -111,12 +111,12 @@ class TestCurvature:
         sym = fm.one_form_from_expressions(SU2, tables, 2)
         x = np.array([0.3, 0.6])
         e1, e2 = np.eye(2)
-        exact = fm.curvature_two_form(sym, x, e1, e2).matrix
+        exact = fm.curvature_matrices_at(sym, x, e1, e2)
         errs = []
         for h in (2e-2, 1e-2):
-            fd_form = fm.one_form_from_callables(
+            fd_form = one_form_from_callables(
                 SU2, [lambda x, c=c: c.eval(x) for c in sym.components], 2, fd_step=h)
-            errs.append(lc.frob(fm.curvature_two_form(fd_form, x, e1, e2).matrix - exact))
+            errs.append(lc.frob(fm.curvature_matrices_at(fd_form, x, e1, e2) - exact))
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] < 1e-4
 
@@ -125,7 +125,7 @@ class TestCurvature:
         x = np.array([0.35, 0.62])
         e1, e2 = np.eye(2)
         assert np.allclose(kf(x, e1, e2).matrix,
-                           fm.curvature_two_form(su2_one_form, x, e1, e2).matrix)
+                           fm.curvature_matrices_at(su2_one_form, x, e1, e2))
 
 
 def _expression_form(descriptor, ambient_dim, seed):
@@ -144,7 +144,7 @@ def _expression_form(descriptor, ambient_dim, seed):
 
 
 def _callable_copy(a, vectorized):
-    return fm.one_form_from_callables(
+    return one_form_from_callables(
         a.descriptor, [lambda x, c=c: c.eval(x) for c in a.components], a.ambient_dim,
         vectorized=vectorized)
 
@@ -325,7 +325,7 @@ class TestFrameContraction:
         # component 2 has a pole (NaN) everywhere; a frame that is 0 there
         # on the whole stack never sees it, one nonzero point does
         calls = {}
-        a = fm.one_form_from_callables(
+        a = one_form_from_callables(
             U1, [_counted_field(calls, 0, 1j), _counted_field(calls, 1, 2j),
                  _counted_field(calls, 2, np.nan)], 3)
         x = np.random.default_rng(0).uniform(0.0, 1.0, (5, 3))
@@ -338,7 +338,7 @@ class TestFrameContraction:
 
     def test_a_nan_coefficient_is_evaluated(self):
         calls = {}
-        a = fm.one_form_from_callables(U1, [_counted_field(calls, 0, 1j),
+        a = one_form_from_callables(U1, [_counted_field(calls, 0, 1j),
                                             _counted_field(calls, 1, 1j)], 2)
         x = np.zeros((3, 2))
         v = np.zeros((3, 2))
@@ -349,7 +349,7 @@ class TestFrameContraction:
 
     def test_only_planes_with_a_nonzero_coefficient_are_evaluated(self):
         calls = {}
-        b = fm.two_form_from_callables(
+        b = two_form_from_callables(
             U1, {(0, 1): _counted_field(calls, (0, 1), 1j),
                  (0, 2): _counted_field(calls, (0, 2), np.nan),
                  (1, 2): _counted_field(calls, (1, 2), np.nan)}, 3)
@@ -359,7 +359,7 @@ class TestFrameContraction:
         assert calls == {(0, 1): 1}
         # the curvature of A on (e1, e2) needs A_1, A_2 and their partials only
         calls.clear()
-        a = fm.one_form_from_callables(
+        a = one_form_from_callables(
             U1, [_counted_field(calls, k, 1j if k < 2 else np.nan) for k in range(3)], 3)
         assert not fm.curvature_matrices_at(a, x, e1, e2).any()
         assert 2 not in calls
@@ -425,7 +425,7 @@ class TestPlaneCurvature:
         # every value and both partials are one (d, d) matrix for any stack
         rng = np.random.default_rng(9)
         mats = [lc.random_algebra(SU2, rng).matrix for _ in range(2)]
-        a = fm.one_form_from_callables(SU2, [lambda x, m=m: m for m in mats], 2)
+        a = one_form_from_callables(SU2, [lambda x, m=m: m for m in mats], 2)
         xs = rng.uniform(0.0, 1.0, (3, 4, 2))
         k = fm._plane_curvature(a, xs, 0, 1, mats[0], mats[1])
         assert k.shape == (3, 4, 2, 2)
@@ -449,7 +449,7 @@ class TestEgPair:
                 return sym.components[m].eval(x)
             return fn
 
-        a = fm.one_form_from_callables(SU2, [counted(m) for m in range(4)], 4)
+        a = one_form_from_callables(SU2, [counted(m) for m in range(4)], 4)
         pair = fm.eg_pair(a)
         assert counts == [17] * 4
         assert pair.fc_report.max_residual == 0.0
@@ -481,6 +481,20 @@ class TestThreeForm:
         w = np.array([1.0, 0.0, 0.4])
         val = fm.curvature_three_form(cm, a, b, np.zeros(3), v, w, v)
         assert lc.frob(val.matrix) <= 1e-14
+
+    def test_bianchi_identity_in_the_inner_2_group(self):
+        # in eg:SU(2) the curvature 3-form of (A, K_A) is dK + [A ^ K], which
+        # vanishes for every A; dK alone does not
+        a = fm.one_form_from_expressions(SU2, [
+            su2_matrix_table("0.7*sin(x2)", "0.4*x1*x3", "0.3*cos(x3)"),
+            su2_matrix_table("0.5*x3^2", "0.6*cos(x1 + x3)", "0.2*x1"),
+            su2_matrix_table("0.3*x1*x2", "0.5*sin(x2)", "0.4*x2^2 - x1")], 3)
+        k = fm.symbolic_curvature(a)
+        rng = np.random.default_rng(11)
+        x, v1, v2, v3 = (rng.uniform(-1.0, 1.0, (50, 3)) for _ in range(4))
+        three = fm.curvature_three_form(hg.make_eg(SU2), a, k, x, v1, v2, v3)
+        assert np.max(lc.frobs(three)) <= 1e-13
+        assert np.max(lc.frobs(fm.exterior_derivative_two_form(k, x, v1, v2, v3))) > 0.1
 
 
 def _stacked_three_form_case(module):
@@ -593,7 +607,7 @@ class TestFakeCurvature:
         b = fm.symbolic_curvature(sym)
         res = {}
         for h in (0.2, 1e-4):
-            fd_form = fm.one_form_from_callables(
+            fd_form = one_form_from_callables(
                 SU2, [lambda x, c=c: c.eval(x) for c in sym.components], 2, fd_step=h)
             res[h] = fm.fake_curvature_residual(cm, fd_form, b).max_residual
         assert res[1e-4] < 1e-6
@@ -634,11 +648,11 @@ class TestAlgebraGate:
     def test_tolerance_scales_with_the_entries(self):
         # a defect of 4e-9 passes at |entry| = 50 (tolerance 1e-9 * 50)
         cm = hg.make_eg(SU2)
-        a = fm.one_form_from_callables(
+        a = one_form_from_callables(
             SU2, [lambda x: np.broadcast_to(50.0j * np.diag([1.0, -1.0]) + 1e-9,
                                             x.shape[:-1] + (2, 2)),
                   lambda x: np.zeros(x.shape[:-1] + (2, 2))], 2)
-        b = fm.two_form_from_callables(SU2, {(0, 1): lambda x: np.zeros(x.shape[:-1] + (2, 2))}, 2)
+        b = two_form_from_callables(SU2, {(0, 1): lambda x: np.zeros(x.shape[:-1] + (2, 2))}, 2)
         fm.ConnectionPair(cm, a, b)
 
 

@@ -6,6 +6,9 @@ import pytest
 from higher_holonomy import geometry as geo
 from higher_holonomy.errors import CompositionError, DomainError
 
+from .conftest import constant_path, identity_chart, path_reverse
+from .oracles import bigon_boundary_defect, path_sitting_defect
+
 
 class TestSmoothingProfile:
     def test_flat_ends_exactly(self):
@@ -42,7 +45,7 @@ class TestSmoothingProfile:
 
 class TestPaths:
     def test_constant_compose(self):
-        c = geo.constant_path([1.0, 2.0])
+        c = constant_path([1.0, 2.0])
         cc = geo.path_compose(c, c)
         assert np.allclose(cc.point(0.37), [1.0, 2.0])
 
@@ -64,12 +67,12 @@ class TestPaths:
 
     def test_reverse(self):
         p = geo.line_path([0.0, 0.0], [1.0, 2.0])
-        r = geo.path_reverse(p)
+        r = path_reverse(p)
         assert np.allclose(r.point(0.25), p.point(0.75))
-        rr = geo.path_reverse(r)
+        rr = path_reverse(r)
         t = np.linspace(0, 1, 33)
         assert np.allclose(rr.point(t), p.point(t))
-        assert np.allclose(geo.path_reverse(geo.constant_path([3.0])).point(0.5), [3.0])
+        assert np.allclose(path_reverse(constant_path([3.0])).point(0.5), [3.0])
 
     def test_composition_associates_after_reparameterization(self):
         g1 = geo.line_path([0.0, 0.0], [1.0, 0.0])
@@ -94,11 +97,11 @@ class TestPaths:
     def test_sitting_defect_zero_for_lines(self):
         # the profile sits on strips of its epsilon, a composite on half
         p = geo.line_path([0.0], [2.0])
-        assert geo.path_sitting_defect(p, 0.1) == 0.0
-        assert geo.path_sitting_defect(p, 0.2) > 0.0
+        assert path_sitting_defect(p, 0.1) == 0.0
+        assert path_sitting_defect(p, 0.2) > 0.0
         pp = geo.path_compose(p, geo.line_path([2.0], [3.0]))
-        assert geo.path_sitting_defect(pp, 0.05) == 0.0
-        assert geo.path_sitting_defect(pp, 0.1) > 0.0
+        assert path_sitting_defect(pp, 0.05) == 0.0
+        assert path_sitting_defect(pp, 0.1) > 0.0
 
     def test_reparameterize_identity_and_profile(self):
         p = geo.path_from_expressions(["t", "t*(1-t)"])
@@ -189,8 +192,8 @@ class TestBigons:
         g0, g1, g2 = (geo.path_from_expressions(["t", f"{h}*t*(1-t)"])
                       for h in (0.0, 0.4, 0.8))
         comp = geo.bigon_vcompose(geo.bigon_between(g0, g1), geo.bigon_between(g1, g2))
-        assert geo.bigon_boundary_defect(comp, 0.05) <= 1e-12
-        assert geo.bigon_boundary_defect(comp, 0.1) > 0.0
+        assert bigon_boundary_defect(comp, 0.05) <= 1e-12
+        assert bigon_boundary_defect(comp, 0.1) > 0.0
 
 
 class TestReparameterizedBigon:
@@ -234,8 +237,8 @@ _CONSTRUCTORS = {
     "line_path": lambda: geo.line_path([0.2, -1.0], [1.5, 0.7]),
     "path_from_expressions": lambda: geo.path_from_expressions(["t^2", "sin(t)"]),
     "path_compose": lambda: geo.path_compose(*_expr_paths(["t", "t^2"], ["1 + sin(t)", "1 - t"])),
-    "path_reverse": lambda: geo.path_reverse(geo.path_from_expressions(["t^3", "cos(2*t)"])),
-    "constant_path": lambda: geo.constant_path([1.0, 2.0]),
+    "path_reverse": lambda: path_reverse(geo.path_from_expressions(["t^3", "cos(2*t)"])),
+    "constant_path": lambda: constant_path([1.0, 2.0]),
     "loop_from_expressions": _circle,
     "loop_to_path": lambda: geo.loop_to_path(_circle()),
     "reparameterize_profile": lambda: geo.reparameterize(
@@ -278,13 +281,13 @@ def test_exact_partials_match_a_central_difference(build):
 
 class TestStandardBigon:
     def test_degenerate_is_thin(self):
-        sb = geo.standard_bigon(geo.identity_chart(), 0.0, 0.7)
+        sb = geo.standard_bigon(identity_chart(), 0.0, 0.7)
         s = np.linspace(0, 1, 9)
         pts = sb.point(s, np.full(9, 0.5))
         assert np.allclose(pts[:, 0], 0.0)  # stays on the t-axis
 
     def test_orientation_source_t_leg_first(self):
-        sb = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sb = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         src = sb.source_path()
         tgt = sb.target_path()
         # source passes through (0, t): the second coordinate moves first
@@ -314,14 +317,14 @@ class TestStandardBigon:
 
     def test_boundary_defect(self):
         # the edge paths are composites of profiled lines: strips of 0.05
-        sb = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
-        assert geo.bigon_boundary_defect(sb, 0.05) <= 1e-12
+        sb = geo.standard_bigon(identity_chart(), 1.0, 1.0)
+        assert bigon_boundary_defect(sb, 0.05) <= 1e-12
 
     def test_charts_are_two_slot_maps_with_exact_partials(self):
         a, b = np.linspace(-0.5, 1.5, 7), np.linspace(1.5, -0.5, 7)
         x, v1, v2 = np.array([0.3, -0.2, 1.0]), np.array([1.0, 0.5, 0.0]), np.array([-0.25, 1, 2])
         expr = geo.chart_from_expressions(["s + 0.2*s*t", "t - 0.1*s^2"])
-        for ch in (geo.affine_chart(x, v1, v2), geo.identity_chart(), expr):
+        for ch in (geo.affine_chart(x, v1, v2), identity_chart(), expr):
             assert isinstance(ch, geo.Bigon)
             assert ch.ds_fn is not None and ch.dt_fn is not None
         ch = geo.affine_chart(x, v1, v2)
@@ -329,12 +332,12 @@ class TestStandardBigon:
                            rtol=0, atol=1e-15)
         assert np.array_equal(ch.ds(a, b), np.broadcast_to(v1, (7, 3)))
         assert np.array_equal(ch.dt(a, b), np.broadcast_to(v2, (7, 3)))
-        assert np.array_equal(geo.identity_chart().dt(a, b), np.broadcast_to([0.0, 1.0], (7, 2)))
+        assert np.array_equal(identity_chart().dt(a, b), np.broadcast_to([0.0, 1.0], (7, 2)))
         assert np.allclose(expr.ds(a, b), np.stack([1 + 0.2 * b, -0.2 * a], -1), rtol=0, atol=1e-15)
         assert np.allclose(expr.dt(a, b), np.stack([0.2 * a, np.ones(7)], -1), rtol=0, atol=1e-15)
 
     def test_refuses_a_chart_without_exact_partials(self):
-        ch = geo.identity_chart()
+        ch = identity_chart()
         line = geo.line_path(np.zeros(2), np.ones(2))
         for bad in (ch.point, line):
             with pytest.raises(TypeError, match="exact partials"):

@@ -71,6 +71,15 @@ class TestExpMap:
         with pytest.raises(NumericalError):
             lc.exp_map(x)
 
+    @pytest.mark.parametrize("scale", [1e40, 1e200])
+    def test_overflowing_squarings_raise_without_a_warning(self, scale):
+        # a finite su(3) argument whose squarings overflow (n >= 3 only)
+        x = lc.random_algebra(lc.su(3), np.random.default_rng(5)).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="squarings"):
+                lc.expm(scale * x / lc.frob(x))
+
 
 def _expm_stack(kind, rng, norms):
     """Random matrices of Frobenius norms `norms` from one of the test

@@ -10,7 +10,16 @@ from higher_holonomy import lie_core as lc
 from higher_holonomy import transport as tp
 from higher_holonomy.errors import MembershipError, NumericalError, TargetMatchingError
 
-from .conftest import SU2, U1, parabola_paths, su2_matrix_table
+from .conftest import (
+    SU2,
+    U1,
+    constant_group_map,
+    constant_path,
+    identity_chart,
+    parabola_paths,
+    path_reverse,
+    su2_matrix_table,
+)
 from .oracles import (
     DenseOneForm,
     line_integral,
@@ -42,10 +51,6 @@ class TestIntegratorConfig:
             tp.IntegratorConfig(n_steps_path=4)
         with pytest.raises(ValueError):
             tp.IntegratorConfig(n_quad_t=7)
-
-    def test_refined(self):
-        cfg = tp.IntegratorConfig(16, 8, 8).refined()
-        assert (cfg.n_steps_path, cfg.n_steps_surface_s, cfg.n_quad_t) == (32, 16, 16)
 
 
 class TestPathTransport:
@@ -86,10 +91,10 @@ class TestPathTransport:
         whole = tp.path_transport(a, geo.path_compose(g1, g2), cfg)
         split = tp.path_transport(a, g2, cfg).matrix @ tp.path_transport(a, g1, cfg).matrix
         assert lc.frob(whole.matrix - split) / lc.frob(split) <= 1e-8
-        ident = tp.path_transport(a, geo.constant_path([0.3, 0.3]), cfg)
+        ident = tp.path_transport(a, constant_path([0.3, 0.3]), cfg)
         assert lc.frob(ident.matrix - np.eye(2)) <= 1e-12
         fwd = tp.path_transport(a, g1, cfg)
-        bwd = tp.path_transport(a, geo.path_reverse(g1), cfg)
+        bwd = tp.path_transport(a, path_reverse(g1), cfg)
         assert lc.frob(bwd.matrix - np.linalg.inv(fwd.matrix)) <= 1e-8
 
     def test_reparameterization_invariance(self):
@@ -124,12 +129,12 @@ class TestSurfaceDriver:
         cm = hg.make_eg(SU2)
         pair_zero_b = fm.ConnectionPair(
             cm, fm.zero_one_form(SU2, 2), fm.two_form_from_expressions(SU2, {}, 2))
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         d = tp.surface_driver(pair_zero_b, sig, 0.4, fast_cfg)
         assert lc.frob(d.matrix) == 0.0
 
     def test_abelian_plain_quadrature(self, bu1_pair, tight_cfg):
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         s0 = 0.37
         got = tp.surface_driver(bu1_pair, sig, s0, tight_cfg).matrix[0, 0]
 
@@ -151,7 +156,7 @@ class TestSurfaceTransport:
         cm = hg.make_eg(SU2)
         pair = fm.ConnectionPair(
             cm, fm.zero_one_form(SU2, 2), fm.two_form_from_expressions(SU2, {}, 2))
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         res = tp.surface_transport(pair, sig, fast_cfg)
         assert lc.frob(res.h_part.matrix - np.eye(2)) <= 1e-12
         assert res.matching_residual() <= 1e-12
@@ -160,7 +165,7 @@ class TestSurfaceTransport:
         from .conftest import ABELIAN_SURFACE_PHASE_SIGN
         from .oracles import square_integral
 
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         res = tp.surface_transport(bu1_pair, sig, tight_cfg)
         k = res.h_part.matrix[0, 0]
         assert abs(abs(k) - 1.0) <= 1e-12
@@ -174,7 +179,7 @@ class TestSurfaceTransport:
         assert abs(k - oracle) < 1e-6
 
     def test_abelian_product_integration_oracle(self, bu1_pair, tight_cfg):
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         res = tp.surface_transport(bu1_pair, sig, tight_cfg)
         oracle = surface_k_product_oracle(
             "b_abelian",
@@ -197,7 +202,7 @@ class TestSurfaceTransport:
         assert lc.frob(res.h_part.matrix - oracle) < 5e-4
 
     def test_eg_target_matching(self, eg_su2_pair, tight_cfg):
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         res = tp.surface_transport(eg_su2_pair, sig, tight_cfg)
         filler = res.target.matrix @ np.linalg.inv(res.source.matrix)
         assert lc.frob(eg_su2_pair.cm.t(res.h_part.matrix) - filler) <= 1e-6
@@ -214,12 +219,12 @@ class TestSurfaceTransport:
             pair = fm.ConnectionPair(hg.make_eg(SU2), fm.zero_one_form(SU2, 2),
                                      fm.two_form_from_expressions(SU2, {(0, 1): ident}, 2),
                                      box=_LOW_BOX)
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         with pytest.raises(MembershipError, match=f"^{form} over the bigon leaves"):
             tp.surface_transport(pair, sig, fast_cfg)
 
     def test_hard_limit_raises_on_coarse_grid(self, eg_su2_pair):
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         coarse = tp.IntegratorConfig(n_steps_path=8, n_steps_surface_s=4, n_quad_t=4)
         with pytest.raises(TargetMatchingError):
             tp.surface_transport(eg_su2_pair, sig, coarse)
@@ -440,7 +445,7 @@ class TestTransformationTransport:
         # per step doubling (on b_u1 the action is trivial, both are the
         # same scheme and the gap is rounding), and so does the self-gap
         cm, phi, a_prime, act = _transformation_forms(kind)
-        g_map = fm.constant_group_map(lc.identity(cm.G), 2)
+        g_map = constant_group_map(lc.identity(cm.G))
         gamma = geo.path_from_expressions(["t", "0.5*t + t^2"])
         hs, gaps = [], []
         for n in (32, 64, 128):
@@ -460,7 +465,7 @@ class TestTransformationTransport:
     def test_phi_outside_the_algebra_raises(self, mid_cfg):
         # phi = 1 dx1 is not su(2)-valued; the retraction would return h = 1
         cm = hg.make_eg(SU2)
-        g_map = fm.constant_group_map(lc.identity(SU2), 2)
+        g_map = constant_group_map(lc.identity(SU2))
         phi = fm.one_form_from_expressions(SU2, [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]], 2)
         gamma = geo.path_from_expressions(["t", "0.2*t"])
         with pytest.raises(MembershipError, match="^phi along the path leaves"):
@@ -471,7 +476,7 @@ class TestTransformationTransport:
         # s_* is 0 on b_u1, so A' = i dx1 never reaches H: only the check of
         # A' in the algebra of G (real GL(1)) sees it
         cm = hg.make_b_abelian(U1)
-        g_map = fm.constant_group_map(lc.identity(cm.G), 2)
+        g_map = constant_group_map(lc.identity(cm.G))
         a_prime = fm.one_form_from_expressions(cm.G, [[["i"]], [["0"]]], 2)
         gamma = geo.path_from_expressions(["t", "0.2*t"])
         with pytest.raises(MembershipError, match="^A' along the path leaves"):
@@ -489,7 +494,7 @@ class TestTransformationTransport:
 
     def test_trivial_data_gives_identity(self, mid_cfg):
         cm = hg.make_eg(SU2)
-        g_map = fm.constant_group_map(lc.identity(SU2), 2)
+        g_map = constant_group_map(lc.identity(SU2))
         zero = fm.zero_one_form(SU2, 2)
         gamma = geo.path_from_expressions(["t", "0.2*t"])
         res = tp.transformation_transport(cm, g_map, zero, zero, gamma, mid_cfg)
@@ -500,7 +505,7 @@ class TestTransformationTransport:
         cmb = hg.make_b_abelian(U1)
         phi = fm.one_form_from_expressions(U1, [[["i*(1 + x2)"]], [["i*x1^2"]]], 2)
         a_prime = fm.zero_one_form(cmb.G, 2)
-        g_map = fm.constant_group_map(lc.identity(cmb.G), 2)
+        g_map = constant_group_map(lc.identity(cmb.G))
         gamma = geo.path_from_expressions(["t", "t*(1-t)"])
         res = tp.transformation_transport(
             cmb, g_map, phi, a_prime, gamma, tp.IntegratorConfig(n_steps_path=512))
@@ -516,7 +521,7 @@ class TestTransformationTransport:
         # A'_2 is never called; a dense contraction of the same callables
         # calls it at every point and gives h to rounding
         cm, phi, a_sym, _ = _transformation_forms("eg")
-        g_map = fm.constant_group_map(lc.identity(cm.G), 2)
+        g_map = constant_group_map(lc.identity(cm.G))
         gamma = geo.path_from_expressions(["0.2 + 0.6*t", "0.4"])
         calls = {}
 
@@ -558,7 +563,7 @@ class TestTransformationTransport:
 class TestModificationWhisker:
     def test_trivial_component_has_zero_defect(self, morphism_data, mid_cfg):
         cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
-        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        a_map = constant_group_map(lc.identity(SU2))
         gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
         defect = tp.modification_whisker(cm, a_map, a_prime, g_map, phi, gamma,
                                          mid_cfg, g2_map=g_map, phi2=phi)
@@ -569,7 +574,7 @@ class TestModificationWhisker:
         cmb = hg.make_b_abelian(U1)
         phi = fm.one_form_from_expressions(U1, [[["i*x2"]], [["i*0.5"]]], 2)
         a_prime = fm.zero_one_form(cmb.G, 2)
-        g_map = fm.constant_group_map(lc.identity(cmb.G), 2)
+        g_map = constant_group_map(lc.identity(cmb.G))
         x0 = lc.AlgebraElement(U1, [[1j]])
         a_map = fm.exp_scalar_family(U1, "0.7*x1 + 0.2*x2", x0, 2)
         gamma = geo.path_from_expressions(["0.1 + 0.6*t", "0.3*t"])
@@ -620,7 +625,7 @@ class TestModificationWhisker:
         cmb = hg.make_b_abelian(U1)
         phi = fm.one_form_from_expressions(U1, [[["i*x2"]], [["i*0.5"]]], 2)
         a_prime = fm.one_form_from_expressions(cmb.G, [[["0.3*x1"]], [["0.5"]]], 2)
-        g_map = fm.constant_group_map(lc.identity(cmb.G), 2)
+        g_map = constant_group_map(lc.identity(cmb.G))
         a_map = fm.exp_scalar_family(U1, "0.7*x1 + 0.2*x2", lc.AlgebraElement(U1, [[1j]]), 2)
         gamma = geo.path_from_expressions(["0.1 + 0.6*t", "0.3*t"])
         cfg = tp.IntegratorConfig(n_steps_path=64)
@@ -632,7 +637,7 @@ class TestModificationWhisker:
 
     def test_a_prime_is_sampled_and_swept_once(self, morphism_data, mid_cfg, monkeypatch):
         cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
-        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        a_map = constant_group_map(lc.identity(SU2))
         gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
         sweeps = []
         sweep = tp._rk4_sweep
@@ -650,7 +655,7 @@ class TestModificationWhisker:
 
     def test_second_phi_outside_the_algebra_raises(self, morphism_data, mid_cfg):
         cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
-        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        a_map = constant_group_map(lc.identity(SU2))
         bad = fm.one_form_from_expressions(SU2, [[["1", "0"], ["0", "1"]],
                                                  [["0", "0"], ["0", "0"]]], 2)
         gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
@@ -660,7 +665,7 @@ class TestModificationWhisker:
 
     def test_second_map_outside_the_group_raises(self, morphism_data, mid_cfg):
         cm, a, b, g_map, phi, a_prime, b_prime = morphism_data
-        a_map = fm.constant_group_map(lc.identity(SU2), 2)
+        a_map = constant_group_map(lc.identity(SU2))
         bad = fm.GroupValuedMap(SU2, lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2)),
                                 lambda i, x: np.zeros(x.shape[:-1] + (2, 2)))
         gamma = geo.path_from_expressions(["0.2 + 0.5*t", "0.4 + 0.2*t"])
@@ -671,7 +676,7 @@ class TestModificationWhisker:
 
 class TestSelfConvergenceOfK:
     def test_three_level_refinement(self, eg_su2_pair):
-        sig = geo.standard_bigon(geo.identity_chart(), 1.0, 1.0)
+        sig = geo.standard_bigon(identity_chart(), 1.0, 1.0)
         cfgs = [tp.IntegratorConfig(64, 32, 32),
                 tp.IntegratorConfig(128, 64, 64),
                 tp.IntegratorConfig(256, 128, 128)]
